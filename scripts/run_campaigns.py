@@ -4,7 +4,7 @@
 Four phases, each skippable via --phase:
 
     conj    exhaustive n=2 enumeration, conjecture check on every instance
-    random  H1..H5 campaigns over seeded random oversized instances
+    random  H1..H5 and CONJ over seeded random oversized instances, one pass
     latin   Latin-square pipeline: construct vs. oracle agreement
     shrink  greedy minimization of one finding per violated hypothesis
 
@@ -64,7 +64,7 @@ RANDOM_HYPS = (
 
 def phase_conj(out_dir: Path, workers: int) -> dict:
     spec = GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)
-    summary, records = run_campaign(Hypothesis.CONJ, [spec], workers=workers)
+    (summary,), records = run_campaign((Hypothesis.CONJ,), [spec], workers=workers)
     write_records(records, out_dir / "conj_exhaustive.jsonl")
     d = summary.to_dict()
     print(f"[conj] {d['trials']} instances enumerated, "
@@ -76,10 +76,11 @@ def phase_random(
     out_dir: Path, trials: int, seed: int, workers: int, opts: EvalOptions
 ) -> dict:
     results = {}
-    for hyp in RANDOM_HYPS:
-        specs = random_spec_stream(3, 6, 5, seed, trials)
-        summary, records = run_campaign(hyp, specs, opts=opts, workers=workers)
-        write_records(records, out_dir / f"{hyp.value.lower()}.jsonl")
+    specs = random_spec_stream(3, 6, 5, seed, trials)
+    summaries, records = run_campaign(RANDOM_HYPS, specs, opts=opts, workers=workers)
+    for h, (hyp, summary) in enumerate(zip(RANDOM_HYPS, summaries)):
+        column = records[h * summary.trials:(h + 1) * summary.trials]
+        write_records(column, out_dir / f"{hyp.value.lower()}.jsonl")
         d = summary.to_dict()
         results[hyp.value] = d
         print(f"[random] {hyp.value}: {d['holds']} hold, "

@@ -300,19 +300,13 @@ def _cmd_construct(args) -> int:
             "status": outcome.status.value,
             "matching": _edges(outcome.matching.edges) if outcome.matching else None,
             "attempts": outcome.attempts,
-            "failure": None,
+            "failure": outcome.failure.to_dict() if outcome.failure else None,
             "candidate": _edges(outcome.candidate.edges) if outcome.candidate else None,
             "steps": [
                 {"depth": s.depth, "color": s.color, "pivot": s.pivot, "edge": list(s.edge)}
                 for s in outcome.trace
             ],
         }
-        if outcome.failure is not None:
-            payload["failure"] = {
-                "depth": outcome.failure.depth,
-                "reason": outcome.failure.reason.value,
-                "digest": outcome.failure.digest,
-            }
         if args.format == "json":
             lines.append(json.dumps(payload, separators=(",", ":")))
         else:
@@ -327,26 +321,23 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    hyps = [Hypothesis(h) for h in args.hyp] if args.hyp else list(Hypothesis)
-    opts = _eval_options(args)
-    specs = _specs_from_args(args)
+    hyps = tuple(Hypothesis(h) for h in args.hyp) if args.hyp else tuple(Hypothesis)
+    summaries, records = run_campaign(
+        hyps, _specs_from_args(args), budget=args.budget, opts=_eval_options(args),
+        workers=args.workers,
+    )
     lines = []
-    all_records = []
-    for hyp in hyps:
-        summary, records = run_campaign(
-            hyp, specs, budget=args.budget, opts=opts, workers=args.workers
-        )
-        all_records.extend(records)
+    for summary in summaries:
         if args.format == "json":
             lines.append(json.dumps(summary.to_dict(), separators=(",", ":")))
         else:
             extra = " truncated" if summary.truncated else ""
             lines.append(
-                f"{hyp.value}: trials={summary.trials} holds={summary.holds} "
+                f"{summary.hypothesis.value}: trials={summary.trials} holds={summary.holds} "
                 f"violated={summary.violated} inconclusive={summary.inconclusive}{extra}"
             )
     if args.records is not None:
-        _write_lines((r.to_json_line() for r in all_records), args.records)
+        _write_lines((r.to_json_line() for r in records), args.records)
     _write_lines(lines, args.out)
     # violated verdicts are findings, not failures: the campaign completed
     return EXIT_OK

@@ -68,6 +68,9 @@ class ConstructFailure:
     reason: FailReason
     digest: str  # digest of the level's entry graph
 
+    def to_dict(self) -> dict:
+        return {"depth": self.depth, "reason": self.reason.value, "digest": self.digest}
+
 
 @dataclass(frozen=True)
 class ConstructStep:
@@ -141,6 +144,21 @@ def _lift_color_delete(edges: list[Edge], color: int) -> list[Edge]:
     return [Edge(e.u, e.v, e.c if e.c < color else e.c + 1) for e in edges]
 
 
+def peel(
+    h: ColoredMultigraph,
+    color: int,
+    pivot: int,
+    policy: PivotDonorPolicy,
+    max_iters: int | None,
+) -> tuple[Edge, ReductionOutcome]:
+    """Peel ``color`` at left vertex ``pivot`` of the normalized graph ``h``:
+    the pivot's ``color`` edge, and the re-normalization of ``h`` without
+    that color class and without the pivot."""
+    edge = next(e for e in h.edges if e.u == pivot and e.c == color)
+    residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
+    return edge, reduce_to_normal_form(residual, policy, max_iters)
+
+
 def _candidates(
     g: ColoredMultigraph, depth: int, state: _SearchState
 ) -> Iterator[tuple[list[Edge], list[ConstructStep]]]:
@@ -179,17 +197,15 @@ def _candidates(
             if state.attempts >= state.budget:
                 return
             state.attempts += 1
-            peel = next(e for e in h.edges if e.u == pivot and e.c == color)
-            step = ConstructStep(depth, color, pivot, peel, h)
-            residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
-            red2 = reduce_to_normal_form(residual, policy, state.max_iters)
+            edge, red2 = peel(h, color, pivot, policy, state.max_iters)
+            step = ConstructStep(depth, color, pivot, edge, h)
             if red2.status is not ReductionStatus.NORMALIZED:
                 state.record(
                     ConstructFailure(depth, FailReason.REDUCTION_STALLED, entry_digest),
                     [step],
                 )
                 continue
-            if peel.v in red2.right_map:
+            if edge.v in red2.right_map:
                 # The wrong right vertex was emptied, so excising v would
                 # leave some color class short of n edges.  Recurse anyway:
                 # a sub-matching that happens to avoid v still lifts cleanly,
@@ -202,7 +218,7 @@ def _candidates(
                 lifted = _lift_reduction(sub_edges, red2)
                 lifted = _lift_left_delete(lifted, pivot)
                 lifted = _lift_color_delete(lifted, color)
-                lifted.insert(0, peel)
+                lifted.insert(0, edge)
                 yield _lift_reduction(lifted, red), [step] + sub_trace
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
             return

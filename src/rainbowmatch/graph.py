@@ -240,13 +240,14 @@ def from_dict(d: dict) -> ColoredMultigraph:
         raw_edges = d["edges"]
     except KeyError as exc:
         raise ValueError(f"instance missing key {exc}") from exc
-    if not all(isinstance(x, int) for x in (n, left, right)):
+    # exact type checks: bool subclasses int
+    if not all(type(x) is int for x in (n, left, right)):
         raise ValueError("instance fields n/left/right must be integers")
     if not isinstance(raw_edges, list):
         raise ValueError("instance field edges must be a list")
     edges = []
     for t in raw_edges:
-        if not (isinstance(t, list) and len(t) == 3 and all(isinstance(x, int) for x in t)):
+        if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
             raise ValueError(f"bad edge entry {t!r}: expected [u, v, c]")
         edges.append(Edge(t[0], t[1], t[2]))
     return ColoredMultigraph(n, left, right, tuple(edges))

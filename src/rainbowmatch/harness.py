@@ -24,9 +24,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
-from .construct import ConstructStatus, PeelStrategy, construct
+from .construct import ConstructionOutcome, ConstructStatus, PeelStrategy, construct, peel
 from .generators import GenSpec, instances_for
 from .graph import (
     ColoredMultigraph,
@@ -42,11 +43,10 @@ from .graph import (
 from .oracle import max_rainbow
 from .reduction import (
     PivotDonorPolicy,
+    ReductionOutcome,
     ReductionStatus,
+    choose_shift,
     compact_isolated,
-    mirror,
-    pick_donor,
-    pick_pivot,
     reduce_to_normal_form,
 )
 from .shifting import shift
@@ -96,11 +96,18 @@ class EvalOptions:
 
     @staticmethod
     def from_dict(d: dict) -> "EvalOptions":
+        """Parse the dict form; raises ValueError on malformed input."""
+        if not isinstance(d, dict):
+            raise ValueError(f"options must be a JSON object, got {type(d).__name__}")
+        budget = d.get("construct_budget", 256)
+        max_iters = d.get("max_iters")
+        if type(budget) is not int or not (max_iters is None or type(max_iters) is int):
+            raise ValueError("options construct_budget/max_iters must be integers")
         return EvalOptions(
             h1_mode=H1Mode(d.get("h1_mode", "policy")),
             policy=PivotDonorPolicy(d.get("policy", "maxdrain")),
-            construct_budget=d.get("construct_budget", 256),
-            max_iters=d.get("max_iters"),
+            construct_budget=budget,
+            max_iters=max_iters,
         )
 
 
@@ -135,7 +142,7 @@ class CampaignSummary:
     violated: int
     inconclusive: int
     truncated: bool
-    wall_time_ms: float
+    wall_time_ms: float  # summed over this hypothesis's records
 
     def to_dict(self) -> dict:
         return {
@@ -161,46 +168,66 @@ class ReplayReport:
         return not self.mismatches
 
 
-def _witness(g: ColoredMultigraph, opts: EvalOptions, **extra) -> dict:
-    w: dict = {"instance": to_dict(g)}
-    w.update(extra)
-    w["opts"] = opts.to_dict()
-    return w
+class InstanceRun:
+    """The shared pipeline of one instance under one set of options.
+
+    The reduction, the backtracking construction and the exact oracle are
+    each computed at most once, on first use, so the evaluators are cheap
+    projections of one run.  A run lives exactly as long as its instance is
+    being evaluated; nothing is cached beyond it.
+    """
+
+    def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
+        self.g = g
+        self.opts = opts
+
+    @cached_property
+    def reduction(self) -> ReductionOutcome:
+        return reduce_to_normal_form(self.g, self.opts.policy, self.opts.max_iters)
+
+    @cached_property
+    def construction(self) -> ConstructionOutcome:
+        g, opts = self.g, self.opts
+        outcome = construct(
+            g,
+            PeelStrategy.BACKTRACKING,
+            budget=opts.construct_budget,
+            policies=(opts.policy,),
+            max_iters=opts.max_iters,
+        )
+        if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
+            g, outcome.matching, g.n
+        ):
+            raise InternalConsistencyError(
+                f"construct returned an invalid matching on {canonical_digest(g)}"
+            )
+        return outcome
+
+    @cached_property
+    def max_size(self) -> int:
+        return max_rainbow(self.g).max_size
+
+    def witness(self, **extra) -> dict:
+        w: dict = {"instance": to_dict(self.g)}
+        w.update(extra)
+        w["opts"] = self.opts.to_dict()
+        return w
 
 
-def _eval_conj(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    result = max_rainbow(g)
-    if result.max_size >= g.n:
+def _eval_conj(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    if run.max_size >= run.g.n:
         return Verdict.HOLDS, None
-    return Verdict.VIOLATED, _witness(g, opts, max=result.max_size)
+    return Verdict.VIOLATED, run.witness(max=run.max_size)
 
 
-def _policy_step(
-    g: ColoredMultigraph, opts: EvalOptions
-) -> tuple[Side, ColoredMultigraph, int, int] | None:
-    """The first (side, working graph, pivot, donor) the reduction would use,
-    or None when the graph is already normal."""
-    cur, _, _ = compact_isolated(g)
-    target = g.n + 1
-    left_over = cur.left_size > target
-    right_over = cur.right_size > target
-    if not left_over and not right_over:
-        return None
-    side = Side.LEFT if left_over else Side.RIGHT
-    work = cur if side is Side.LEFT else mirror(cur)
-    pivot = pick_pivot(work)
-    donor = pick_donor(work, pivot, opts.policy)
-    return side, work, pivot, donor
-
-
-def _eval_h1(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    n = g.n
+def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    g, opts = run.g, run.opts
     if opts.h1_mode is H1Mode.POLICY:
-        step = _policy_step(g, opts)
+        cur, _, _ = compact_isolated(g)
+        step = choose_shift(cur, Side.LEFT, opts.policy)
         if step is None:
             return Verdict.INCONCLUSIVE, None
-        side, work, pivot, donor = step
-        pairs = [(side, work, pivot, donor)]
+        pairs = [step]
     else:
         deg = [0] * g.left_size
         for e in g.edges:
@@ -214,18 +241,14 @@ def _eval_h1(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | N
         if not pairs:
             return Verdict.INCONCLUSIVE, None
 
-    cache: dict[int, int] = {}
+    # Every working graph is g itself, its compaction or the mirror of that,
+    # all with the same maximum.
+    before = run.max_size
     for side, work, pivot, donor in pairs:
-        key = id(work)
-        if key not in cache:
-            cache[key] = max_rainbow(work).max_size
-        before = cache[key]
         after = max_rainbow(shift(work, pivot, donor).graph).max_size
-        if (before >= n) != (after >= n):
-            direction = "forward" if before >= n else "reverse"
-            return Verdict.VIOLATED, _witness(
-                g,
-                opts,
+        if (before >= g.n) != (after >= g.n):
+            direction = "forward" if before >= g.n else "reverse"
+            return Verdict.VIOLATED, run.witness(
                 side=side.value,
                 pivot=pivot,
                 donor=donor,
@@ -236,94 +259,59 @@ def _eval_h1(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | N
     return Verdict.HOLDS, None
 
 
-def _eval_h2(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    red = reduce_to_normal_form(g, opts.policy, opts.max_iters)
+def _eval_h2(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    red = run.reduction
     if red.status is ReductionStatus.NORMALIZED:
         return Verdict.HOLDS, None
-    detail = _witness(g, opts, status=red.status.value, iterations=red.iterations)
+    detail = run.witness(status=red.status.value, iterations=red.iterations)
     if red.status is ReductionStatus.STALLED:
         return Verdict.VIOLATED, detail
     return Verdict.INCONCLUSIVE, detail
 
 
-def _eval_h3(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    if g.n < 2:
+def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    if run.g.n < 2:
         return Verdict.INCONCLUSIVE, None
-    red = reduce_to_normal_form(g, opts.policy, opts.max_iters)
+    red = run.reduction
     if red.status is not ReductionStatus.NORMALIZED:
-        return Verdict.INCONCLUSIVE, _witness(g, opts, stage="normalize", status=red.status.value)
+        return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
     h = red.graph
     carriers = [e.u for e in h.edges if e.c == 0]
     if not carriers:
-        return Verdict.INCONCLUSIVE, _witness(g, opts, stage="peel")
+        return Verdict.INCONCLUSIVE, run.witness(stage="peel")
     pivot = min(carriers)
-    peel = next(e for e in h.edges if e.u == pivot and e.c == 0)
-    residual = delete_vertex(delete_color(h, 0), Side.LEFT, pivot)
-    red2 = reduce_to_normal_form(residual, opts.policy, opts.max_iters)
+    edge, red2 = peel(h, 0, pivot, run.opts.policy, run.opts.max_iters)
     if red2.status is not ReductionStatus.NORMALIZED:
-        return Verdict.INCONCLUSIVE, _witness(g, opts, stage="residual", status=red2.status.value)
-    if peel.v in red2.right_map:
-        return Verdict.VIOLATED, _witness(
-            g, opts, color=0, pivot=pivot, peeled_right=peel.v
-        )
+        return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
+    if edge.v in red2.right_map:
+        return Verdict.VIOLATED, run.witness(color=0, pivot=pivot, peeled_right=edge.v)
     return Verdict.HOLDS, None
 
 
-def _run_construct(g: ColoredMultigraph, opts: EvalOptions):
-    return construct(
-        g,
-        PeelStrategy.BACKTRACKING,
-        budget=opts.construct_budget,
-        policies=(opts.policy,),
-        max_iters=opts.max_iters,
-    )
-
-
-def _check_matched(g: ColoredMultigraph, outcome) -> None:
-    if not is_rainbow_matching(g, outcome.matching, g.n):
-        raise InternalConsistencyError(
-            f"construct returned an invalid matching on {canonical_digest(g)}"
-        )
-
-
-def _eval_h4(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    if g.n < 2:
+def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    if run.g.n < 2:
         return Verdict.INCONCLUSIVE, None
-    outcome = _run_construct(g, opts)
+    outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
-        _check_matched(g, outcome)
         return Verdict.HOLDS, None
-    oracle_max = max_rainbow(g).max_size
-    failure = {
-        "depth": outcome.failure.depth,
-        "reason": outcome.failure.reason.value,
-        "digest": outcome.failure.digest,
-    }
-    if oracle_max >= g.n:
-        return Verdict.VIOLATED, _witness(g, opts, oracle_max=oracle_max, failure=failure)
-    return Verdict.INCONCLUSIVE, _witness(g, opts, oracle_max=oracle_max, failure=failure)
+    verdict = Verdict.VIOLATED if run.max_size >= run.g.n else Verdict.INCONCLUSIVE
+    return verdict, run.witness(oracle_max=run.max_size, failure=outcome.failure.to_dict())
 
 
-def _eval_h5(g: ColoredMultigraph, opts: EvalOptions) -> tuple[Verdict, dict | None]:
-    if g.n < 2:
+def _eval_h5(run: InstanceRun) -> tuple[Verdict, dict | None]:
+    if run.g.n < 2:
         return Verdict.INCONCLUSIVE, None
-    outcome = _run_construct(g, opts)
+    outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
-        _check_matched(g, outcome)
         return Verdict.HOLDS, None
     if outcome.candidate is not None:
-        return Verdict.VIOLATED, _witness(
-            g, opts, candidate=[[e.u, e.v, e.c] for e in outcome.candidate.edges]
+        return Verdict.VIOLATED, run.witness(
+            candidate=[[e.u, e.v, e.c] for e in outcome.candidate.edges]
         )
-    failure = {
-        "depth": outcome.failure.depth,
-        "reason": outcome.failure.reason.value,
-        "digest": outcome.failure.digest,
-    }
-    return Verdict.INCONCLUSIVE, _witness(g, opts, failure=failure)
+    return Verdict.INCONCLUSIVE, run.witness(failure=outcome.failure.to_dict())
 
 
-_EVALUATORS: dict[Hypothesis, Callable] = {
+_EVALUATORS: dict[Hypothesis, Callable[[InstanceRun], tuple[Verdict, dict | None]]] = {
     Hypothesis.CONJ: _eval_conj,
     Hypothesis.H1: _eval_h1,
     Hypothesis.H2: _eval_h2,
@@ -334,10 +322,21 @@ _EVALUATORS: dict[Hypothesis, Callable] = {
 
 
 def evaluate(
-    hyp: Hypothesis, g: ColoredMultigraph, opts: EvalOptions = EvalOptions()
+    hyp: Hypothesis,
+    g: ColoredMultigraph,
+    opts: EvalOptions = EvalOptions(),
+    run: InstanceRun | None = None,
 ) -> tuple[Verdict, dict | None]:
-    """Evaluate one hypothesis on one instance.  Pure and deterministic."""
-    return _EVALUATORS[hyp](g, opts)
+    """Evaluate one hypothesis on one instance.  Pure and deterministic.
+
+    ``run`` shares the pipeline with other hypotheses evaluated on the same
+    instance and options; without it a fresh run is made.
+    """
+    if run is None:
+        run = InstanceRun(g, opts)
+    elif run.g is not g or run.opts != opts:
+        raise ValueError("run belongs to another instance or other options")
+    return _EVALUATORS[hyp](run)
 
 
 def _expand(specs: Iterable[GenSpec]) -> Iterator[tuple[GenSpec, ColoredMultigraph]]:
@@ -346,68 +345,86 @@ def _expand(specs: Iterable[GenSpec]) -> Iterator[tuple[GenSpec, ColoredMultigra
             yield spec, g
 
 
-def _eval_trial(args) -> tuple[int, CampaignRecord]:
-    idx, hyp, spec, g, opts = args
-    t0 = time.perf_counter()
-    verdict, witness = evaluate(hyp, g, opts)
-    ms = round((time.perf_counter() - t0) * 1000, 3)
-    return idx, CampaignRecord(hyp, spec, canonical_digest(g), verdict, witness, ms)
+def _eval_instance(
+    spec: GenSpec, g: ColoredMultigraph, hyps: tuple[Hypothesis, ...], opts: EvalOptions
+) -> list[CampaignRecord]:
+    """One record per hypothesis, all evaluated on one shared run; a
+    record's time is that hypothesis's cost on top of the earlier ones."""
+    digest = canonical_digest(g)
+    run = InstanceRun(g, opts)
+    records = []
+    for hyp in hyps:
+        t0 = time.perf_counter()
+        verdict, witness = evaluate(hyp, g, opts, run)
+        ms = round((time.perf_counter() - t0) * 1000, 3)
+        records.append(CampaignRecord(hyp, spec, digest, verdict, witness, ms))
+    return records
 
 
-def _eval_bucket(bucket) -> list[tuple[int, CampaignRecord]]:
-    return [_eval_trial(item) for item in bucket]
+def _eval_bucket(bucket) -> list[tuple[int, list[CampaignRecord]]]:
+    return [(idx, _eval_instance(spec, g, hyps, opts)) for idx, spec, g, hyps, opts in bucket]
 
 
 def run_campaign(
-    hyp: Hypothesis,
+    hyps: tuple[Hypothesis, ...],
     specs: Iterable[GenSpec],
     budget: int | None = None,
     opts: EvalOptions = EvalOptions(),
     workers: int = 1,
-) -> tuple[CampaignSummary, list[CampaignRecord]]:
-    """Evaluate ``hyp`` over every instance the spec stream produces.
+) -> tuple[list[CampaignSummary], list[CampaignRecord]]:
+    """Evaluate every hypothesis of ``hyps`` over every instance the spec
+    stream produces.
 
-    ``budget`` caps the number of trials; hitting the cap only flags the
-    summary as truncated.  With ``workers > 1`` instances are sharded by
-    digest and evaluated in separate processes; the record order (and hence
-    the output bytes, timing aside) is identical to a sequential run.
+    Each instance is generated once and all hypotheses are evaluated on one
+    shared run of its pipeline.  Returns one summary per hypothesis in the
+    order of ``hyps``, and the records grouped the same way: all records of
+    the first hypothesis in instance order, then those of the second, and so
+    on.  ``budget`` caps the number of instances; hitting the cap only flags
+    the summaries as truncated.  With ``workers > 1`` instances are sharded
+    by digest and evaluated in separate processes; the record order (and
+    hence the output bytes, timing aside) is identical to a sequential run.
     """
-    t0 = time.perf_counter()
-    trials: list[tuple[int, Hypothesis, GenSpec, ColoredMultigraph, EvalOptions]] = []
+    hyps = tuple(hyps)
+    trials: list[tuple[int, GenSpec, ColoredMultigraph, tuple[Hypothesis, ...], EvalOptions]] = []
     truncated = False
     for spec, g in _expand(specs):
         if budget is not None and len(trials) >= budget:
             truncated = True
             break
-        trials.append((len(trials), hyp, spec, g, opts))
+        trials.append((len(trials), spec, g, hyps, opts))
 
     if workers > 1 and len(trials) > 1:
         buckets: list[list] = [[] for _ in range(workers)]
         for item in trials:
-            shard = int(canonical_digest(item[3]), 16) % workers
+            shard = int(canonical_digest(item[2]), 16) % workers
             buckets[shard].append(item)
-        indexed: list[tuple[int, CampaignRecord]] = []
+        indexed: list[tuple[int, list[CampaignRecord]]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_eval_bucket, buckets):
                 indexed.extend(part)
         indexed.sort(key=lambda p: p[0])
-        records = [rec for _, rec in indexed]
+        per_instance = [recs for _, recs in indexed]
     else:
-        records = [_eval_trial(item)[1] for item in trials]
+        per_instance = [_eval_instance(spec, g, hyps, opts) for _, spec, g, hyps, opts in trials]
 
-    counts = {v: 0 for v in Verdict}
-    for rec in records:
-        counts[rec.verdict] += 1
-    summary = CampaignSummary(
-        hypothesis=hyp,
-        trials=len(records),
-        holds=counts[Verdict.HOLDS],
-        violated=counts[Verdict.VIOLATED],
-        inconclusive=counts[Verdict.INCONCLUSIVE],
-        truncated=truncated,
-        wall_time_ms=round((time.perf_counter() - t0) * 1000, 3),
-    )
-    return summary, records
+    summaries: list[CampaignSummary] = []
+    records: list[CampaignRecord] = []
+    for h, hyp in enumerate(hyps):
+        column = [recs[h] for recs in per_instance]
+        counts = {v: 0 for v in Verdict}
+        for rec in column:
+            counts[rec.verdict] += 1
+        summaries.append(CampaignSummary(
+            hypothesis=hyp,
+            trials=len(column),
+            holds=counts[Verdict.HOLDS],
+            violated=counts[Verdict.VIOLATED],
+            inconclusive=counts[Verdict.INCONCLUSIVE],
+            truncated=truncated,
+            wall_time_ms=round(sum(rec.wall_time_ms for rec in column), 3),
+        ))
+        records.extend(column)
+    return summaries, records
 
 
 def write_records(records: Iterable[CampaignRecord], path) -> None:
@@ -426,24 +443,40 @@ def read_record_dicts(text: str) -> list[dict]:
 
 def replay(records: Iterable[dict]) -> ReplayReport:
     """Re-run every Violated record's predicate on its embedded instance;
-    a non-reproducing record indicates a determinism bug."""
+    a non-reproducing record indicates a determinism bug.
+
+    Records are grouped by their exact instance (edge order included) and
+    options, and each group's hypotheses are evaluated on one fresh run.
+    Raises ValueError on a record that is not an object or names no known
+    hypothesis.
+    """
     total = 0
     violated = 0
     mismatches: list[int] = []
+    groups: dict[tuple[ColoredMultigraph, EvalOptions], list[tuple[int, Hypothesis]]] = {}
     for idx, rec in enumerate(records):
         total += 1
+        if not isinstance(rec, dict):
+            raise ValueError(f"record {idx}: not a JSON object")
         if rec.get("verdict") != Verdict.VIOLATED.value:
             continue
         violated += 1
-        witness = rec.get("witness") or {}
-        if "instance" not in witness:
+        if "hyp" not in rec:
+            raise ValueError(f"record {idx}: missing key 'hyp'")
+        hyp = Hypothesis(rec["hyp"])
+        witness = rec.get("witness")
+        if not isinstance(witness, dict) or "instance" not in witness:
             mismatches.append(idx)
             continue
-        g = from_dict(witness["instance"])
-        opts = EvalOptions.from_dict(witness.get("opts", {}))
-        verdict, _ = evaluate(Hypothesis(rec["hyp"]), g, opts)
-        if verdict is not Verdict.VIOLATED:
-            mismatches.append(idx)
+        key = (from_dict(witness["instance"]), EvalOptions.from_dict(witness.get("opts", {})))
+        groups.setdefault(key, []).append((idx, hyp))
+    for (g, opts), items in groups.items():
+        run = InstanceRun(g, opts)
+        for idx, hyp in items:
+            verdict, _ = evaluate(hyp, g, opts, run)
+            if verdict is not Verdict.VIOLATED:
+                mismatches.append(idx)
+    mismatches.sort()
     return ReplayReport(total, violated, violated - len(mismatches), tuple(mismatches))
 
 

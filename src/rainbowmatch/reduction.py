@@ -127,6 +127,31 @@ def pick_donor(work: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy) ->
     )
 
 
+def choose_shift(
+    cur: ColoredMultigraph, alternate: Side, policy: PivotDonorPolicy
+) -> tuple[Side, ColoredMultigraph, int, int] | None:
+    """The (side, working graph, pivot, donor) of the shift the reduction
+    applies to the compacted graph ``cur``, or None when it is normal.
+
+    The side is whichever one exceeds n + 1 vertices, or ``alternate`` when
+    both do; a right-side step works on the mirror image.
+    """
+    target = cur.n + 1
+    left_over = cur.left_size > target
+    right_over = cur.right_size > target
+    if left_over and right_over:
+        side = alternate
+    elif left_over:
+        side = Side.LEFT
+    elif right_over:
+        side = Side.RIGHT
+    else:
+        return None
+    work = cur if side is Side.LEFT else mirror(cur)
+    pivot = pick_pivot(work)
+    return side, work, pivot, pick_donor(work, pivot, policy)
+
+
 def reduce_to_normal_form(
     g: ColoredMultigraph,
     policy: PivotDonorPolicy = PivotDonorPolicy.MAX_DRAIN,
@@ -168,19 +193,9 @@ def reduce_to_normal_form(
         if iterations >= max_iters:
             return done(ReductionStatus.ITERATION_CAP)
 
-        left_over = cur.left_size > target
-        right_over = cur.right_size > target
-        if left_over and right_over:
-            side = alternate
+        side, work, pivot, donor = choose_shift(cur, alternate, policy)
+        if cur.left_size > target and cur.right_size > target:
             alternate = alternate.other()
-        elif left_over:
-            side = Side.LEFT
-        else:
-            side = Side.RIGHT
-
-        work = cur if side is Side.LEFT else mirror(cur)
-        pivot = pick_pivot(work)
-        donor = pick_donor(work, pivot, policy)
         outcome = shift(work, pivot, donor)
         shifted = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
 

@@ -80,8 +80,9 @@ def campaign_results(tmp_path_factory):
     root = tmp_path_factory.mktemp("campaigns")
     specs = list(random_spec_stream(3, 6, 5, 0, 10_000))
     out = {}
-    for hyp in CAMPAIGN_HYPS:
-        summary, records = run_campaign(hyp, specs)
+    summaries, all_records = run_campaign(tuple(CAMPAIGN_HYPS), specs)
+    for h, (hyp, summary) in enumerate(zip(CAMPAIGN_HYPS, summaries)):
+        records = all_records[h * len(specs):(h + 1) * len(specs)]
         path = root / f"{hyp.value.lower()}.jsonl"
         path.write_text("".join(r.to_json_line() + "\n" for r in records))
         out[hyp] = (summary, records, path)
@@ -109,8 +110,8 @@ def test_criterion_1_oracle_cross_validation():
 
 
 def test_criterion_2_conjecture_base_case():
-    summary, records = run_campaign(
-        Hypothesis.CONJ, [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
+    (summary,), records = run_campaign(
+        (Hypothesis.CONJ,), [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
     )
     assert summary.trials == 36
     assert summary.holds == 36
@@ -259,11 +260,11 @@ def test_criterion_8_determinism(campaign_results):
 
     _, records, path = campaign_results[Hypothesis.H3]
     saved = [strip(line) for line in path.read_text().splitlines()[:500]]
-    _, again = run_campaign(Hypothesis.H3, random_spec_stream(3, 6, 5, 0, 500))
+    _, again = run_campaign((Hypothesis.H3,), random_spec_stream(3, 6, 5, 0, 500))
     fresh = [strip(r.to_json_line()) for r in again]
     assert fresh == saved
 
-    summary1, conj1 = run_campaign(Hypothesis.CONJ, [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)])
-    summary2, conj2 = run_campaign(Hypothesis.CONJ, [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)])
+    (summary1,), conj1 = run_campaign((Hypothesis.CONJ,), [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)])
+    (summary2,), conj2 = run_campaign((Hypothesis.CONJ,), [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)])
     assert [strip(r.to_json_line()) for r in conj1] == [strip(r.to_json_line()) for r in conj2]
     _report("PASS criterion 8: repeated runs are byte-identical modulo timings")

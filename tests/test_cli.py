@@ -247,3 +247,20 @@ def test_round_trip_instance_file(tmp_path, capsys):
           "--seed", "2", "--out", str(inst)])
     g = from_json(inst.read_text())
     assert to_canonical_json(g) == inst.read_text().strip()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"verdict":"violated","witness":{"instance":{"n":1,"left":2,"right":2,"edges":[]}}}',
+        "[1,2]",
+        '{"hyp":"H9","verdict":"violated","witness":{"instance":{"n":1,"left":2,"right":2,"edges":[]}}}',
+    ],
+    ids=["missing-hyp", "not-an-object", "unknown-hyp"],
+)
+def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, line):
+    records = tmp_path / "bad.jsonl"
+    records.write_text(line + "\n")
+    assert main(["replay", "--in", str(records)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

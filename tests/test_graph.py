@@ -197,3 +197,17 @@ def test_read_instances_single_and_jsonl(i2):
     pretty = read_instances(json.dumps(to_dict(i2), indent=2))
     assert len(pretty) == 1
     assert canonical_digest(pretty[0]) == canonical_digest(i2)
+
+
+def test_from_dict_rejects_bool_sizes():
+    # bool subclasses int, so it must be excluded explicitly
+    for key in ("n", "left", "right"):
+        d = {"n": 1, "left": 2, "right": 2, "edges": []}
+        d[key] = True
+        with pytest.raises(ValueError):
+            from_dict(d)
+
+
+def test_from_dict_rejects_bool_edge_entries():
+    with pytest.raises(ValueError):
+        from_dict({"n": 1, "left": 2, "right": 2, "edges": [[False, 0, 0], [True, 1, 0]]})

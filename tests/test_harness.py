@@ -18,6 +18,7 @@ from rainbowmatch.harness import (
     EvalOptions,
     H1Mode,
     Hypothesis,
+    InstanceRun,
     Verdict,
     evaluate,
     minimize,
@@ -82,19 +83,19 @@ def test_h1_all_mode(g43, i2):
 
 def test_h1_all_over_enumeration():
     opts = EvalOptions(h1_mode=H1Mode.ALL)
-    summary, _ = run_campaign(
-        Hypothesis.CONJ, [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
+    (summary,), _ = run_campaign(
+        (Hypothesis.CONJ,), [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
     )
     assert summary.holds == 36
-    h1, _ = run_campaign(
-        Hypothesis.H1, [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)], opts=opts
+    (h1,), _ = run_campaign(
+        (Hypothesis.H1,), [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)], opts=opts
     )
     assert h1.trials == 36
     assert h1.violated == 0
 
 
 def test_campaign_empty_stream():
-    summary, records = run_campaign(Hypothesis.H2, [])
+    (summary,), records = run_campaign((Hypothesis.H2,), [])
     assert summary.trials == 0
     assert records == []
     assert not summary.truncated
@@ -139,7 +140,7 @@ def test_small_n_inconclusive():
 
 def test_campaign_counts_and_records():
     specs = random_spec_stream(3, 6, 5, 0, 50)
-    summary, records = run_campaign(Hypothesis.H3, specs)
+    (summary,), records = run_campaign((Hypothesis.H3,), specs)
     assert summary.trials == 50
     assert summary.holds + summary.violated + summary.inconclusive == 50
     assert not summary.truncated
@@ -153,17 +154,17 @@ def test_campaign_counts_and_records():
 
 def test_campaign_budget_truncates():
     specs = [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
-    summary, records = run_campaign(Hypothesis.CONJ, specs, budget=10)
+    (summary,), records = run_campaign((Hypothesis.CONJ,), specs, budget=10)
     assert summary.trials == 10
     assert summary.truncated
-    full, _ = run_campaign(Hypothesis.CONJ, specs, budget=36)
+    (full,), _ = run_campaign((Hypothesis.CONJ,), specs, budget=36)
     assert not full.truncated
 
 
 def test_campaign_workers_match_sequential():
     specs = list(random_spec_stream(3, 6, 5, 0, 40))
-    s1, r1 = run_campaign(Hypothesis.H2, specs)
-    s2, r2 = run_campaign(Hypothesis.H2, specs, workers=3)
+    (s1,), r1 = run_campaign((Hypothesis.H2,), specs)
+    (s2,), r2 = run_campaign((Hypothesis.H2,), specs, workers=3)
     assert [r.to_json_line() for r in r1] != []
     strip = lambda r: {k: v for k, v in json.loads(r.to_json_line()).items() if k != "ms"}
     assert [strip(r) for r in r1] == [strip(r) for r in r2]
@@ -172,7 +173,7 @@ def test_campaign_workers_match_sequential():
 
 def test_records_file_round_trip(tmp_path):
     specs = random_spec_stream(3, 6, 5, 0, 20)
-    _, records = run_campaign(Hypothesis.H3, specs)
+    _, records = run_campaign((Hypothesis.H3,), specs)
     path = tmp_path / "h3.jsonl"
     write_records(records, path)
     loaded = read_record_dicts(path.read_text())
@@ -181,7 +182,7 @@ def test_records_file_round_trip(tmp_path):
 
 
 def test_replay_reproduces_all(tmp_path):
-    _, records = run_campaign(Hypothesis.H3, random_spec_stream(3, 6, 5, 0, 60))
+    _, records = run_campaign((Hypothesis.H3,), random_spec_stream(3, 6, 5, 0, 60))
     lines = [json.loads(r.to_json_line()) for r in records]
     report = replay(lines)
     assert report.ok
@@ -189,7 +190,7 @@ def test_replay_reproduces_all(tmp_path):
 
 
 def test_replay_catches_tampering():
-    _, records = run_campaign(Hypothesis.H3, random_spec_stream(3, 6, 5, 0, 30))
+    _, records = run_campaign((Hypothesis.H3,), random_spec_stream(3, 6, 5, 0, 30))
     lines = [json.loads(r.to_json_line()) for r in records]
     tampered = next(l for l in lines if l["verdict"] == "violated")
     # single-color instances are inconclusive for H3, never violated
@@ -235,3 +236,50 @@ def test_eval_options_round_trip():
         max_iters=13,
     )
     assert EvalOptions.from_dict(opts.to_dict()) == opts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_hypothesis_campaign_matches_single_runs(workers):
+    specs = list(random_spec_stream(3, 6, 5, 0, 30))
+    hyps = tuple(Hypothesis)
+    strip = lambda r: {k: v for k, v in json.loads(r.to_json_line()).items() if k != "ms"}
+    summaries, records = run_campaign(hyps, specs, workers=workers)
+    single = []
+    for hyp, summary in zip(hyps, summaries):
+        (alone,), recs = run_campaign((hyp,), specs, workers=workers)
+        assert summary.hypothesis is hyp
+        assert (summary.trials, summary.holds, summary.violated, summary.inconclusive) == (
+            alone.trials, alone.holds, alone.violated, alone.inconclusive
+        )
+        single.extend(recs)
+    assert [strip(r) for r in records] == [strip(r) for r in single]
+
+
+def test_replay_group_key_includes_opts():
+    _, records = run_campaign(
+        (Hypothesis.H4, Hypothesis.H5), random_spec_stream(3, 6, 5, 0, 20)
+    )
+    lines = [json.loads(r.to_json_line()) for r in records]
+    half = len(lines) // 2
+    i = next(
+        i for i in range(half)
+        if lines[i]["verdict"] == lines[half + i]["verdict"] == "violated"
+    )
+    pair = [lines[i], lines[half + i]]
+    assert pair[0]["witness"]["instance"] == pair[1]["witness"]["instance"]
+    assert replay(pair).ok
+    # With no reduction step allowed the construction assembles no candidate,
+    # so H5 turns inconclusive while H4 (oracle still finds n) stays violated.
+    pair[1]["witness"]["opts"]["max_iters"] = 0
+    report = replay(pair)
+    assert report.violated == 2
+    assert report.mismatches == (1,)
+
+
+def test_evaluate_rejects_foreign_run(i2, g43):
+    run = InstanceRun(g43, EvalOptions())
+    assert evaluate(Hypothesis.CONJ, g43, EvalOptions(), run)[0] is Verdict.HOLDS
+    with pytest.raises(ValueError):
+        evaluate(Hypothesis.CONJ, i2, EvalOptions(), run)
+    with pytest.raises(ValueError):
+        evaluate(Hypothesis.CONJ, g43, EvalOptions(max_iters=1), run)
