@@ -51,6 +51,26 @@ EXIT_FINDINGS = 3
 EXIT_INTERNAL = 4
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``; anything else is
+    a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def _read_text(path: str | None) -> str:
     if path in (None, "-"):
         return sys.stdin.read()
@@ -399,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen_flags.add_argument("--drop", type=int, default=None,
                            help="latin symbol to drop (default order-1)")
     gen_flags.add_argument("--seed", type=int, default=0)
-    gen_flags.add_argument("--count", type=int, default=1,
+    gen_flags.add_argument("--count", type=_non_negative, default=1,
                            help="instances to generate (cap for enumerate)")
 
     hyp_flags = argparse.ArgumentParser(add_help=False)
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode], default="policy")
     hyp_flags.add_argument("--policy", default=PivotDonorPolicy.MAX_DRAIN.value,
                            choices=[p.value for p in PivotDonorPolicy])
-    hyp_flags.add_argument("--construct-budget", type=int, default=256)
-    hyp_flags.add_argument("--max-iters", type=int, default=None)
+    hyp_flags.add_argument("--construct-budget", type=_non_negative, default=256)
+    hyp_flags.add_argument("--max-iters", type=_non_negative, default=None)
 
     p = sub.add_parser("gen", parents=[io_flags, gen_flags],
                        help="generate instances as canonical JSON lines")
@@ -439,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reduce to normal form")
     p.add_argument("--policy", default=PivotDonorPolicy.MAX_DRAIN.value,
                    choices=[pol.value for pol in PivotDonorPolicy])
-    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--max-iters", type=_non_negative, default=None)
     p.add_argument("--emit", choices=["graph", "record"], default="graph")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write one JSON line per shift step here")
@@ -449,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inductive rainbow matching construction")
     p.add_argument("--strategy", choices=[s.value for s in PeelStrategy],
                    default=PeelStrategy.FIRST_FEASIBLE.value)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_non_negative, default=10_000)
     p.add_argument("--policy", action="append",
                    default=None,
                    choices=[pol.value for pol in PivotDonorPolicy],
                    help="reduction policy; repeat to try several")
-    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--max-iters", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check", parents=[io_flags, fmt_flags, gen_flags, hyp_flags],
@@ -462,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", action="append", default=None, type=str.upper,
                    choices=[h.value for h in Hypothesis],
                    help="hypothesis to test; repeat for several (default: all)")
-    p.add_argument("--budget", type=int, default=None, help="trial cap")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--budget", type=_non_negative, default=None, help="trial cap")
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--records", default=None, metavar="PATH",
                    help="write per-trial JSONL records here")
     p.set_defaults(func=_cmd_check)

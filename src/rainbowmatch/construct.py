@@ -112,9 +112,13 @@ class _SearchState:
         self.deepest_failure: ConstructFailure | None = None
         self.deepest_trace: tuple[ConstructStep, ...] = ()
 
-    def record(self, failure: ConstructFailure, trace: list[ConstructStep]) -> None:
-        if self.deepest_failure is None or failure.depth > self.deepest_failure.depth:
-            self.deepest_failure = failure
+    def record(
+        self, depth: int, reason: FailReason, g: ColoredMultigraph, trace: list[ConstructStep]
+    ) -> None:
+        """Keep the failure if it is the deepest so far; ``g`` is the failing
+        level's entry graph, hashed only when the failure is kept."""
+        if self.deepest_failure is None or depth > self.deepest_failure.depth:
+            self.deepest_failure = ConstructFailure(depth, reason, canonical_digest(g))
             self.deepest_trace = tuple(trace)
 
 
@@ -130,18 +134,6 @@ def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int]
         for c in range(h.n)
         for v in sorted(set(left_with_color.get(c, [])))
     ]
-
-
-def _lift_reduction(edges: list[Edge], red: ReductionOutcome) -> list[Edge]:
-    return [Edge(red.left_map[e.u], red.right_map[e.v], e.c) for e in edges]
-
-
-def _lift_left_delete(edges: list[Edge], vertex: int) -> list[Edge]:
-    return [Edge(e.u if e.u < vertex else e.u + 1, e.v, e.c) for e in edges]
-
-
-def _lift_color_delete(edges: list[Edge], color: int) -> list[Edge]:
-    return [Edge(e.u, e.v, e.c if e.c < color else e.c + 1) for e in edges]
 
 
 def peel(
@@ -173,25 +165,18 @@ def _candidates(
         else:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
-            state.record(
-                ConstructFailure(depth, FailReason.RECURSIVE_FAILURE, canonical_digest(g)), []
-            )
+            state.record(depth, FailReason.RECURSIVE_FAILURE, g, [])
         return
 
-    entry_digest = canonical_digest(g)
     for policy in state.policies:
         red = reduce_to_normal_form(g, policy, state.max_iters)
         if red.status is not ReductionStatus.NORMALIZED:
-            state.record(
-                ConstructFailure(depth, FailReason.REDUCTION_STALLED, entry_digest), []
-            )
+            state.record(depth, FailReason.REDUCTION_STALLED, g, [])
             continue
         h = red.graph
         pairs = _pairs(h, state.strategy)
         if not pairs:
-            state.record(
-                ConstructFailure(depth, FailReason.NO_PIVOT_EDGE, entry_digest), []
-            )
+            state.record(depth, FailReason.NO_PIVOT_EDGE, g, [])
             continue
         for color, pivot in pairs:
             if state.attempts >= state.budget:
@@ -200,26 +185,26 @@ def _candidates(
             edge, red2 = peel(h, color, pivot, policy, state.max_iters)
             step = ConstructStep(depth, color, pivot, edge, h)
             if red2.status is not ReductionStatus.NORMALIZED:
-                state.record(
-                    ConstructFailure(depth, FailReason.REDUCTION_STALLED, entry_digest),
-                    [step],
-                )
+                state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
                 continue
             if edge.v in red2.right_map:
                 # The wrong right vertex was emptied, so excising v would
                 # leave some color class short of n edges.  Recurse anyway:
                 # a sub-matching that happens to avoid v still lifts cleanly,
                 # and the final verification arbitrates.
-                state.record(
-                    ConstructFailure(depth, FailReason.COUNT_DEFICIT, entry_digest),
-                    [step],
-                )
+                state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
+            # Lift tables from the sub-level's coordinates to those of g:
+            # undo red2's compaction, re-insert the pivot and the peeled
+            # color, then undo red's compaction.
+            lmap, rmap = red.left_map, red.right_map
+            lift_u = [lmap[u if u < pivot else u + 1] for u in red2.left_map]
+            lift_v = [rmap[v] for v in red2.right_map]
+            lift_c = [c if c < color else c + 1 for c in range(h.n - 1)]
+            head = Edge(lmap[edge.u], rmap[edge.v], edge.c)
             for sub_edges, sub_trace in _candidates(red2.graph, depth + 1, state):
-                lifted = _lift_reduction(sub_edges, red2)
-                lifted = _lift_left_delete(lifted, pivot)
-                lifted = _lift_color_delete(lifted, color)
-                lifted.insert(0, edge)
-                yield _lift_reduction(lifted, red), [step] + sub_trace
+                lifted = [head]
+                lifted += [Edge(lift_u[u], lift_v[v], lift_c[c]) for u, v, c in sub_edges]
+                yield lifted, [step] + sub_trace
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
             return
 
@@ -256,17 +241,14 @@ def construct(
         if candidate is None:
             candidate = m
             trace = tuple(steps)
-        state.record(
-            ConstructFailure(0, FailReason.RECURSIVE_FAILURE, canonical_digest(g)),
-            steps,
-        )
+        state.record(0, FailReason.RECURSIVE_FAILURE, g, steps)
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break
 
-    failure = state.deepest_failure
-    if failure is None:
+    if state.deepest_failure is None:
         # Budget ran out before any attempt could even fail.
-        failure = ConstructFailure(0, FailReason.RECURSIVE_FAILURE, canonical_digest(g))
+        state.record(0, FailReason.RECURSIVE_FAILURE, g, [])
+    failure = state.deepest_failure
     if candidate is None:
         trace = state.deepest_trace
     return ConstructionOutcome(

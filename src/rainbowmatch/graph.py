@@ -10,12 +10,15 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 RULE_SHAPE = "shape"
 RULE_BOUNDS = "bounds"
 RULE_PROPERNESS = "properness"
 RULE_COUNTS = "counts"
+
+_BY_COLOR = itemgetter(2, 0, 1)  # (u, v, c) -> (c, u, v)
 
 
 class Side(str, Enum):
@@ -213,7 +216,8 @@ def is_rainbow_matching(g: ColoredMultigraph, m: Matching, k: int) -> bool:
 
 
 def canonical_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
-    return tuple(sorted(edges, key=lambda e: (e.c, e.u, e.v)))
+    """The edges sorted by (c, u, v)."""
+    return tuple(sorted(edges, key=_BY_COLOR))
 
 
 def to_dict(g: ColoredMultigraph) -> dict:

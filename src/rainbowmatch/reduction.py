@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, canonical_digest, colors_at, validate
+from .graph import ColoredMultigraph, Edge, Side, canonical_edges, colors_at, validate
 from .shifting import shift
 
 
@@ -119,12 +119,13 @@ def pick_donor(work: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy) ->
     if policy is PivotDonorPolicy.LAST_VERTEX:
         last = work.left_size - 1
         return last if last != pivot else last - 1
-    pivot_colors = colors_at(work, Side.LEFT, pivot)
+    # Bit c of masks[v] is set iff color c is at left vertex v.
+    masks = [0] * work.left_size
+    for u, _, c in work.edges:
+        masks[u] |= 1 << c
+    absent = ~masks[pivot]
     candidates = [v for v in range(work.left_size) if v != pivot]
-    return max(
-        candidates,
-        key=lambda v: (len(colors_at(work, Side.LEFT, v) - pivot_colors), v),
-    )
+    return max(candidates, key=lambda v: ((masks[v] & absent).bit_count(), v))
 
 
 def choose_shift(
@@ -178,7 +179,9 @@ def reduce_to_normal_form(
     trace: list[ReductionStep] = []
     iterations = 0
     alternate = Side.LEFT
-    seen: set[tuple[str, Side]] = set()
+    # Exact states: sizes, the edge multiset in canonical order, and the
+    # alternation; n never changes within one run.
+    seen: set[tuple[int, int, tuple[Edge, ...], Side]] = set()
 
     def done(status: ReductionStatus) -> ReductionOutcome:
         return ReductionOutcome(status, cur, tuple(trace), iterations, lmap, rmap)
@@ -186,7 +189,7 @@ def reduce_to_normal_form(
     while True:
         if cur.left_size == target and cur.right_size == target:
             return done(ReductionStatus.NORMALIZED)
-        state = (canonical_digest(cur), alternate)
+        state = (cur.left_size, cur.right_size, canonical_edges(cur.edges), alternate)
         if state in seen:
             return done(ReductionStatus.STALLED)
         seen.add(state)

@@ -264,3 +264,45 @@ def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, line):
     assert main(["replay", "--in", str(records)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+CHECK = ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CHECK + ["--workers", "0"],
+        CHECK + ["--workers", "-3"],
+        CHECK + ["--budget", "-1"],
+        CHECK + ["--count", "-2"],
+        CHECK + ["--max-iters", "-1"],
+        CHECK + ["--construct-budget", "-1"],
+        CHECK + ["--workers", "two"],
+        ["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--count", "-2"],
+        ["reduce", "--max-iters", "-1"],
+        ["construct", "--budget", "-1"],
+        ["construct", "--max-iters", "-1"],
+        ["minimize", "--hyp", "H2", "--max-iters", "-1"],
+    ],
+    ids=[
+        "check-workers-0", "check-workers-neg", "check-budget", "check-count",
+        "check-max-iters", "check-construct-budget", "check-workers-text", "gen-count",
+        "reduce-max-iters", "construct-budget", "construct-max-iters", "minimize-max-iters",
+    ],
+)
+def test_nonsensical_numeric_argument_is_usage_error(capsys, argv):
+    # Rejected while parsing, before any input is read or trial is run.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "Traceback" not in err
+
+
+def test_zero_counts_and_budgets_are_accepted(capsys):
+    assert main(CHECK + ["--count", "0", "--hyp", "H2", "--format", "summary"]) == 0
+    assert capsys.readouterr().out == "H2: trials=0 holds=0 violated=0 inconclusive=0\n"
+    assert main(CHECK + ["--count", "2", "--budget", "0", "--hyp", "H2",
+                         "--max-iters", "0", "--format", "summary"]) == 0
+    assert capsys.readouterr().out.startswith("H2: trials=0")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -77,6 +79,36 @@ def test_deficit_instance_pinned(deficit_instance):
     # an assembled-but-unverifiable candidate is retained for analysis
     assert out.candidate is not None
     assert not is_rainbow_matching(deficit_instance, out.candidate, 3)
+
+
+def test_digest_paid_only_for_kept_failures(monkeypatch):
+    # The package re-exports the function construct, which shadows the
+    # submodule attribute of the same name.
+    module = importlib.import_module("rainbowmatch.construct")
+    real = module.canonical_digest
+    hashed = []
+
+    def counting(g):
+        hashed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(module, "canonical_digest", counting)
+    g = seeded(4, 7, 6, 0)
+    out = construct(g, PeelStrategy.BACKTRACKING, budget=256)
+    assert out.status is ConstructStatus.STEP_FAILED
+    assert out.attempts == 256
+    # A kept failure is strictly deeper than the one it replaces, so at most
+    # one digest per depth.
+    assert len(hashed) <= g.n
+    assert out.failure.to_dict() == {
+        "depth": 1, "reason": "count_deficit", "digest": "506443fdad14f1b0",
+    }
+    assert [tuple(e) for e in out.candidate.edges] == [
+        (0, 1, 0), (1, 1, 1), (2, 0, 2), (3, 2, 3),
+    ]
+    assert [(s.depth, s.color, s.pivot, tuple(s.edge)) for s in out.trace] == [
+        (0, 0, 0, (0, 1, 0)), (1, 0, 0, (0, 1, 0)),
+    ]
 
 
 def test_stalled_instance_fails_cleanly(cycle_instance):

@@ -3,10 +3,24 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from rainbowmatch.graph import ColoredMultigraph, Edge, Side, canonical_digest, validate
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from conftest import seeded
+from rainbowmatch.graph import (
+    ColoredMultigraph,
+    Edge,
+    Side,
+    canonical_digest,
+    colors_at,
+    to_canonical_json,
+    validate,
+)
 from rainbowmatch.reduction import (
     PivotDonorPolicy,
     ReductionStatus,
+    ReductionStep,
+    choose_shift,
     compact_isolated,
     default_max_iters,
     is_normal_form,
@@ -16,7 +30,7 @@ from rainbowmatch.reduction import (
     reduce_to_normal_form,
 )
 from rainbowmatch.shifting import shift
-from strategies import counts_valid_graphs
+from strategies import counts_valid_graphs, proper_graphs
 
 
 def replay_trace(g, outcome):
@@ -64,6 +78,78 @@ def test_pick_pivot_lowest_missing_color(g43):
 def test_pick_donor_policies(g43):
     assert pick_donor(g43, 0, PivotDonorPolicy.MAX_DRAIN) == 3
     assert pick_donor(g43, 0, PivotDonorPolicy.LAST_VERTEX) == 3
+
+
+def reference_donor(work, pivot, policy):
+    """The donor rule computed from per-vertex color sets."""
+    if policy is PivotDonorPolicy.LAST_VERTEX:
+        last = work.left_size - 1
+        return last if last != pivot else last - 1
+    pivot_colors = colors_at(work, Side.LEFT, pivot)
+    return max(
+        (v for v in range(work.left_size) if v != pivot),
+        key=lambda v: (len(colors_at(work, Side.LEFT, v) - pivot_colors), v),
+    )
+
+
+@given(st.one_of(counts_valid_graphs(max_n=4), proper_graphs(min_side=2)))
+@settings(max_examples=200, deadline=None)
+def test_pick_donor_matches_color_set_reference(g):
+    assume(g.left_size >= 2)
+    for policy in PivotDonorPolicy:
+        for pivot in range(g.left_size):
+            assert pick_donor(g, pivot, policy) == reference_donor(g, pivot, policy)
+
+
+def reference_reduce(g, policy):
+    """The reduction loop with each visited state keyed on its full
+    canonical JSON text: no hash whose collision could fake a stall."""
+    cur, _, _ = compact_isolated(g)
+    target = g.n + 1
+    max_iters = default_max_iters(g)
+    trace = []
+    alternate = Side.LEFT
+    seen = set()
+    while True:
+        if cur.left_size == target and cur.right_size == target:
+            return ReductionStatus.NORMALIZED, cur, trace
+        state = (to_canonical_json(cur), alternate)
+        if state in seen:
+            return ReductionStatus.STALLED, cur, trace
+        seen.add(state)
+        if len(trace) >= max_iters:
+            return ReductionStatus.ITERATION_CAP, cur, trace
+        side, work, pivot, donor = choose_shift(cur, alternate, policy)
+        if cur.left_size > target and cur.right_size > target:
+            alternate = alternate.other()
+        outcome = shift(work, pivot, donor)
+        back = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
+        cur, _, _ = compact_isolated(back)
+        trace.append(ReductionStep(side, pivot, donor, outcome.moves, outcome.swaps))
+
+
+def test_stall_certificate_is_exact():
+    statuses = set()
+    for n, left, right in ((3, 6, 5), (4, 7, 6)):
+        for seed in range(200):
+            g = seeded(n, left, right, seed)
+            for policy in PivotDonorPolicy:
+                status, final, trace = reference_reduce(g, policy)
+                out = reduce_to_normal_form(g, policy)
+                assert out.status is status, (n, seed, policy)
+                assert out.iterations == len(trace)
+                assert list(out.trace) == trace
+                assert out.graph == final
+                statuses.add(status)
+    assert ReductionStatus.STALLED in statuses and ReductionStatus.NORMALIZED in statuses
+
+
+def test_readme_stalled_example():
+    g = seeded(3, 6, 5, 17)
+    assert canonical_digest(g) == "6c89ef7080d7f4a3"
+    out = reduce_to_normal_form(g)
+    assert out.status is ReductionStatus.STALLED
+    assert out.iterations == 6
 
 
 def test_reduction_golden_43(g43):
