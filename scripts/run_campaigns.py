@@ -5,12 +5,13 @@ Four phases, each skippable via --phase:
 
     conj    exhaustive n=2 enumeration, conjecture check on every instance
     random  H1..H5 and CONJ over seeded random oversized instances, one pass
-    latin   Latin-square pipeline: construct vs. oracle agreement
+    latin   H4 over the Latin-square stream: construct vs. oracle agreement
     shrink  greedy minimization of one finding per violated hypothesis
 
 Outputs under --out-dir:
 
     <hyp>.jsonl       one campaign record per trial (replayable witnesses)
+    latin_h4.jsonl    one H4 record per Latin-square trial (replayable)
     summary.json      per-phase counts and wall times
     findings.jsonl    minimized counterexamples (shrink phase)
 
@@ -24,21 +25,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowmatch.construct import ConstructStatus, PeelStrategy, construct
 from rainbowmatch.generators import (
     GenKind,
     GenSpec,
-    gen_latin,
     gen_random,
     latin_spec_stream,
     random_spec_stream,
 )
-from rainbowmatch.graph import canonical_digest, to_canonical_json
+from rainbowmatch.graph import to_dict
 from rainbowmatch.harness import (
     EvalOptions,
     Hypothesis,
@@ -49,7 +47,6 @@ from rainbowmatch.harness import (
     violation_predicate,
     write_records,
 )
-from rainbowmatch.oracle import max_rainbow
 
 PHASES = ("conj", "random", "latin", "shrink")
 RANDOM_HYPS = (
@@ -89,31 +86,17 @@ def phase_random(
     return results
 
 
-def phase_latin(out_dir: Path, trials: int, seed: int, budget: int) -> dict:
-    agree = 0
-    matched = 0
-    rows = []
-    t0 = time.perf_counter()
-    for spec in latin_spec_stream(4, 3, seed, trials):
-        g = gen_latin(4, spec.drop if spec.drop is not None else 3, spec.seed)
-        out = construct(g, PeelStrategy.BACKTRACKING, budget=budget)
-        got = out.status is ConstructStatus.MATCHED
-        want = max_rainbow(g).max_size >= g.n
-        matched += got
-        agree += got == want
-        rows.append({
-            "spec": spec.to_dict(),
-            "digest": canonical_digest(g),
-            "constructed": got,
-            "oracle": want,
-        })
-    ms = (time.perf_counter() - t0) * 1000.0
-    (out_dir / "latin_pipeline.jsonl").write_text(
-        "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in rows)
-    )
-    print(f"[latin] {agree}/{trials} construct/oracle agreement, "
-          f"{matched} matched ({ms:.0f} ms)")
-    return {"trials": trials, "agree": agree, "matched": matched, "ms": ms}
+def phase_latin(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dict:
+    """H4 on the Latin stream: construction and oracle agree unless H4 is
+    violated, and a held H4 is a matched construction."""
+    specs = latin_spec_stream(4, 3, seed, trials)
+    (summary,), records = run_campaign((Hypothesis.H4,), specs, opts=opts)
+    write_records(records, out_dir / "latin_h4.jsonl")
+    d = summary.to_dict()
+    agree = d["trials"] - d["violated"]
+    print(f"[latin] {agree}/{d['trials']} construct/oracle agreement, "
+          f"{d['holds']} matched ({d['ms']:.0f} ms)")
+    return {"trials": d["trials"], "agree": agree, "matched": d["holds"], "ms": d["ms"]}
 
 
 def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dict:
@@ -137,7 +120,7 @@ def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> di
             "spec": spec.to_dict(),
             "original": {"left": g.left_size, "right": g.right_size,
                          "edges": len(g.edges)},
-            "minimized": json.loads(to_canonical_json(small)),
+            "minimized": to_dict(small),
         }, separators=(",", ":")))
         print(f"[shrink] {hyp.value}: seed {spec.seed} "
               f"{g.left_size}x{g.right_size}/{len(g.edges)}e -> "
@@ -172,9 +155,7 @@ def main(argv: list[str] | None = None) -> int:
             args.out_dir, args.trials, args.seed, args.workers, opts
         )
     if "latin" in phases:
-        summary["latin"] = phase_latin(
-            args.out_dir, args.latin_trials, args.seed, args.construct_budget
-        )
+        summary["latin"] = phase_latin(args.out_dir, args.latin_trials, args.seed, opts)
     if "shrink" in phases:
         summary["shrink"] = phase_shrink(args.out_dir, args.trials, args.seed, opts)
 

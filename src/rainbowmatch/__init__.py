@@ -37,7 +37,7 @@ from .harness import (
     run_campaign,
     violation_predicate,
 )
-from .oracle import OracleResult, has_rainbow, max_rainbow, max_rainbow_naive
+from .oracle import OracleResult, max_rainbow, max_rainbow_naive
 from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,

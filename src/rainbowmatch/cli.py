@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -25,9 +26,11 @@ from .graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
+    edge_lists,
     is_rainbow_matching,
     read_instances,
     to_canonical_json,
+    to_dict,
 )
 from .graph import validate as validate_graph
 from .harness import (
@@ -41,7 +44,7 @@ from .harness import (
     run_campaign,
     violation_predicate,
 )
-from .oracle import has_rainbow, max_rainbow
+from .oracle import max_rainbow
 from .reduction import PivotDonorPolicy, ReductionStatus, mirror, reduce_to_normal_form
 from .shifting import shift
 
@@ -89,8 +92,8 @@ def _load_graphs(path: str | None) -> list[ColoredMultigraph]:
     return read_instances(_read_text(path))
 
 
-def _edges(edge_list) -> list[list[int]]:
-    return [[e.u, e.v, e.c] for e in edge_list]
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _specs_from_args(args) -> list[GenSpec]:
@@ -121,17 +124,10 @@ def _eval_options(args) -> EvalOptions:
 
 
 def _cmd_gen(args) -> int:
-    lines = []
-    emitted = 0
-    for spec in _specs_from_args(args):
-        for g in instances_for(spec):
-            lines.append(to_canonical_json(g))
-            emitted += 1
-            if args.kind == "enumerate" and emitted >= args.count:
-                break
-        if args.kind == "enumerate" and emitted >= args.count:
-            break
-    _write_lines(lines, args.out)
+    # Random and latin specs yield one instance each, so the cap only ever
+    # shortens an enumeration.
+    graphs = (g for spec in _specs_from_args(args) for g in instances_for(spec))
+    _write_lines((to_canonical_json(g) for g in islice(graphs, args.count)), args.out)
     return EXIT_OK
 
 
@@ -143,18 +139,11 @@ def _cmd_validate(args) -> int:
         report = validate_graph(g, require_counts=not args.no_counts)
         all_ok = all_ok and report.ok
         if args.format == "json":
-            lines.append(
-                json.dumps(
-                    {
-                        "digest": canonical_digest(g),
-                        "ok": report.ok,
-                        "violations": [
-                            {"rule": v.rule, "detail": v.detail} for v in report.violations
-                        ],
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            lines.append(_json({
+                "digest": canonical_digest(g),
+                "ok": report.ok,
+                "violations": [{"rule": v.rule, "detail": v.detail} for v in report.violations],
+            }))
         else:
             status = "ok" if report.ok else "; ".join(v.detail for v in report.violations)
             lines.append(f"{canonical_digest(g)} {status}")
@@ -166,25 +155,26 @@ def _cmd_solve(args) -> int:
     graphs = _load_graphs(args.inp)
     lines = []
     for g in graphs:
+        result = max_rainbow(g, args.target)
+        witness = edge_lists(result.witness.edges)
         if args.target is not None:
-            found, m = has_rainbow(g, args.target)
+            found = result.max_size == args.target
             payload = {
                 "digest": canonical_digest(g),
                 "target": args.target,
                 "found": found,
-                "witness": _edges(m.edges) if m is not None else None,
+                "witness": witness if found else None,
             }
             text = f"{payload['digest']} target={args.target} found={found}"
         else:
-            result = max_rainbow(g)
             payload = {
                 "digest": canonical_digest(g),
                 "max": result.max_size,
-                "witness": _edges(result.witness.edges),
+                "witness": witness,
                 "nodes": result.nodes_explored,
             }
             text = f"{payload['digest']} max={result.max_size}"
-        lines.append(json.dumps(payload, separators=(",", ":")) if args.format == "json" else text)
+        lines.append(_json(payload) if args.format == "json" else text)
     _write_lines(lines, args.out)
     return EXIT_OK
 
@@ -198,45 +188,22 @@ def _cmd_shift(args) -> int:
         work = g if side is Side.LEFT else mirror(g)
         outcome = shift(work, args.pivot, args.donor)
         result = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
-        trace_lines.extend(
-            json.dumps(
-                {
-                    "kind": r.kind.value,
-                    "color": r.color,
-                    "removed": _edges(r.removed),
-                    "added": _edges(r.added),
-                },
-                separators=(",", ":"),
-            )
-            for r in outcome.rewrites
-        )
+        rewrites = [r.to_dict() for r in outcome.rewrites]
+        trace_lines.extend(_json(r) for r in rewrites)
         if args.emit == "graph":
             lines.append(to_canonical_json(result))
         else:
-            lines.append(
-                json.dumps(
-                    {
-                        "digest_before": canonical_digest(g),
-                        "digest_after": canonical_digest(result),
-                        "side": side.value,
-                        "pivot": args.pivot,
-                        "donor": args.donor,
-                        "moves": outcome.moves,
-                        "swaps": outcome.swaps,
-                        "rewrites": [
-                            {
-                                "kind": r.kind.value,
-                                "color": r.color,
-                                "removed": _edges(r.removed),
-                                "added": _edges(r.added),
-                            }
-                            for r in outcome.rewrites
-                        ],
-                        "graph": json.loads(to_canonical_json(result)),
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            lines.append(_json({
+                "digest_before": canonical_digest(g),
+                "digest_after": canonical_digest(result),
+                "side": side.value,
+                "pivot": args.pivot,
+                "donor": args.donor,
+                "moves": outcome.moves,
+                "swaps": outcome.swaps,
+                "rewrites": rewrites,
+                "graph": to_dict(result),
+            }))
     if args.trace is not None:
         Path(args.trace).write_text("".join(t + "\n" for t in trace_lines))
     _write_lines(lines, args.out)
@@ -250,46 +217,21 @@ def _cmd_reduce(args) -> int:
     all_normal = True
     for g in graphs:
         red = reduce_to_normal_form(g, PivotDonorPolicy(args.policy), args.max_iters)
-        trace_lines.extend(
-            json.dumps(
-                {
-                    "side": s.side.value,
-                    "pivot": s.pivot,
-                    "donor": s.donor,
-                    "moves": s.moves,
-                    "swaps": s.swaps,
-                },
-                separators=(",", ":"),
-            )
-            for s in red.trace
-        )
+        steps = [s.to_dict() for s in red.trace]
+        trace_lines.extend(_json(s) for s in steps)
         all_normal = all_normal and red.status is ReductionStatus.NORMALIZED
         if args.emit == "graph":
             lines.append(to_canonical_json(red.graph))
         else:
-            lines.append(
-                json.dumps(
-                    {
-                        "digest_before": canonical_digest(g),
-                        "status": red.status.value,
-                        "iterations": red.iterations,
-                        "graph": json.loads(to_canonical_json(red.graph)),
-                        "left_map": list(red.left_map),
-                        "right_map": list(red.right_map),
-                        "trace": [
-                            {
-                                "side": s.side.value,
-                                "pivot": s.pivot,
-                                "donor": s.donor,
-                                "moves": s.moves,
-                                "swaps": s.swaps,
-                            }
-                            for s in red.trace
-                        ],
-                    },
-                    separators=(",", ":"),
-                )
-            )
+            lines.append(_json({
+                "digest_before": canonical_digest(g),
+                "status": red.status.value,
+                "iterations": red.iterations,
+                "graph": to_dict(red.graph),
+                "left_map": list(red.left_map),
+                "right_map": list(red.right_map),
+                "trace": steps,
+            }))
     if args.trace is not None:
         Path(args.trace).write_text("".join(t + "\n" for t in trace_lines))
     _write_lines(lines, args.out)
@@ -315,20 +257,9 @@ def _cmd_construct(args) -> int:
                 )
         else:
             worst = max(worst, EXIT_FINDINGS)
-        payload = {
-            "digest": canonical_digest(g),
-            "status": outcome.status.value,
-            "matching": _edges(outcome.matching.edges) if outcome.matching else None,
-            "attempts": outcome.attempts,
-            "failure": outcome.failure.to_dict() if outcome.failure else None,
-            "candidate": _edges(outcome.candidate.edges) if outcome.candidate else None,
-            "steps": [
-                {"depth": s.depth, "color": s.color, "pivot": s.pivot, "edge": list(s.edge)}
-                for s in outcome.trace
-            ],
-        }
+        payload = {"digest": canonical_digest(g), **outcome.to_dict()}
         if args.format == "json":
-            lines.append(json.dumps(payload, separators=(",", ":")))
+            lines.append(_json(payload))
         else:
             detail = (
                 f"matching={payload['matching']}"
@@ -349,7 +280,7 @@ def _cmd_check(args) -> int:
     lines = []
     for summary in summaries:
         if args.format == "json":
-            lines.append(json.dumps(summary.to_dict(), separators=(",", ":")))
+            lines.append(_json(summary.to_dict()))
         else:
             extra = " truncated" if summary.truncated else ""
             lines.append(
@@ -383,7 +314,7 @@ def _cmd_replay(args) -> int:
         "mismatches": list(report.mismatches),
     }
     if args.format == "json":
-        line = json.dumps(payload, separators=(",", ":"))
+        line = _json(payload)
     else:
         line = (
             f"records={report.total} violated={report.violated} "
@@ -420,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="latin symbol to drop (default order-1)")
     gen_flags.add_argument("--seed", type=int, default=0)
     gen_flags.add_argument("--count", type=_non_negative, default=1,
-                           help="instances to generate (cap for enumerate)")
+                           help="instances to generate; gen also caps an enumeration with it "
+                                "(check: use --budget to cap an enumeration)")
 
     hyp_flags = argparse.ArgumentParser(add_help=False)
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode], default="policy")
@@ -441,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[io_flags, fmt_flags],
                        help="exact maximum rainbow matching")
-    p.add_argument("--target", type=int, default=None,
+    p.add_argument("--target", type=_non_negative, default=None,
                    help="decide existence at this size instead of maximizing")
     p.set_defaults(func=_cmd_solve)
 

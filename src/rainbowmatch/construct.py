@@ -31,8 +31,9 @@ from .graph import (
     canonical_digest,
     delete_color,
     delete_vertex,
+    edge_lists,
     is_rainbow_matching,
-    validate,
+    require_valid,
 )
 from .oracle import rainbow_pairs
 from .reduction import (
@@ -83,6 +84,14 @@ class ConstructStep:
     edge: Edge
     graph: ColoredMultigraph
 
+    def to_dict(self) -> dict:
+        return {
+            "depth": self.depth,
+            "color": self.color,
+            "pivot": self.pivot,
+            "edge": list(self.edge),
+        }
+
 
 @dataclass(frozen=True)
 class ConstructionOutcome:
@@ -94,6 +103,16 @@ class ConstructionOutcome:
     # original graph, when one exists; the H5 witness.
     candidate: Matching | None
     attempts: int
+
+    def to_dict(self) -> dict:
+        return {
+            "status": self.status.value,
+            "matching": edge_lists(self.matching.edges) if self.matching is not None else None,
+            "attempts": self.attempts,
+            "failure": self.failure.to_dict() if self.failure is not None else None,
+            "candidate": edge_lists(self.candidate.edges) if self.candidate is not None else None,
+            "steps": [s.to_dict() for s in self.trace],
+        }
 
 
 class _SearchState:
@@ -223,9 +242,7 @@ def construct(
     level; Backtracking iterates all (color, pivot) pairs, and additional
     reduction policies when configured, within the attempt budget.
     """
-    report = validate(g, require_counts=True)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+    require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
 

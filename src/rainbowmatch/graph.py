@@ -155,6 +155,13 @@ def validate(g: ColoredMultigraph, require_counts: bool = False) -> ValidationRe
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def require_valid(g: ColoredMultigraph, require_counts: bool = False) -> None:
+    """Raise ValueError naming the first violation ``validate`` reports."""
+    report = validate(g, require_counts)
+    if not report.ok:
+        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+
+
 def _check_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> None:
     if not 0 <= vertex < g.side_size(side):
         raise ValueError(f"vertex {vertex} out of range for side {side.value} (size {g.side_size(side)})")
@@ -220,13 +227,18 @@ def canonical_edges(edges: Iterable[Edge]) -> tuple[Edge, ...]:
     return tuple(sorted(edges, key=_BY_COLOR))
 
 
+def edge_lists(edges: Iterable[Edge]) -> list[list[int]]:
+    """JSON form of an edge sequence: one ``[u, v, c]`` list per edge, in order."""
+    return [[e.u, e.v, e.c] for e in edges]
+
+
 def to_dict(g: ColoredMultigraph) -> dict:
     """Canonical dict form: edges sorted lexicographically by (c, u, v)."""
     return {
         "n": g.n,
         "left": g.left_size,
         "right": g.right_size,
-        "edges": [[e.u, e.v, e.c] for e in canonical_edges(g.edges)],
+        "edges": edge_lists(canonical_edges(g.edges)),
     }
 
 

@@ -35,6 +35,7 @@ from .graph import (
     canonical_digest,
     delete_color,
     delete_vertex,
+    edge_lists,
     from_dict,
     is_rainbow_matching,
     to_dict,
@@ -306,7 +307,7 @@ def _eval_h5(run: InstanceRun) -> tuple[Verdict, dict | None]:
         return Verdict.HOLDS, None
     if outcome.candidate is not None:
         return Verdict.VIOLATED, run.witness(
-            candidate=[[e.u, e.v, e.c] for e in outcome.candidate.edges]
+            candidate=edge_lists(outcome.candidate.edges)
         )
     return Verdict.INCONCLUSIVE, run.witness(failure=outcome.failure.to_dict())
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ColoredMultigraph, Edge, Matching, validate
+from .graph import ColoredMultigraph, Edge, Matching, require_valid
 
 NAIVE_EDGE_LIMIT = 24
 
@@ -16,13 +16,11 @@ class OracleResult:
     nodes_explored: int
 
 
-def _require_proper(g: ColoredMultigraph) -> None:
-    report = validate(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+class _TargetReached(Exception):
+    """Unwinds the search once the incumbent reaches the target size."""
 
 
-def max_rainbow(g: ColoredMultigraph) -> OracleResult:
+def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult:
     """Exact maximum via color-major backtracking.
 
     Colors are processed in ascending index order; at each color the branches
@@ -30,8 +28,17 @@ def max_rainbow(g: ColoredMultigraph) -> OracleResult:
     skip branch.  Subtrees that cannot strictly beat the incumbent are pruned,
     so the returned witness is the first maximum reached under this fixed
     order, deterministic for a given edge list.
+
+    With ``target=k`` the search stops as soon as the incumbent reaches ``k``:
+    ``max_size == min(maximum, k)`` and the witness is the first size-``k``
+    matching in the same order.  ``target=0`` returns the empty matching.
     """
-    _require_proper(g)
+    require_valid(g)
+    if target is not None:
+        if target < 0:
+            raise ValueError("target must be non-negative")
+        if target == 0:
+            return OracleResult(0, Matching(()), 0)
     n = g.n
     by_color: list[list[Edge]] = [[] for _ in range(n)]
     for e in g.edges:
@@ -48,6 +55,8 @@ def max_rainbow(g: ColoredMultigraph) -> OracleResult:
         if len(picked) > best:
             best = len(picked)
             best_pick = tuple(picked)
+            if best == target:
+                raise _TargetReached
         if ci == n or len(picked) + (n - ci) <= best:
             return
         for e in by_color[ci]:
@@ -57,42 +66,11 @@ def max_rainbow(g: ColoredMultigraph) -> OracleResult:
                 picked.pop()
         search(ci + 1, used_l, used_r)
 
-    search(0, 0, 0)
+    try:
+        search(0, 0, 0)
+    except _TargetReached:
+        pass
     return OracleResult(best, Matching(best_pick), nodes)
-
-
-def has_rainbow(g: ColoredMultigraph, k: int) -> tuple[bool, Matching | None]:
-    """Early-exit check for a rainbow matching of size ``k``; returns the
-    first witness found, or None."""
-    _require_proper(g)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k == 0:
-        return True, Matching(())
-    n = g.n
-    if k > min(n, g.left_size, g.right_size):
-        return False, None
-    by_color: list[list[Edge]] = [[] for _ in range(n)]
-    for e in g.edges:
-        by_color[e.c].append(e)
-
-    picked: list[Edge] = []
-
-    def search(ci: int, used_l: int, used_r: int) -> bool:
-        if len(picked) == k:
-            return True
-        if ci == n or len(picked) + (n - ci) < k:
-            return False
-        for e in by_color[ci]:
-            if not (used_l >> e.u) & 1 and not (used_r >> e.v) & 1:
-                picked.append(e)
-                if search(ci + 1, used_l | (1 << e.u), used_r | (1 << e.v)):
-                    return True
-                picked.pop()
-        return search(ci + 1, used_l, used_r)
-
-    found = search(0, 0, 0)
-    return found, Matching(tuple(picked)) if found else None
 
 
 def max_rainbow_naive(g: ColoredMultigraph) -> OracleResult:
@@ -103,7 +81,7 @@ def max_rainbow_naive(g: ColoredMultigraph) -> OracleResult:
     fail the filter too).  No color grouping, no bound pruning: deliberately
     a different algorithm from the color-major search.
     """
-    _require_proper(g)
+    require_valid(g)
     m = len(g.edges)
     if m > NAIVE_EDGE_LIMIT:
         raise ValueError(
@@ -142,7 +120,7 @@ def rainbow_pairs(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
     """
     if g.n != 2:
         raise ValueError(f"rainbow_pairs needs n == 2 (got {g.n})")
-    _require_proper(g)
+    require_valid(g)
     es = g.edges
     return [
         (es[i], es[j])

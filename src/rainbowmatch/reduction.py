@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, canonical_edges, colors_at, validate
+from .graph import ColoredMultigraph, Edge, Side, canonical_edges, colors_at, require_valid
 from .shifting import shift
 
 
@@ -40,6 +40,15 @@ class ReductionStep:
     donor: int
     moves: int
     swaps: int
+
+    def to_dict(self) -> dict:
+        return {
+            "side": self.side.value,
+            "pivot": self.pivot,
+            "donor": self.donor,
+            "moves": self.moves,
+            "swaps": self.swaps,
+        }
 
 
 @dataclass(frozen=True)
@@ -95,9 +104,7 @@ def compact_isolated(
 def is_normal_form(g: ColoredMultigraph) -> bool:
     """True iff each side has exactly n + 1 non-isolated vertices (isolated
     vertices are ignored; compaction removes them)."""
-    report = validate(g, require_counts=True)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+    require_valid(g, require_counts=True)
     compacted, _, _ = compact_isolated(g)
     return compacted.left_size == g.n + 1 and compacted.right_size == g.n + 1
 
@@ -166,9 +173,7 @@ def reduce_to_normal_form(
     chosen policy.  When both sides qualify for shifting, the chosen side
     alternates starting Left.
     """
-    report = validate(g, require_counts=True)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+    require_valid(g, require_counts=True)
     if g.n < 1:
         raise ValueError("reduction needs at least one color")
     if max_iters is None:

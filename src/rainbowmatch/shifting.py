@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, colors_at, validate
+from .graph import ColoredMultigraph, Edge, Side, colors_at, edge_lists, require_valid
 
 
 class RewriteKind(str, Enum):
@@ -38,6 +38,14 @@ class ShiftRewrite:
     color: int
     removed: tuple[Edge, ...]
     added: tuple[Edge, ...]
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind.value,
+            "color": self.color,
+            "removed": edge_lists(self.removed),
+            "added": edge_lists(self.added),
+        }
 
 
 @dataclass(frozen=True)
@@ -66,9 +74,7 @@ def shift(g: ColoredMultigraph, pivot: int, donor: int) -> ShiftOutcome:
         raise ValueError(f"pivot {pivot} out of range")
     if not 0 <= donor < g.left_size:
         raise ValueError(f"donor {donor} out of range")
-    report = validate(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations[0].detail}")
+    require_valid(g)
 
     work = list(g.edges)
     pivot_by_color: dict[int, int] = {e.c: i for i, e in enumerate(work) if e.u == pivot}

@@ -284,11 +284,13 @@ CHECK = ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5"]
         ["construct", "--budget", "-1"],
         ["construct", "--max-iters", "-1"],
         ["minimize", "--hyp", "H2", "--max-iters", "-1"],
+        ["solve", "--target", "-1"],
     ],
     ids=[
         "check-workers-0", "check-workers-neg", "check-budget", "check-count",
         "check-max-iters", "check-construct-budget", "check-workers-text", "gen-count",
         "reduce-max-iters", "construct-budget", "construct-max-iters", "minimize-max-iters",
+        "solve-target",
     ],
 )
 def test_nonsensical_numeric_argument_is_usage_error(capsys, argv):
@@ -306,3 +308,60 @@ def test_zero_counts_and_budgets_are_accepted(capsys):
     assert main(CHECK + ["--count", "2", "--budget", "0", "--hyp", "H2",
                          "--max-iters", "0", "--format", "summary"]) == 0
     assert capsys.readouterr().out.startswith("H2: trials=0")
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_gen_enumerate_emits_exactly_count(capsys, count):
+    assert main(["gen", "--kind", "enumerate", "--n", "2", "--count", str(count)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == count
+
+
+def _piped(capsys, gen_argv, argv, monkeypatch):
+    assert main(["gen"] + gen_argv) == 0
+    instance = capsys.readouterr().out
+    code = run(argv, instance, monkeypatch)
+    return code, capsys.readouterr().out
+
+
+LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
+
+
+# Exact record bytes: key order, witnesses and node counts are part of the
+# output format.
+@pytest.mark.parametrize(
+    "gen_argv, argv, code, line",
+    [
+        (LATIN_7, ["solve"], 0,
+         '{"digest":"603a54f16a6a1798","max":3,"witness":[[0,1,0],[1,2,1],[2,0,2]],"nodes":11}'),
+        (LATIN_7, ["solve", "--target", "3"], 0,
+         '{"digest":"603a54f16a6a1798","target":3,"found":true,'
+         '"witness":[[0,1,0],[1,2,1],[2,0,2]]}'),
+        (["--kind", "random", "--n", "2", "--left", "3", "--right", "4", "--seed", "0"],
+         ["shift", "--side", "right", "--pivot", "0", "--donor", "3", "--emit", "record"], 0,
+         '{"digest_before":"3902997b466ab699","digest_after":"542573de7aca26ca","side":"right",'
+         '"pivot":0,"donor":3,"moves":1,"swaps":1,"rewrites":['
+         '{"kind":"move","color":0,"removed":[[3,1,0]],"added":[[0,1,0]]},'
+         '{"kind":"swap","color":1,"removed":[[0,2,1],[3,1,1]],"added":[[0,1,1],[3,2,1]]}],'
+         '"graph":{"n":2,"left":3,"right":4,'
+         '"edges":[[0,2,0],[1,0,0],[2,1,0],[0,2,1],[1,0,1],[2,3,1]]}}'),
+        (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
+         ["reduce", "--emit", "record"], 0,
+         '{"digest_before":"95437ec47a72c236","status":"normalized","iterations":4,'
+         '"graph":{"n":3,"left":4,"right":4,"edges":[[0,0,0],[1,3,0],[2,2,0],[3,1,0],'
+         '[0,3,1],[1,1,1],[2,2,1],[3,0,1],[0,1,2],[1,3,2],[2,0,2],[3,2,2]]},'
+         '"left_map":[0,1,2,3],"right_map":[0,1,2,3],"trace":['
+         '{"side":"left","pivot":0,"donor":4,"moves":2,"swaps":0},'
+         '{"side":"right","pivot":0,"donor":4,"moves":1,"swaps":1},'
+         '{"side":"left","pivot":2,"donor":4,"moves":1,"swaps":0},'
+         '{"side":"right","pivot":3,"donor":4,"moves":1,"swaps":0}]}'),
+        (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "1"],
+         ["construct", "--strategy", "backtrack"], 3,
+         '{"digest":"2114ed8bc95ecb18","status":"step_failed","matching":null,"attempts":12,'
+         '"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
+         '"candidate":[[0,0,0],[1,0,1],[3,2,2]],'
+         '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),
+    ],
+    ids=["solve", "solve-target", "shift-right-record", "reduce-record", "construct-backtrack"],
+)
+def test_record_bytes_are_pinned(capsys, monkeypatch, gen_argv, argv, code, line):
+    assert _piped(capsys, gen_argv, argv, monkeypatch) == (code, line + "\n")

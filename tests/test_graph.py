@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,7 @@ from rainbowmatch.graph import (
     incident_edges,
     is_rainbow_matching,
     read_instances,
+    require_valid,
     to_canonical_json,
     to_dict,
     validate,
@@ -83,6 +85,18 @@ def test_validate_reports_all_violations():
     assert RULE_PROPERNESS in rules
     assert RULE_BOUNDS in rules
     assert RULE_COUNTS in rules
+
+
+def test_require_valid_raises_first_violation(i2):
+    require_valid(i2, require_counts=True)
+    short = delete_vertex(i2, Side.LEFT, 0)
+    require_valid(short)
+    with pytest.raises(ValueError, match="^invalid graph: color 0 has 2 edges, expected 3$"):
+        require_valid(short, require_counts=True)
+    bad = ColoredMultigraph.of(2, 2, 2, [(0, 0, 0), (0, 1, 0), (1, 9, 1)])
+    first = validate(bad).violations[0].detail
+    with pytest.raises(ValueError, match=f"^invalid graph: {re.escape(first)}$"):
+        require_valid(bad)
 
 
 @given(proper_graphs())

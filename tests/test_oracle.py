@@ -7,7 +7,6 @@ from rainbowmatch.generators import enumerate_instances
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.oracle import (
     NAIVE_EDGE_LIMIT,
-    has_rainbow,
     max_rainbow,
     max_rainbow_naive,
     rainbow_pairs,
@@ -80,17 +79,35 @@ def test_naive_edge_cap():
 def test_has_rainbow_consistent_with_max(g):
     m = max_rainbow(g).max_size
     for k in range(0, min(g.n, g.left_size, g.right_size) + 2):
-        found, witness = has_rainbow(g, k)
+        result = max_rainbow(g, target=k)
+        assert result.max_size == min(m, k)
+        found = result.max_size == k
         assert found == (k <= m)
         if found and k > 0:
-            assert is_rainbow_matching(g, witness, k)
+            assert is_rainbow_matching(g, result.witness, k)
 
 
 def test_has_rainbow_trivial(i2):
-    found, witness = has_rainbow(i2, 0)
-    assert found and len(witness) == 0
-    found, witness = has_rainbow(i2, 5)
-    assert not found and witness is None
+    m = max_rainbow(i2).max_size
+    result = max_rainbow(i2, target=0)
+    assert result.max_size == min(m, 0)
+    assert len(result.witness) == 0
+    result = max_rainbow(i2, target=5)
+    assert result.max_size == min(m, 5)
+    assert result.max_size < 5
+
+
+def test_target_is_an_early_exit_of_the_same_search(i2):
+    full = max_rainbow(i2)
+    early = max_rainbow(i2, target=full.max_size)
+    assert early.max_size == full.max_size
+    assert early.nodes_explored <= full.nodes_explored
+    assert max_rainbow(i2, target=full.max_size + 3) == full
+
+
+def test_negative_target_is_rejected(i2):
+    with pytest.raises(ValueError, match="target"):
+        max_rainbow(i2, target=-1)
 
 
 def test_rainbow_pairs_match_oracle(i2):
