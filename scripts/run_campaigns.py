@@ -29,6 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from rainbowmatch.cli import _non_negative, _positive
 from rainbowmatch.generators import (
     GenKind,
     GenSpec,
@@ -133,12 +134,12 @@ def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> di
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    ap.add_argument("--trials", type=int, default=10_000,
+    ap.add_argument("--trials", type=_non_negative, default=10_000,
                     help="random-campaign size (default 10000)")
-    ap.add_argument("--latin-trials", type=int, default=1000)
+    ap.add_argument("--latin-trials", type=_non_negative, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--construct-budget", type=int, default=256)
+    ap.add_argument("--workers", type=_positive, default=1)
+    ap.add_argument("--construct-budget", type=_non_negative, default=256)
     ap.add_argument("--phase", action="append", choices=PHASES,
                     help="run only these phases (repeatable; default all)")
     args = ap.parse_args(argv)

@@ -45,7 +45,7 @@ from .harness import (
     violation_predicate,
 )
 from .oracle import max_rainbow
-from .reduction import PivotDonorPolicy, ReductionStatus, mirror, reduce_to_normal_form
+from .reduction import PivotDonorPolicy, ReductionStatus, reduce_to_normal_form
 from .shifting import shift
 
 EXIT_OK = 0
@@ -185,24 +185,22 @@ def _cmd_shift(args) -> int:
     lines = []
     trace_lines = []
     for g in graphs:
-        work = g if side is Side.LEFT else mirror(g)
-        outcome = shift(work, args.pivot, args.donor)
-        result = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
+        outcome = shift(g, args.pivot, args.donor, side)
         rewrites = [r.to_dict() for r in outcome.rewrites]
         trace_lines.extend(_json(r) for r in rewrites)
         if args.emit == "graph":
-            lines.append(to_canonical_json(result))
+            lines.append(to_canonical_json(outcome.graph))
         else:
             lines.append(_json({
                 "digest_before": canonical_digest(g),
-                "digest_after": canonical_digest(result),
+                "digest_after": canonical_digest(outcome.graph),
                 "side": side.value,
                 "pivot": args.pivot,
                 "donor": args.donor,
                 "moves": outcome.moves,
                 "swaps": outcome.swaps,
                 "rewrites": rewrites,
-                "graph": to_dict(result),
+                "graph": to_dict(outcome.graph),
             }))
     if args.trace is not None:
         Path(args.trace).write_text("".join(t + "\n" for t in trace_lines))

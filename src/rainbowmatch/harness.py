@@ -24,7 +24,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .construct import ConstructionOutcome, ConstructStatus, PeelStrategy, construct, peel
@@ -224,17 +225,18 @@ def _eval_conj(run: InstanceRun) -> tuple[Verdict, dict | None]:
 def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
     g, opts = run.g, run.opts
     if opts.h1_mode is H1Mode.POLICY:
-        cur, _, _ = compact_isolated(g)
-        step = choose_shift(cur, Side.LEFT, opts.policy)
+        work, _, _ = compact_isolated(g)
+        step = choose_shift(work, Side.LEFT, opts.policy)
         if step is None:
             return Verdict.INCONCLUSIVE, None
         pairs = [step]
     else:
+        work = g
         deg = [0] * g.left_size
         for e in g.edges:
             deg[e.u] += 1
         pairs = [
-            (Side.LEFT, g, pivot, donor)
+            (Side.LEFT, pivot, donor)
             for pivot in range(g.left_size)
             for donor in range(g.left_size)
             if donor != pivot and deg[donor] > 0
@@ -242,11 +244,10 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
         if not pairs:
             return Verdict.INCONCLUSIVE, None
 
-    # Every working graph is g itself, its compaction or the mirror of that,
-    # all with the same maximum.
+    # The working graph is g itself or its compaction: the same maximum.
     before = run.max_size
-    for side, work, pivot, donor in pairs:
-        after = max_rainbow(shift(work, pivot, donor).graph).max_size
+    for side, pivot, donor in pairs:
+        after = max_rainbow(shift(work, pivot, donor, side).graph).max_size
         if (before >= g.n) != (after >= g.n):
             direction = "forward" if before >= g.n else "reverse"
             return Verdict.VIOLATED, run.witness(
@@ -347,10 +348,11 @@ def _expand(specs: Iterable[GenSpec]) -> Iterator[tuple[GenSpec, ColoredMultigra
 
 
 def _eval_instance(
-    spec: GenSpec, g: ColoredMultigraph, hyps: tuple[Hypothesis, ...], opts: EvalOptions
+    item: tuple[GenSpec, ColoredMultigraph], hyps: tuple[Hypothesis, ...], opts: EvalOptions
 ) -> list[CampaignRecord]:
     """One record per hypothesis, all evaluated on one shared run; a
     record's time is that hypothesis's cost on top of the earlier ones."""
+    spec, g = item
     digest = canonical_digest(g)
     run = InstanceRun(g, opts)
     records = []
@@ -360,10 +362,6 @@ def _eval_instance(
         ms = round((time.perf_counter() - t0) * 1000, 3)
         records.append(CampaignRecord(hyp, spec, digest, verdict, witness, ms))
     return records
-
-
-def _eval_bucket(bucket) -> list[tuple[int, list[CampaignRecord]]]:
-    return [(idx, _eval_instance(spec, g, hyps, opts)) for idx, spec, g, hyps, opts in bucket]
 
 
 def run_campaign(
@@ -381,32 +379,20 @@ def run_campaign(
     order of ``hyps``, and the records grouped the same way: all records of
     the first hypothesis in instance order, then those of the second, and so
     on.  ``budget`` caps the number of instances; hitting the cap only flags
-    the summaries as truncated.  With ``workers > 1`` instances are sharded
-    by digest and evaluated in separate processes; the record order (and
-    hence the output bytes, timing aside) is identical to a sequential run.
+    the summaries as truncated.  With ``workers > 1`` an ordered process pool
+    evaluates one instance at a time; the record order (and hence the output
+    bytes, timing aside) is identical to a sequential run.
     """
     hyps = tuple(hyps)
-    trials: list[tuple[int, GenSpec, ColoredMultigraph, tuple[Hypothesis, ...], EvalOptions]] = []
-    truncated = False
-    for spec, g in _expand(specs):
-        if budget is not None and len(trials) >= budget:
-            truncated = True
-            break
-        trials.append((len(trials), spec, g, hyps, opts))
-
-    if workers > 1 and len(trials) > 1:
-        buckets: list[list] = [[] for _ in range(workers)]
-        for item in trials:
-            shard = int(canonical_digest(item[2]), 16) % workers
-            buckets[shard].append(item)
-        indexed: list[tuple[int, list[CampaignRecord]]] = []
+    stream = _expand(specs)
+    items = list(islice(stream, budget))
+    truncated = budget is not None and next(stream, None) is not None
+    evaluate_one = partial(_eval_instance, hyps=hyps, opts=opts)
+    if workers > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_eval_bucket, buckets):
-                indexed.extend(part)
-        indexed.sort(key=lambda p: p[0])
-        per_instance = [recs for _, recs in indexed]
+            per_instance = list(pool.map(evaluate_one, items))
     else:
-        per_instance = [_eval_instance(spec, g, hyps, opts) for _, spec, g, hyps, opts in trials]
+        per_instance = list(map(evaluate_one, items))
 
     summaries: list[CampaignSummary] = []
     records: list[CampaignRecord] = []

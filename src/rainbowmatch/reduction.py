@@ -3,8 +3,7 @@
 Normal form: n + 1 edges of each color and exactly n + 1 non-isolated
 vertices on each side.  Each iteration compacts isolated vertices, picks the
 side that is still too large, and shifts one donor's edges onto a deficient
-pivot; right-side shifts go through the mirror transform since the rewrite
-rules are stated on left vertices.
+pivot of that side.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -113,36 +112,40 @@ def default_max_iters(g: ColoredMultigraph) -> int:
     return 10 * g.n * (g.left_size + g.right_size)
 
 
-def pick_pivot(work: ColoredMultigraph) -> int:
+def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
     # A deficient vertex always exists once the side exceeds n + 1: total
     # degree is n * (n + 1), so the average degree is below n.
-    for v in range(work.left_size):
-        if len(colors_at(work, Side.LEFT, v)) < work.n:
+    for v in range(g.side_size(side)):
+        if len(colors_at(g, side, v)) < g.n:
             return v
     raise ValueError("no shift-applicable pivot; side already at full spectrum")
 
 
-def pick_donor(work: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy) -> int:
+def pick_donor(
+    g: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy, side: Side = Side.LEFT
+) -> int:
+    size = g.side_size(side)
     if policy is PivotDonorPolicy.LAST_VERTEX:
-        last = work.left_size - 1
+        last = size - 1
         return last if last != pivot else last - 1
-    # Bit c of masks[v] is set iff color c is at left vertex v.
-    masks = [0] * work.left_size
-    for u, _, c in work.edges:
-        masks[u] |= 1 << c
+    # Bit c of masks[v] is set iff color c is at vertex v of the side.
+    end = 0 if side is Side.LEFT else 1
+    masks = [0] * size
+    for e in g.edges:
+        masks[e[end]] |= 1 << e[2]
     absent = ~masks[pivot]
-    candidates = [v for v in range(work.left_size) if v != pivot]
+    candidates = [v for v in range(size) if v != pivot]
     return max(candidates, key=lambda v: ((masks[v] & absent).bit_count(), v))
 
 
 def choose_shift(
     cur: ColoredMultigraph, alternate: Side, policy: PivotDonorPolicy
-) -> tuple[Side, ColoredMultigraph, int, int] | None:
-    """The (side, working graph, pivot, donor) of the shift the reduction
-    applies to the compacted graph ``cur``, or None when it is normal.
+) -> tuple[Side, int, int] | None:
+    """The (side, pivot, donor) of the shift the reduction applies to the
+    compacted graph ``cur``, or None when it is normal.
 
     The side is whichever one exceeds n + 1 vertices, or ``alternate`` when
-    both do; a right-side step works on the mirror image.
+    both do.
     """
     target = cur.n + 1
     left_over = cur.left_size > target
@@ -155,9 +158,8 @@ def choose_shift(
         side = Side.RIGHT
     else:
         return None
-    work = cur if side is Side.LEFT else mirror(cur)
-    pivot = pick_pivot(work)
-    return side, work, pivot, pick_donor(work, pivot, policy)
+    pivot = pick_pivot(cur, side)
+    return side, pivot, pick_donor(cur, pivot, policy, side)
 
 
 def reduce_to_normal_form(
@@ -201,13 +203,12 @@ def reduce_to_normal_form(
         if iterations >= max_iters:
             return done(ReductionStatus.ITERATION_CAP)
 
-        side, work, pivot, donor = choose_shift(cur, alternate, policy)
+        side, pivot, donor = choose_shift(cur, alternate, policy)
         if cur.left_size > target and cur.right_size > target:
             alternate = alternate.other()
-        outcome = shift(work, pivot, donor)
-        shifted = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
+        outcome = shift(cur, pivot, donor, side)
 
-        nxt, keep_l, keep_r = compact_isolated(shifted)
+        nxt, keep_l, keep_r = compact_isolated(outcome.graph)
         lmap = tuple(lmap[i] for i in keep_l)
         rmap = tuple(rmap[i] for i in keep_r)
         trace.append(ReductionStep(side, pivot, donor, outcome.moves, outcome.swaps))

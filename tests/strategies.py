@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from rainbowmatch.generators import GenKind, GenSpec, gen_random
-from rainbowmatch.graph import ColoredMultigraph
+from rainbowmatch.graph import ColoredMultigraph, Side
 
 
 @st.composite
@@ -35,11 +35,12 @@ def counts_valid_graphs(draw, max_n: int = 3, max_extra: int = 3):
 
 
 @st.composite
-def shift_cases(draw, max_n: int = 4):
-    """A counts-valid graph plus a (pivot, donor) pair on the left side."""
+def shift_cases(draw, max_n: int = 4, side: Side = Side.LEFT):
+    """A counts-valid graph plus a (pivot, donor) pair on ``side``."""
     g = draw(counts_valid_graphs(max_n=max_n))
-    pivot = draw(st.integers(0, g.left_size - 1))
-    donor = draw(st.integers(0, g.left_size - 2))
+    size = g.side_size(side)
+    pivot = draw(st.integers(0, size - 1))
+    donor = draw(st.integers(0, size - 2))
     if donor >= pivot:
         donor += 1
     return g, pivot, donor

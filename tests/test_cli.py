@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +112,20 @@ def test_shift_right_side(capsys, monkeypatch):
 def test_shift_bad_pivot(capsys, monkeypatch):
     text = '{"n":1,"left":2,"right":2,"edges":[[0,0,0]]}'
     assert run(["shift", "--pivot", "0", "--donor", "0"], text, monkeypatch) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n":1,"left":2,"right":2,"edges":[[0,0,0],[1,0,0]]}', "share right vertex 0"),
+        ('{"n":1,"left":2,"right":2,"edges":[[1,5,0]]}', "edge (1, 5, 0)"),
+    ],
+    ids=["improper", "out-of-bounds"],
+)
+def test_shift_right_side_errors_name_input_coordinates(capsys, monkeypatch, text, message):
+    argv = ["shift", "--side", "right", "--pivot", "0", "--donor", "1"]
+    assert run(argv, text, monkeypatch) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_reduce_pipeline(tmp_path, capsys):
@@ -340,8 +356,8 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          ["shift", "--side", "right", "--pivot", "0", "--donor", "3", "--emit", "record"], 0,
          '{"digest_before":"3902997b466ab699","digest_after":"542573de7aca26ca","side":"right",'
          '"pivot":0,"donor":3,"moves":1,"swaps":1,"rewrites":['
-         '{"kind":"move","color":0,"removed":[[3,1,0]],"added":[[0,1,0]]},'
-         '{"kind":"swap","color":1,"removed":[[0,2,1],[3,1,1]],"added":[[0,1,1],[3,2,1]]}],'
+         '{"kind":"move","color":0,"removed":[[1,3,0]],"added":[[1,0,0]]},'
+         '{"kind":"swap","color":1,"removed":[[2,0,1],[1,3,1]],"added":[[1,0,1],[2,3,1]]}],'
          '"graph":{"n":2,"left":3,"right":4,'
          '"edges":[[0,2,0],[1,0,0],[2,1,0],[0,2,1],[1,0,1],[2,3,1]]}}'),
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
@@ -365,3 +381,27 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
 )
 def test_record_bytes_are_pinned(capsys, monkeypatch, gen_argv, argv, code, line):
     assert _piped(capsys, gen_argv, argv, monkeypatch) == (code, line + "\n")
+
+
+CAMPAIGNS = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.py"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--workers", "-3", "--latin-trials", "-5"],
+        ["--workers", "0"],
+        ["--trials", "-1"],
+        ["--construct-budget", "-1"],
+    ],
+    ids=["workers-and-latin-trials", "workers-0", "trials", "construct-budget"],
+)
+def test_run_campaigns_rejects_nonsensical_numbers(tmp_path, args):
+    out_dir = tmp_path / "results"
+    proc = subprocess.run(
+        [sys.executable, str(CAMPAIGNS), "--out-dir", str(out_dir), "--phase", "conj", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "error: argument --" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (out_dir / "summary.json").exists()

@@ -73,6 +73,7 @@ def test_normal_form_ignores_isolated_padding(i2):
 
 def test_pick_pivot_lowest_missing_color(g43):
     assert pick_pivot(g43) == 0  # vertex 0 has color 0 only
+    assert pick_pivot(mirror(g43), Side.RIGHT) == 0
 
 
 def test_pick_donor_policies(g43):
@@ -99,6 +100,9 @@ def test_pick_donor_matches_color_set_reference(g):
     for policy in PivotDonorPolicy:
         for pivot in range(g.left_size):
             assert pick_donor(g, pivot, policy) == reference_donor(g, pivot, policy)
+        for pivot in range(g.right_size):
+            got = pick_donor(g, pivot, policy, Side.RIGHT)
+            assert got == reference_donor(mirror(g), pivot, policy)
 
 
 def reference_reduce(g, policy):
@@ -119,9 +123,10 @@ def reference_reduce(g, policy):
         seen.add(state)
         if len(trace) >= max_iters:
             return ReductionStatus.ITERATION_CAP, cur, trace
-        side, work, pivot, donor = choose_shift(cur, alternate, policy)
+        side, pivot, donor = choose_shift(cur, alternate, policy)
         if cur.left_size > target and cur.right_size > target:
             alternate = alternate.other()
+        work = cur if side is Side.LEFT else mirror(cur)
         outcome = shift(work, pivot, donor)
         back = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
         cur, _, _ = compact_isolated(back)

@@ -12,7 +12,8 @@ from rainbowmatch.graph import (
     edges_by_color,
     validate,
 )
-from rainbowmatch.shifting import RewriteKind, shift, shift_applicable
+from rainbowmatch.reduction import mirror
+from rainbowmatch.shifting import RewriteKind, ShiftRewrite, shift, shift_applicable
 from conftest import snapshot_shift
 from strategies import shift_cases
 
@@ -115,3 +116,21 @@ def test_pivot_color_set_grows_to_donor_union(case):
     h = shift(g, pivot, donor).graph
     want = colors_at(g, Side.LEFT, pivot) | colors_at(g, Side.LEFT, donor)
     assert colors_at(h, Side.LEFT, pivot) == want
+
+
+def _mirrored(edges):
+    return tuple(Edge(e.v, e.u, e.c) for e in edges)
+
+
+@given(shift_cases(side=Side.RIGHT))
+@settings(max_examples=300)
+def test_right_side_shift_equals_mirrored_left_shift(case):
+    g, pivot, donor = case
+    ref = shift(mirror(g), pivot, donor)
+    out = shift(g, pivot, donor, Side.RIGHT)
+    assert out.graph == mirror(ref.graph)  # same edges in the same order
+    assert (out.moves, out.swaps) == (ref.moves, ref.swaps)
+    assert out.rewrites == tuple(
+        ShiftRewrite(r.kind, r.color, _mirrored(r.removed), _mirrored(r.added))
+        for r in ref.rewrites
+    )
