@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from itertools import islice
-from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .construct import ConstructStatus, PeelStrategy, construct
 from .generators import GenKind, GenSpec, instances_for, latin_spec_stream, random_spec_stream
@@ -28,6 +29,7 @@ from .graph import (
     canonical_digest,
     edge_lists,
     is_rainbow_matching,
+    json_lines,
     read_instances,
     to_canonical_json,
     to_dict,
@@ -39,7 +41,6 @@ from .harness import (
     Hypothesis,
     InternalConsistencyError,
     minimize,
-    read_record_dicts,
     replay,
     run_campaign,
     violation_predicate,
@@ -74,22 +75,44 @@ _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
 
 
-def _read_text(path: str | None) -> str:
+@contextmanager
+def _opened(path: str | None, mode: str):
+    """The file at ``path``, or stdin/stdout (by ``mode``) for None or '-'."""
     if path in (None, "-"):
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode, encoding="utf-8") as f:
+            yield f
 
 
 def _write_lines(lines: Iterable[str], path: str | None) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    with _opened(path, "w") as out:
+        out.writelines(line + "\n" for line in lines)
 
 
-def _load_graphs(path: str | None) -> list[ColoredMultigraph]:
-    return read_instances(_read_text(path))
+def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
+    """Answer each input instance as soon as it is read: ``render(g)`` gives
+    its output line, trace entries and exit code.  Trace entries go to
+    ``--trace`` as ``{"index", "digest", **entry}``, ``index`` being the
+    0-based input position.  Returns the largest exit code."""
+    trace_path = getattr(args, "trace", None)
+    with _opened(args.inp, "r") as src:
+        # The input is still being read while the outputs are written.
+        for path in (args.out, trace_path) if args.inp not in (None, "-") else ():
+            if path not in (None, "-") and os.path.exists(path) and os.path.samefile(args.inp, path):
+                raise ValueError(f"output {path} is the input file")
+        with _opened(args.out, "w") as out, (
+            nullcontext() if trace_path is None else open(trace_path, "w", encoding="utf-8")
+        ) as trace:
+            worst = EXIT_OK
+            for index, g in enumerate(read_instances(src)):
+                line, entries, code = render(g)
+                out.write(line + "\n")
+                if trace is not None:
+                    head = {"index": index, "digest": canonical_digest(g)}
+                    trace.writelines(_json({**head, **e}) + "\n" for e in entries)
+                worst = max(worst, code)
+    return worst
 
 
 def _json(obj) -> str:
@@ -132,29 +155,24 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    graphs = _load_graphs(args.inp)
-    lines = []
-    all_ok = True
-    for g in graphs:
+    def render(g):
         report = validate_graph(g, require_counts=not args.no_counts)
-        all_ok = all_ok and report.ok
         if args.format == "json":
-            lines.append(_json({
+            line = _json({
                 "digest": canonical_digest(g),
                 "ok": report.ok,
                 "violations": [{"rule": v.rule, "detail": v.detail} for v in report.violations],
-            }))
+            })
         else:
             status = "ok" if report.ok else "; ".join(v.detail for v in report.violations)
-            lines.append(f"{canonical_digest(g)} {status}")
-    _write_lines(lines, args.out)
-    return EXIT_OK if all_ok else EXIT_INVALID
+            line = f"{canonical_digest(g)} {status}"
+        return line, (), EXIT_OK if report.ok else EXIT_INVALID
+
+    return _each_instance(args, render)
 
 
 def _cmd_solve(args) -> int:
-    graphs = _load_graphs(args.inp)
-    lines = []
-    for g in graphs:
+    def render(g):
         result = max_rainbow(g, args.target)
         witness = edge_lists(result.witness.edges)
         if args.target is not None:
@@ -174,24 +192,21 @@ def _cmd_solve(args) -> int:
                 "nodes": result.nodes_explored,
             }
             text = f"{payload['digest']} max={result.max_size}"
-        lines.append(_json(payload) if args.format == "json" else text)
-    _write_lines(lines, args.out)
-    return EXIT_OK
+        return _json(payload) if args.format == "json" else text, (), EXIT_OK
+
+    return _each_instance(args, render)
 
 
 def _cmd_shift(args) -> int:
-    graphs = _load_graphs(args.inp)
     side = Side(args.side)
-    lines = []
-    trace_lines = []
-    for g in graphs:
+
+    def render(g):
         outcome = shift(g, args.pivot, args.donor, side)
         rewrites = [r.to_dict() for r in outcome.rewrites]
-        trace_lines.extend(_json(r) for r in rewrites)
         if args.emit == "graph":
-            lines.append(to_canonical_json(outcome.graph))
+            line = to_canonical_json(outcome.graph)
         else:
-            lines.append(_json({
+            line = _json({
                 "digest_before": canonical_digest(g),
                 "digest_after": canonical_digest(outcome.graph),
                 "side": side.value,
@@ -201,27 +216,20 @@ def _cmd_shift(args) -> int:
                 "swaps": outcome.swaps,
                 "rewrites": rewrites,
                 "graph": to_dict(outcome.graph),
-            }))
-    if args.trace is not None:
-        Path(args.trace).write_text("".join(t + "\n" for t in trace_lines))
-    _write_lines(lines, args.out)
-    return EXIT_OK
+            })
+        return line, rewrites, EXIT_OK
+
+    return _each_instance(args, render)
 
 
 def _cmd_reduce(args) -> int:
-    graphs = _load_graphs(args.inp)
-    lines = []
-    trace_lines = []
-    all_normal = True
-    for g in graphs:
+    def render(g):
         red = reduce_to_normal_form(g, PivotDonorPolicy(args.policy), args.max_iters)
         steps = [s.to_dict() for s in red.trace]
-        trace_lines.extend(_json(s) for s in steps)
-        all_normal = all_normal and red.status is ReductionStatus.NORMALIZED
         if args.emit == "graph":
-            lines.append(to_canonical_json(red.graph))
+            line = to_canonical_json(red.graph)
         else:
-            lines.append(_json({
+            line = _json({
                 "digest_before": canonical_digest(g),
                 "status": red.status.value,
                 "iterations": red.iterations,
@@ -229,18 +237,15 @@ def _cmd_reduce(args) -> int:
                 "left_map": list(red.left_map),
                 "right_map": list(red.right_map),
                 "trace": steps,
-            }))
-    if args.trace is not None:
-        Path(args.trace).write_text("".join(t + "\n" for t in trace_lines))
-    _write_lines(lines, args.out)
-    return EXIT_OK if all_normal else EXIT_FINDINGS
+            })
+        normal = red.status is ReductionStatus.NORMALIZED
+        return line, steps, EXIT_OK if normal else EXIT_FINDINGS
+
+    return _each_instance(args, render)
 
 
 def _cmd_construct(args) -> int:
-    graphs = _load_graphs(args.inp)
-    lines = []
-    worst = EXIT_OK
-    for g in graphs:
+    def render(g):
         outcome = construct(
             g,
             PeelStrategy(args.strategy),
@@ -248,25 +253,18 @@ def _cmd_construct(args) -> int:
             policies=tuple(PivotDonorPolicy(p) for p in args.policy),
             max_iters=args.max_iters,
         )
-        if outcome.status is ConstructStatus.MATCHED:
-            if not is_rainbow_matching(g, outcome.matching, g.n):
-                raise InternalConsistencyError(
-                    f"invalid matching reported for {canonical_digest(g)}"
-                )
-        else:
-            worst = max(worst, EXIT_FINDINGS)
+        matched = outcome.status is ConstructStatus.MATCHED
+        if matched and not is_rainbow_matching(g, outcome.matching, g.n):
+            raise InternalConsistencyError(f"invalid matching reported for {canonical_digest(g)}")
         payload = {"digest": canonical_digest(g), **outcome.to_dict()}
         if args.format == "json":
-            lines.append(_json(payload))
+            line = _json(payload)
         else:
-            detail = (
-                f"matching={payload['matching']}"
-                if outcome.status is ConstructStatus.MATCHED
-                else f"failure={payload['failure']}"
-            )
-            lines.append(f"{payload['digest']} {outcome.status.value} {detail}")
-    _write_lines(lines, args.out)
-    return worst
+            detail = f"matching={payload['matching']}" if matched else f"failure={payload['failure']}"
+            line = f"{payload['digest']} {outcome.status.value} {detail}"
+        return line, (), EXIT_OK if matched else EXIT_FINDINGS
+
+    return _each_instance(args, render)
 
 
 def _cmd_check(args) -> int:
@@ -293,18 +291,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    graphs = _load_graphs(args.inp)
     pred = violation_predicate(Hypothesis(args.hyp), _eval_options(args))
-    lines = []
-    for g in graphs:
-        lines.append(to_canonical_json(minimize(g, pred)))
-    _write_lines(lines, args.out)
-    return EXIT_OK
+    return _each_instance(args, lambda g: (to_canonical_json(minimize(g, pred)), (), EXIT_OK))
 
 
 def _cmd_replay(args) -> int:
-    records = read_record_dicts(_read_text(args.inp))
-    report = replay(records)
+    with _opened(args.inp, "r") as src:
+        report = replay(json_lines(src))
     payload = {
         "total": report.total,
         "violated": report.violated,

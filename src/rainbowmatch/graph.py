@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 RULE_SHAPE = "shape"
 RULE_BOUNDS = "bounds"
@@ -284,21 +284,30 @@ def canonical_digest(g: ColoredMultigraph) -> str:
     return hashlib.sha256(to_canonical_json(g).encode()).hexdigest()[:16]
 
 
-def read_instances(text: str) -> list[ColoredMultigraph]:
-    """Parse either a single JSON instance or a JSONL stream of instances."""
-    stripped = text.strip()
-    if not stripped:
-        return []
-    try:
-        return [from_dict(json.loads(stripped))]
-    except json.JSONDecodeError:
-        pass
-    out = []
-    for lineno, line in enumerate(stripped.splitlines(), start=1):
+def json_lines(lines: Iterable[str], whole: bool = False) -> Iterator:
+    """Yield the JSON value of each non-blank line, reading one line at a time;
+    a line that is not JSON raises ValueError naming its 1-based number.  With
+    ``whole``, a first line that is not JSON on its own begins one
+    pretty-printed value spanning the rest of the stream."""
+    lines = iter(lines)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         try:
-            out.append(from_dict(json.loads(line)))
+            value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not valid JSON: {exc}") from exc
-    return out
+            error = ValueError(f"line {lineno}: not valid JSON: {exc}")
+            if not whole:
+                raise error from exc
+            try:
+                value = json.loads("\n".join([line, *lines]))
+            except json.JSONDecodeError:
+                raise error from exc
+        whole = False
+        yield value
+
+
+def read_instances(lines: Iterable[str]) -> Iterator[ColoredMultigraph]:
+    """Parse a JSONL stream of instances lazily, or one pretty-printed instance."""
+    return (from_dict(d) for d in json_lines(lines, whole=True))

@@ -39,6 +39,7 @@ from .graph import (
     edge_lists,
     from_dict,
     is_rainbow_matching,
+    json_lines,
     to_dict,
     validate,
 )
@@ -421,11 +422,7 @@ def write_records(records: Iterable[CampaignRecord], path) -> None:
 
 
 def read_record_dicts(text: str) -> list[dict]:
-    out = []
-    for line in text.splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
+    return list(json_lines(text.splitlines()))
 
 
 def replay(records: Iterable[dict]) -> ReplayReport:

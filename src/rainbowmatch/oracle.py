@@ -23,7 +23,7 @@ class _TargetReached(Exception):
 def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult:
     """Exact maximum via color-major backtracking.
 
-    Colors are processed in ascending index order; at each color the branches
+    Non-empty colors are processed in ascending order; at each one the branches
     are every feasible edge of that color (in edge-list order) followed by a
     skip branch.  Subtrees that cannot strictly beat the incumbent are pruned,
     so the returned witness is the first maximum reached under this fixed
@@ -39,10 +39,11 @@ def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult
             raise ValueError("target must be non-negative")
         if target == 0:
             return OracleResult(0, Matching(()), 0)
-    n = g.n
-    by_color: list[list[Edge]] = [[] for _ in range(n)]
+    by_color: dict[int, list[Edge]] = {}
     for e in g.edges:
-        by_color[e.c].append(e)
+        by_color.setdefault(e.c, []).append(e)
+    classes = [by_color[c] for c in sorted(by_color)]
+    k = len(classes)
 
     best = 0
     best_pick: tuple[Edge, ...] = ()
@@ -57,9 +58,9 @@ def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult
             best_pick = tuple(picked)
             if best == target:
                 raise _TargetReached
-        if ci == n or len(picked) + (n - ci) <= best:
+        if ci == k or len(picked) + (k - ci) <= best:
             return
-        for e in by_color[ci]:
+        for e in classes[ci]:
             if not (used_l >> e.u) & 1 and not (used_r >> e.v) & 1:
                 picked.append(e)
                 search(ci + 1, used_l | (1 << e.u), used_r | (1 << e.v))

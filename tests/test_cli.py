@@ -25,7 +25,7 @@ def test_gen_writes_instances(tmp_path):
         "--seed", "5", "--count", "3", "--out", str(out),
     ])
     assert code == 0
-    graphs = read_instances(out.read_text())
+    graphs = list(read_instances(out.read_text().splitlines()))
     assert len(graphs) == 3
     assert all(g.n == 3 for g in graphs)
 
@@ -154,6 +154,9 @@ def test_shift_trace_file(tmp_path, capsys, monkeypatch):
                text, monkeypatch) == 0
     capsys.readouterr()
     rewrites = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [(r.pop("index"), r.pop("digest")) for r in rewrites] == [
+        (0, canonical_digest(from_json(text)))
+    ]
     assert rewrites == [
         {"kind": "move", "color": 0, "removed": [[1, 0, 0]], "added": [[0, 0, 0]]}
     ]
@@ -168,8 +171,61 @@ def test_reduce_trace_file(tmp_path, capsys):
                  "--trace", str(trace)]) == 0
     rec = json.loads(capsys.readouterr().out)
     steps = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert {(s.pop("index"), s.pop("digest")) for s in steps} == {(0, rec["digest_before"])}
     assert steps == rec["trace"]
     assert all(s["side"] in ("left", "right") for s in steps)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["shift", "--pivot", "0", "--donor", "5", "--emit", "record"], "rewrites"),
+        (["reduce", "--emit", "record"], "trace"),
+    ],
+    ids=["shift", "reduce"],
+)
+def test_trace_file_splits_per_instance(tmp_path, capsys, monkeypatch, argv, key):
+    trace = tmp_path / "trace.jsonl"
+    assert main(["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+                 "--seed", "0", "--count", "2"]) == 0
+    stream = capsys.readouterr().out
+    assert run(argv + ["--trace", str(trace)], stream, monkeypatch) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    groups: dict[int, list[dict]] = {}
+    for entry in map(json.loads, trace.read_text().splitlines()):
+        index = entry.pop("index")
+        assert entry.pop("digest") == records[index]["digest_before"]
+        groups.setdefault(index, []).append(entry)
+    assert sorted(groups) == [0, 1]
+    assert [groups[i] for i in (0, 1)] == [rec[key] for rec in records]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_output_naming_the_input_is_refused(tmp_path, capsys, flag):
+    inst = tmp_path / "i.jsonl"
+    assert main(["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+                 "--count", "3", "--out", str(inst)]) == 0
+    before = inst.read_bytes()
+    assert main(["reduce", "--in", str(inst), flag, str(inst)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert inst.read_bytes() == before
+
+
+def test_solve_answers_each_instance_before_reading_the_next(capsys, monkeypatch):
+    good = '{"n":1,"left":2,"right":2,"edges":[[0,0,0],[1,1,0]]}'
+    assert run(["solve"], good + "\n", monkeypatch) == 0
+    first = capsys.readouterr().out
+    assert run(["solve"], good + "\nnot json\n", monkeypatch) == 2
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert captured.err.startswith("error: line 2: not valid JSON")
+
+
+def test_solve_many_empty_colors(capsys, monkeypatch):
+    text = '{"n":5000,"left":1,"right":1,"edges":[]}'
+    assert run(["solve"], text, monkeypatch) == 0
+    assert json.loads(capsys.readouterr().out)["max"] == 0
 
 
 def test_construct_latin(tmp_path, capsys):
@@ -280,6 +336,18 @@ def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, line):
     assert main(["replay", "--in", str(records)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_replay_names_the_line_that_is_not_json(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    assert main(["check", "--hyp", "H2", "--kind", "random", "--n", "3", "--left", "6",
+                 "--right", "5", "--count", "2", "--records", str(records)]) == 0
+    first = records.read_text().splitlines()[0]
+    records.write_text(first + "\nnot json\n")
+    capsys.readouterr()
+    assert main(["replay", "--in", str(records)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: line 2: not valid JSON: Expecting value: line 1 column 1 (char 0)"]
 
 
 CHECK = ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5"]

@@ -204,13 +204,21 @@ def test_from_dict_malformed():
 
 
 def test_read_instances_single_and_jsonl(i2):
-    single = read_instances(to_canonical_json(i2))
+    single = list(read_instances(to_canonical_json(i2).splitlines()))
     assert len(single) == 1
-    two = read_instances(to_canonical_json(i2) + "\n" + to_canonical_json(i2) + "\n")
+    two = list(read_instances((to_canonical_json(i2) + "\n" + to_canonical_json(i2) + "\n").splitlines()))
     assert len(two) == 2
-    pretty = read_instances(json.dumps(to_dict(i2), indent=2))
+    pretty = list(read_instances(json.dumps(to_dict(i2), indent=2).splitlines()))
     assert len(pretty) == 1
     assert canonical_digest(pretty[0]) == canonical_digest(i2)
+
+
+def test_read_instances_yields_before_reading_on(i2):
+    def lines():
+        yield to_canonical_json(i2)
+        raise AssertionError("line 2 pulled before graph 1 was taken")
+
+    assert canonical_digest(next(read_instances(lines()))) == canonical_digest(i2)
 
 
 def test_from_dict_rejects_bool_sizes():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 
@@ -64,6 +66,21 @@ def test_oracles_agree(g):
 def test_oracles_agree_on_enumeration_sample():
     for i, g in enumerate(enumerate_instances(2, 3, 3)):
         assert max_rainbow(g).max_size == max_rainbow_naive(g).max_size
+
+
+def test_empty_color_classes_change_no_answer():
+    # An empty class inserted before, between or after the others leaves the
+    # maximum and the witness as they were, and the naive checker agrees.
+    for g in islice(enumerate_instances(2, 3, 3), 60):
+        base = max_rainbow(g)
+        for empty in range(g.n + 1):
+            edges = [(e.u, e.v, e.c + (e.c >= empty)) for e in g.edges]
+            h = ColoredMultigraph.of(g.n + 1, g.left_size, g.right_size, edges)
+            result = max_rainbow(h)
+            assert result.max_size == base.max_size == max_rainbow_naive(h).max_size
+            assert [(e.u, e.v, e.c - (e.c > empty)) for e in result.witness.edges] == [
+                tuple(e) for e in base.witness.edges
+            ]
 
 
 def test_naive_edge_cap():
