@@ -37,15 +37,13 @@ from .harness import (
     run_campaign,
     violation_predicate,
 )
-from .oracle import OracleResult, max_rainbow, max_rainbow_naive
+from .oracle import OracleResult, max_rainbow
 from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
-    is_normal_form,
-    mirror,
     reduce_to_normal_form,
 )
-from .shifting import RewriteKind, ShiftOutcome, shift, shift_applicable
+from .shifting import RewriteKind, ShiftOutcome, shift
 
 __version__ = "0.1.0"

@@ -32,15 +32,15 @@ from .graph import (
     delete_color,
     delete_vertex,
     edge_lists,
-    is_rainbow_matching,
+    is_rainbow_within,
     require_valid,
 )
-from .oracle import rainbow_pairs
+from .oracle import rainbow_pairs_trusted
 from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
-    reduce_to_normal_form,
+    reduce_trusted,
 )
 
 DEFAULT_BUDGET = 10_000
@@ -130,6 +130,16 @@ class _SearchState:
         self.attempts = 0
         self.deepest_failure: ConstructFailure | None = None
         self.deepest_trace: tuple[ConstructStep, ...] = ()
+        # The reduction is a pure function of the exact graph (edge order
+        # included) and the policy; max_iters is fixed for the search.
+        self.reductions: dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome] = {}
+
+    def reduce(self, g: ColoredMultigraph, policy: PivotDonorPolicy) -> ReductionOutcome:
+        key = (g, policy)
+        red = self.reductions.get(key)
+        if red is None:
+            red = self.reductions[key] = reduce_trusted(g, policy, self.max_iters)
+        return red
 
     def record(
         self, depth: int, reason: FailReason, g: ColoredMultigraph, trace: list[ConstructStep]
@@ -155,19 +165,13 @@ def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int]
     ]
 
 
-def peel(
-    h: ColoredMultigraph,
-    color: int,
-    pivot: int,
-    policy: PivotDonorPolicy,
-    max_iters: int | None,
-) -> tuple[Edge, ReductionOutcome]:
+def peel(h: ColoredMultigraph, color: int, pivot: int) -> tuple[Edge, ColoredMultigraph]:
     """Peel ``color`` at left vertex ``pivot`` of the normalized graph ``h``:
-    the pivot's ``color`` edge, and the re-normalization of ``h`` without
-    that color class and without the pivot."""
+    the pivot's ``color`` edge, and the residual, ``h`` without that color
+    class and without the pivot.  The residual is counts-valid, since every
+    vertex of ``h`` carries every color."""
     edge = next(e for e in h.edges if e.u == pivot and e.c == color)
-    residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
-    return edge, reduce_to_normal_form(residual, policy, max_iters)
+    return edge, delete_vertex(delete_color(h, color), Side.LEFT, pivot)
 
 
 def _candidates(
@@ -177,7 +181,7 @@ def _candidates(
     order, expressed in the coordinates of ``g``.  Failures are recorded on
     the shared state; the deepest one becomes the reported failure."""
     if g.n == 2:
-        pairs2 = rainbow_pairs(g)
+        pairs2 = rainbow_pairs_trusted(g)
         if pairs2:
             for a, b in pairs2:
                 yield [a, b], []
@@ -188,7 +192,7 @@ def _candidates(
         return
 
     for policy in state.policies:
-        red = reduce_to_normal_form(g, policy, state.max_iters)
+        red = state.reduce(g, policy)
         if red.status is not ReductionStatus.NORMALIZED:
             state.record(depth, FailReason.REDUCTION_STALLED, g, [])
             continue
@@ -201,7 +205,8 @@ def _candidates(
             if state.attempts >= state.budget:
                 return
             state.attempts += 1
-            edge, red2 = peel(h, color, pivot, policy, state.max_iters)
+            edge, residual = peel(h, color, pivot)
+            red2 = state.reduce(residual, policy)
             step = ConstructStep(depth, color, pivot, edge, h)
             if red2.status is not ReductionStatus.NORMALIZED:
                 state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
@@ -247,11 +252,12 @@ def construct(
         raise ValueError("construction needs n >= 2")
 
     state = _SearchState(strategy, budget, tuple(policies), max_iters)
+    present = set(g.edges)
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()
     for edges, steps in _candidates(g, 0, state):
         m = Matching(tuple(edges))
-        if is_rainbow_matching(g, m, g.n):
+        if is_rainbow_within(present, m, g.n):
             return ConstructionOutcome(
                 ConstructStatus.MATCHED, m, None, tuple(steps), None, state.attempts
             )

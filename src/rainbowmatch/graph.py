@@ -98,14 +98,6 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def edges_by_color(g: ColoredMultigraph) -> dict[int, list[Edge]]:
-    """Group edges by color, preserving edge-list order within each color."""
-    out: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        out.setdefault(e.c, []).append(e)
-    return out
-
-
 def validate(g: ColoredMultigraph, require_counts: bool = False) -> ValidationReport:
     """Report every violated structural invariant of ``g``.
 
@@ -167,23 +159,6 @@ def _check_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> None:
         raise ValueError(f"vertex {vertex} out of range for side {side.value} (size {g.side_size(side)})")
 
 
-def incident_edges(g: ColoredMultigraph, side: Side, vertex: int) -> list[Edge]:
-    _check_vertex(g, side, vertex)
-    if side is Side.LEFT:
-        return [e for e in g.edges if e.u == vertex]
-    return [e for e in g.edges if e.v == vertex]
-
-
-def colors_at(g: ColoredMultigraph, side: Side, vertex: int) -> set[int]:
-    """The set of colors on edges incident to ``vertex``; by properness its
-    size equals the vertex degree."""
-    return {e.c for e in incident_edges(g, side, vertex)}
-
-
-def degree(g: ColoredMultigraph, side: Side, vertex: int) -> int:
-    return len(incident_edges(g, side, vertex))
-
-
 def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:
     """Remove color class ``c`` and reindex the remaining colors densely."""
     if not 0 <= c < g.n:
@@ -211,9 +186,14 @@ def delete_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> ColoredMulti
 def is_rainbow_matching(g: ColoredMultigraph, m: Matching, k: int) -> bool:
     """True iff ``m`` has exactly ``k`` edges of ``g``, pairwise disjoint on
     both sides and pairwise color-distinct."""
+    return is_rainbow_within(set(g.edges), m, k)
+
+
+def is_rainbow_within(present: set[Edge], m: Matching, k: int) -> bool:
+    """``is_rainbow_matching`` against ``present``, the set of a graph's
+    edges, built once by a caller that checks many matchings."""
     if len(m.edges) != k:
         return False
-    present = set(g.edges)
     if any(e not in present for e in m.edges):
         return False
     lefts = {e.u for e in m.edges}

@@ -43,7 +43,7 @@ from .graph import (
     to_dict,
     validate,
 )
-from .oracle import max_rainbow
+from .oracle import max_rainbow, max_rainbow_trusted
 from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,
@@ -51,8 +51,9 @@ from .reduction import (
     choose_shift,
     compact_isolated,
     reduce_to_normal_form,
+    reduce_trusted,
 )
-from .shifting import shift
+from .shifting import shift_trusted
 
 
 class Hypothesis(str, Enum):
@@ -225,6 +226,10 @@ def _eval_conj(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
     g, opts = run.g, run.opts
+    # Computing the maximum validates g before anything below indexes by its
+    # vertices; the shifts then act on a proper graph.  The working graph is
+    # g itself or its compaction: the same maximum.
+    before = run.max_size
     if opts.h1_mode is H1Mode.POLICY:
         work, _, _ = compact_isolated(g)
         step = choose_shift(work, Side.LEFT, opts.policy)
@@ -245,10 +250,8 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
         if not pairs:
             return Verdict.INCONCLUSIVE, None
 
-    # The working graph is g itself or its compaction: the same maximum.
-    before = run.max_size
     for side, pivot, donor in pairs:
-        after = max_rainbow(shift(work, pivot, donor, side).graph).max_size
+        after = max_rainbow_trusted(shift_trusted(work, pivot, donor, side).graph).max_size
         if (before >= g.n) != (after >= g.n):
             direction = "forward" if before >= g.n else "reverse"
             return Verdict.VIOLATED, run.witness(
@@ -283,7 +286,8 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     if not carriers:
         return Verdict.INCONCLUSIVE, run.witness(stage="peel")
     pivot = min(carriers)
-    edge, red2 = peel(h, 0, pivot, run.opts.policy, run.opts.max_iters)
+    edge, residual = peel(h, 0, pivot)
+    red2 = reduce_trusted(residual, run.opts.policy, run.opts.max_iters)
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
     if edge.v in red2.right_map:

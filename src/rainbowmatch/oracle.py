@@ -1,12 +1,11 @@
-"""Exact maximum rainbow matching search, plus an independent naive checker."""
+"""Exact maximum rainbow matching search."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .graph import ColoredMultigraph, Edge, Matching, require_valid
-
-NAIVE_EDGE_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,16 @@ def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult
     matching in the same order.  ``target=0`` returns the empty matching.
     """
     require_valid(g)
-    if target is not None:
-        if target < 0:
-            raise ValueError("target must be non-negative")
-        if target == 0:
-            return OracleResult(0, Matching(()), 0)
+    if target is not None and target < 0:
+        raise ValueError("target must be non-negative")
+    return max_rainbow_trusted(g, target)
+
+
+def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> OracleResult:
+    """``max_rainbow`` without its guard: ``g`` is proper and ``target`` is
+    None or non-negative, as on every graph the package built."""
+    if target == 0:
+        return OracleResult(0, Matching(()), 0)
     by_color: dict[int, list[Edge]] = {}
     for e in g.edges:
         by_color.setdefault(e.c, []).append(e)
@@ -67,49 +71,15 @@ def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult
                 picked.pop()
         search(ci + 1, used_l, used_r)
 
+    # The search nests one call per non-empty color class.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + k)
     try:
         search(0, 0, 0)
     except _TargetReached:
         pass
-    return OracleResult(best, Matching(best_pick), nodes)
-
-
-def max_rainbow_naive(g: ColoredMultigraph) -> OracleResult:
-    """Edge-major subset enumeration, for cross-validating ``max_rainbow``.
-
-    Walks the include/exclude tree over the edge list, abandoning a subset as
-    soon as it violates the rainbow-matching property (any extension would
-    fail the filter too).  No color grouping, no bound pruning: deliberately
-    a different algorithm from the color-major search.
-    """
-    require_valid(g)
-    m = len(g.edges)
-    if m > NAIVE_EDGE_LIMIT:
-        raise ValueError(
-            f"naive enumeration capped at {NAIVE_EDGE_LIMIT} edges (got {m}); use max_rainbow"
-        )
-    edges = g.edges
-    best = 0
-    best_pick: tuple[Edge, ...] = ()
-    nodes = 0
-    picked: list[Edge] = []
-
-    def walk(i: int, used_l: int, used_r: int, used_c: int) -> None:
-        nonlocal best, best_pick, nodes
-        nodes += 1
-        if len(picked) > best:
-            best = len(picked)
-            best_pick = tuple(picked)
-        if i == m:
-            return
-        e = edges[i]
-        if not (used_l >> e.u) & 1 and not (used_r >> e.v) & 1 and not (used_c >> e.c) & 1:
-            picked.append(e)
-            walk(i + 1, used_l | (1 << e.u), used_r | (1 << e.v), used_c | (1 << e.c))
-            picked.pop()
-        walk(i + 1, used_l, used_r, used_c)
-
-    walk(0, 0, 0, 0)
+    finally:
+        sys.setrecursionlimit(limit)
     return OracleResult(best, Matching(best_pick), nodes)
 
 
@@ -122,6 +92,11 @@ def rainbow_pairs(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
     if g.n != 2:
         raise ValueError(f"rainbow_pairs needs n == 2 (got {g.n})")
     require_valid(g)
+    return rainbow_pairs_trusted(g)
+
+
+def rainbow_pairs_trusted(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
+    """``rainbow_pairs`` without its guard: ``g`` is proper with n == 2."""
     es = g.edges
     return [
         (es[i], es[j])

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, canonical_edges, colors_at, require_valid
-from .shifting import shift
+from .graph import ColoredMultigraph, Edge, Side, canonical_edges, require_valid
+from .shifting import shift_trusted
 
 
 class ReductionStatus(str, Enum):
@@ -67,16 +67,6 @@ class ReductionOutcome:
     right_map: tuple[int, ...]
 
 
-def mirror(g: ColoredMultigraph) -> ColoredMultigraph:
-    """Exchange the two parts; an involution."""
-    return ColoredMultigraph(
-        g.n,
-        g.right_size,
-        g.left_size,
-        tuple(Edge(e.v, e.u, e.c) for e in g.edges),
-    )
-
-
 def compact_isolated(
     g: ColoredMultigraph,
 ) -> tuple[ColoredMultigraph, tuple[int, ...], tuple[int, ...]]:
@@ -100,23 +90,26 @@ def compact_isolated(
     return out, left_keep, right_keep
 
 
-def is_normal_form(g: ColoredMultigraph) -> bool:
-    """True iff each side has exactly n + 1 non-isolated vertices (isolated
-    vertices are ignored; compaction removes them)."""
-    require_valid(g, require_counts=True)
-    compacted, _, _ = compact_isolated(g)
-    return compacted.left_size == g.n + 1 and compacted.right_size == g.n + 1
-
-
 def default_max_iters(g: ColoredMultigraph) -> int:
     return 10 * g.n * (g.left_size + g.right_size)
 
 
+def _color_masks(g: ColoredMultigraph, side: Side) -> list[int]:
+    """Bit c of ``masks[v]`` is set iff color c is at vertex v of ``side``."""
+    end = 0 if side is Side.LEFT else 1
+    masks = [0] * g.side_size(side)
+    for e in g.edges:
+        masks[e[end]] |= 1 << e[2]
+    return masks
+
+
 def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
+    """The lowest vertex of ``side`` missing some color."""
     # A deficient vertex always exists once the side exceeds n + 1: total
     # degree is n * (n + 1), so the average degree is below n.
-    for v in range(g.side_size(side)):
-        if len(colors_at(g, side, v)) < g.n:
+    full = (1 << g.n) - 1
+    for v, mask in enumerate(_color_masks(g, side)):
+        if mask != full:
             return v
     raise ValueError("no shift-applicable pivot; side already at full spectrum")
 
@@ -128,11 +121,7 @@ def pick_donor(
     if policy is PivotDonorPolicy.LAST_VERTEX:
         last = size - 1
         return last if last != pivot else last - 1
-    # Bit c of masks[v] is set iff color c is at vertex v of the side.
-    end = 0 if side is Side.LEFT else 1
-    masks = [0] * size
-    for e in g.edges:
-        masks[e[end]] |= 1 << e[2]
+    masks = _color_masks(g, side)
     absent = ~masks[pivot]
     candidates = [v for v in range(size) if v != pivot]
     return max(candidates, key=lambda v: ((masks[v] & absent).bit_count(), v))
@@ -178,6 +167,14 @@ def reduce_to_normal_form(
     require_valid(g, require_counts=True)
     if g.n < 1:
         raise ValueError("reduction needs at least one color")
+    return reduce_trusted(g, policy, max_iters)
+
+
+def reduce_trusted(
+    g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None
+) -> ReductionOutcome:
+    """``reduce_to_normal_form`` without its guard: ``g`` has n >= 1 colors
+    of n + 1 edges each and is proper, as on every graph the package built."""
     if max_iters is None:
         max_iters = default_max_iters(g)
 
@@ -206,7 +203,7 @@ def reduce_to_normal_form(
         side, pivot, donor = choose_shift(cur, alternate, policy)
         if cur.left_size > target and cur.right_size > target:
             alternate = alternate.other()
-        outcome = shift(cur, pivot, donor, side)
+        outcome = shift_trusted(cur, pivot, donor, side)
 
         nxt, keep_l, keep_r = compact_isolated(outcome.graph)
         lmap = tuple(lmap[i] for i in keep_l)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, colors_at, edge_lists, require_valid
+from .graph import ColoredMultigraph, Edge, Side, edge_lists, require_valid
 
 
 class RewriteKind(str, Enum):
@@ -58,15 +58,6 @@ class ShiftOutcome:
     swaps: int
 
 
-def shift_applicable(g: ColoredMultigraph, pivot: int) -> bool:
-    """True iff the pivot's color spectrum is not yet full.
-
-    Properness caps a vertex at n distinct colors, so "not full" is
-    equivalently "fewer than n".
-    """
-    return len(colors_at(g, Side.LEFT, pivot)) < g.n
-
-
 def shift(
     g: ColoredMultigraph, pivot: int, donor: int, side: Side = Side.LEFT
 ) -> ShiftOutcome:
@@ -80,7 +71,12 @@ def shift(
     if not 0 <= donor < size:
         raise ValueError(f"donor {donor} out of range")
     require_valid(g)
+    return shift_trusted(g, pivot, donor, side)
 
+
+def shift_trusted(g: ColoredMultigraph, pivot: int, donor: int, side: Side) -> ShiftOutcome:
+    """``shift`` without its guard: ``g`` is proper and ``pivot``, ``donor``
+    are distinct vertices of ``side``, as on every graph the package built."""
     left = side is Side.LEFT
     end = 0 if left else 1  # position of the side's endpoint in an Edge
 

@@ -27,8 +27,6 @@ from rainbowmatch.generators import (
 from rainbowmatch.graph import (
     Side,
     canonical_digest,
-    degree,
-    edges_by_color,
     is_rainbow_matching,
     to_canonical_json,
     validate,
@@ -43,9 +41,9 @@ from rainbowmatch.harness import (
     run_campaign,
     violation_predicate,
 )
-from rainbowmatch.oracle import max_rainbow, max_rainbow_naive
-from rainbowmatch.reduction import is_normal_form
+from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.shifting import shift
+from reference import degree, edges_by_color, is_normal_form, max_rainbow_naive
 
 RANDOM_SHAPES_23 = [(2, 3, 3), (2, 4, 3), (2, 4, 4), (3, 4, 4), (3, 5, 4), (3, 6, 5)]
 SHIFT_SHAPES_234 = [(2, 4, 3), (2, 5, 4), (3, 4, 4), (3, 5, 4), (4, 5, 5), (4, 6, 5)]

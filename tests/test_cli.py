@@ -228,6 +228,17 @@ def test_solve_many_empty_colors(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["max"] == 0
 
 
+@pytest.mark.parametrize("n", [1000, 5000])
+def test_solve_many_nonempty_colors(capsys, monkeypatch, n):
+    # The search nests one level per non-empty color class.
+    edges = [[i, i, i] for i in range(n)]
+    text = json.dumps({"n": n, "left": n, "right": n, "edges": edges})
+    limit = sys.getrecursionlimit()
+    assert run(["solve"], text, monkeypatch) == 0
+    assert json.loads(capsys.readouterr().out)["max"] == n
+    assert sys.getrecursionlimit() == limit
+
+
 def test_construct_latin(tmp_path, capsys):
     inst = tmp_path / "l4.json"
     main(["gen", "--kind", "latin", "--order", "4", "--seed", "3", "--out", str(inst)])

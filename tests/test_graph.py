@@ -17,14 +17,10 @@ from rainbowmatch.graph import (
     Side,
     canonical_digest,
     canonical_edges,
-    colors_at,
-    degree,
     delete_color,
     delete_vertex,
-    edges_by_color,
     from_dict,
     from_json,
-    incident_edges,
     is_rainbow_matching,
     read_instances,
     require_valid,
@@ -32,6 +28,7 @@ from rainbowmatch.graph import (
     to_dict,
     validate,
 )
+from reference import colors_at, degree, incident_edges
 from strategies import counts_valid_graphs, proper_graphs
 
 

@@ -12,7 +12,6 @@ from rainbowmatch.graph import (
     Edge,
     Side,
     canonical_digest,
-    colors_at,
     to_canonical_json,
     validate,
 )
@@ -23,13 +22,12 @@ from rainbowmatch.reduction import (
     choose_shift,
     compact_isolated,
     default_max_iters,
-    is_normal_form,
-    mirror,
     pick_donor,
     pick_pivot,
     reduce_to_normal_form,
 )
 from rainbowmatch.shifting import shift
+from reference import colors_at, is_normal_form, mirror
 from strategies import counts_valid_graphs, proper_graphs
 
 
@@ -74,6 +72,27 @@ def test_normal_form_ignores_isolated_padding(i2):
 def test_pick_pivot_lowest_missing_color(g43):
     assert pick_pivot(g43) == 0  # vertex 0 has color 0 only
     assert pick_pivot(mirror(g43), Side.RIGHT) == 0
+
+
+def reference_pivot(g, side):
+    """The pivot rule computed from per-vertex color sets; None when every
+    vertex of the side carries every color."""
+    for v in range(g.side_size(side)):
+        if len(colors_at(g, side, v)) < g.n:
+            return v
+    return None
+
+
+@given(st.one_of(counts_valid_graphs(max_n=4), proper_graphs()))
+@settings(max_examples=200, deadline=None)
+def test_pick_pivot_matches_color_set_reference(g):
+    for side in Side:
+        want = reference_pivot(g, side)
+        if want is None:
+            with pytest.raises(ValueError, match="no shift-applicable pivot"):
+                pick_pivot(g, side)
+        else:
+            assert pick_pivot(g, side) == want
 
 
 def test_pick_donor_policies(g43):
@@ -250,8 +269,6 @@ def test_trace_replay_reproduces_outcome(g):
 @given(counts_valid_graphs())
 @settings(max_examples=100, deadline=None)
 def test_normalized_vertices_have_every_color(g):
-    from rainbowmatch.graph import colors_at
-
     out = reduce_to_normal_form(g)
     if out.status is not ReductionStatus.NORMALIZED:
         return

@@ -3,18 +3,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from rainbowmatch.graph import (
-    ColoredMultigraph,
-    Edge,
-    Side,
-    colors_at,
-    degree,
-    edges_by_color,
-    validate,
-)
-from rainbowmatch.reduction import mirror
-from rainbowmatch.shifting import RewriteKind, ShiftRewrite, shift, shift_applicable
+from rainbowmatch.graph import ColoredMultigraph, Edge, Side, validate
+from rainbowmatch.shifting import RewriteKind, ShiftRewrite, shift
 from conftest import snapshot_shift
+from reference import colors_at, degree, edges_by_color, mirror, shift_applicable
 from strategies import shift_cases
 
 

@@ -1,0 +1,94 @@
+"""The public functions validate their input once; the package's internal
+calls run unguarded cores on graphs the package built itself."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from conftest import seeded
+from rainbowmatch.construct import PeelStrategy, construct
+from rainbowmatch.graph import ColoredMultigraph
+from rainbowmatch.harness import EvalOptions, H1Mode, Hypothesis, evaluate
+from rainbowmatch.oracle import max_rainbow, rainbow_pairs
+from rainbowmatch.reduction import reduce_to_normal_form
+from rainbowmatch.shifting import shift
+
+# Counts-valid and one left vertex too many, but color 0 meets left vertex 0
+# twice.
+IMPROPER = ColoredMultigraph.of(
+    2, 4, 3, [(0, 0, 0), (0, 1, 0), (2, 2, 0), (3, 0, 1), (1, 1, 1), (2, 2, 1)]
+)
+IMPROPER_MESSAGE = "invalid graph: color 0: edges share left vertex 0"
+
+PUBLIC_ENTRIES = {
+    "shift": lambda g: shift(g, 0, 3),
+    "reduce_to_normal_form": reduce_to_normal_form,
+    "max_rainbow": max_rainbow,
+    "rainbow_pairs": rainbow_pairs,
+    "construct": construct,
+    **{f"evaluate-{h.value}": (lambda g, h=h: evaluate(h, g)) for h in Hypothesis},
+}
+
+
+@pytest.mark.parametrize("entry", PUBLIC_ENTRIES.values(), ids=PUBLIC_ENTRIES.keys())
+def test_public_entry_rejects_an_improper_graph(entry):
+    with pytest.raises(ValueError) as exc:
+        entry(IMPROPER)
+    assert str(exc.value) == IMPROPER_MESSAGE
+
+
+@pytest.mark.parametrize("mode", list(H1Mode))
+def test_h1_validates_before_indexing_by_vertex(mode):
+    # H1 compacts the graph and counts degrees per vertex; an edge out of
+    # bounds must be reported, not hit as an IndexError.
+    g = ColoredMultigraph.of(1, 2, 2, [(5, 0, 0), (1, 1, 0)])
+    with pytest.raises(ValueError) as exc:
+        evaluate(Hypothesis.H1, g, EvalOptions(h1_mode=mode))
+    assert str(exc.value) == "invalid graph: edge (5, 0, 0) out of bounds"
+
+
+def _pinned_search():
+    return construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
+
+
+def test_construct_validates_its_input_once(monkeypatch):
+    graph_module = importlib.import_module("rainbowmatch.graph")
+    real = graph_module.validate
+    calls = []
+
+    def counting(g, require_counts=False):
+        calls.append(g)
+        return real(g, require_counts)
+
+    monkeypatch.setattr(graph_module, "validate", counting)
+    out = _pinned_search()
+    assert out.attempts == 256
+    assert calls == [seeded(4, 7, 6, 0)]
+
+
+def test_construct_reduces_each_exact_input_once(monkeypatch):
+    # The package re-exports the function construct, which shadows the
+    # submodule attribute of the same name.
+    module = importlib.import_module("rainbowmatch.construct")
+    real = module.reduce_trusted
+    inputs = []
+
+    def recording(g, policy, max_iters):
+        inputs.append((g, policy))
+        return real(g, policy, max_iters)
+
+    monkeypatch.setattr(module, "reduce_trusted", recording)
+    out = _pinned_search()
+    assert len(inputs) == len(set(inputs))
+    # The outcome pinned in test_digest_paid_only_for_kept_failures.
+    assert out.failure.to_dict() == {
+        "depth": 1, "reason": "count_deficit", "digest": "506443fdad14f1b0",
+    }
+    assert [tuple(e) for e in out.candidate.edges] == [
+        (0, 1, 0), (1, 1, 1), (2, 0, 2), (3, 2, 3),
+    ]
+    assert [(s.depth, s.color, s.pivot, tuple(s.edge)) for s in out.trace] == [
+        (0, 0, 0, (0, 1, 0)), (1, 0, 0, (0, 1, 0)),
+    ]
