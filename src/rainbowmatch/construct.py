@@ -15,22 +15,28 @@ assembled matching is only *claimed* to exist in the original input.  The
 claim is re-verified at the top; a violation is demoted to a structured
 failure and the unverified candidate kept for analysis (hypothesis H5).  A
 Matched outcome therefore never lies.
+
+Each level's peeled edge is translated into input coordinates as the search
+descends, so a candidate is assembled once, at the base, already in input
+coordinates.  Only the first candidate is kept whole whatever it holds: it
+is the H5 witness.  After it, a candidate reaches the final check only if
+every edge is an input edge and no two share a right vertex; lefts and
+colors never clash, because each level removes its pivot and its color.
+Every peel and reduction still runs, so attempts and failures are those of
+the unpruned search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graph import (
     ColoredMultigraph,
     Edge,
     Matching,
-    Side,
     canonical_digest,
-    delete_color,
-    delete_vertex,
     edge_lists,
     is_rainbow_within,
     require_valid,
@@ -118,6 +124,7 @@ class ConstructionOutcome:
 class _SearchState:
     def __init__(
         self,
+        g: ColoredMultigraph,
         strategy: PeelStrategy,
         budget: int,
         policies: tuple[PivotDonorPolicy, ...],
@@ -127,6 +134,10 @@ class _SearchState:
         self.budget = budget
         self.policies = policies
         self.max_iters = max_iters
+        self.present = set(g.edges)
+        # Set once the first candidate, the H5 witness, has been assembled;
+        # from then on candidates that cannot pass are not assembled.
+        self.prune = False
         self.attempts = 0
         self.deepest_failure: ConstructFailure | None = None
         self.deepest_trace: tuple[ConstructStep, ...] = ()
@@ -168,27 +179,60 @@ def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int]
 def peel(h: ColoredMultigraph, color: int, pivot: int) -> tuple[Edge, ColoredMultigraph]:
     """Peel ``color`` at left vertex ``pivot`` of the normalized graph ``h``:
     the pivot's ``color`` edge, and the residual, ``h`` without that color
-    class and without the pivot.  The residual is counts-valid, since every
-    vertex of ``h`` carries every color."""
+    class and without the pivot, both reindexed densely.  The residual is
+    counts-valid, since every vertex of ``h`` carries every color."""
     edge = next(e for e in h.edges if e.u == pivot and e.c == color)
-    return edge, delete_vertex(delete_color(h, color), Side.LEFT, pivot)
+    edges = tuple(
+        Edge(u if u < pivot else u - 1, v, c if c < color else c - 1)
+        for u, v, c in h.edges
+        if u != pivot and c != color
+    )
+    return edge, ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
+
+
+# Tables from a level's left, right and color indices to the input's.
+_ToInput = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 def _candidates(
-    g: ColoredMultigraph, depth: int, state: _SearchState
-) -> Iterator[tuple[list[Edge], list[ConstructStep]]]:
-    """Yield assembled matchings for this subtree in deterministic search
-    order, expressed in the coordinates of ``g``.  Failures are recorded on
-    the shared state; the deepest one becomes the reported failure."""
+    g: ColoredMultigraph,
+    depth: int,
+    state: _SearchState,
+    to_input: _ToInput,
+    prefix: tuple[Edge, ...],
+    steps: tuple[ConstructStep, ...],
+    rights: int,
+    doomed: bool,
+) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
+    """Yield full-size matchings for this subtree in deterministic search
+    order, in input coordinates: ``prefix`` (the edges peeled above, whose
+    right endpoints are the bits of ``rights``) plus a matching of ``g``.
+    ``doomed`` says some prefix edge is not an input edge or repeats a right
+    vertex.  Failures are recorded on the shared state; the deepest one
+    becomes the reported failure."""
+    us, vs, cs = to_input
     if g.n == 2:
         pairs2 = rainbow_pairs_trusted(g)
-        if pairs2:
-            for a, b in pairs2:
-                yield [a, b], []
-        else:
+        if not pairs2:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
             state.record(depth, FailReason.RECURSIVE_FAILURE, g, [])
+            return
+        present = state.present
+        for a, b in pairs2:
+            if doomed and state.prune:
+                return
+            ea = Edge(us[a.u], vs[a.v], cs[a.c])
+            eb = Edge(us[b.u], vs[b.v], cs[b.c])
+            if state.prune and (
+                ea not in present
+                or eb not in present
+                or (rights >> ea.v) & 1
+                or (rights >> eb.v) & 1
+            ):
+                continue
+            state.prune = True
+            yield prefix + (ea, eb), steps
         return
 
     for policy in state.policies:
@@ -201,6 +245,9 @@ def _candidates(
         if not pairs:
             state.record(depth, FailReason.NO_PIVOT_EDGE, g, [])
             continue
+        # h's vertices in input coordinates: undo red's compaction first.
+        h_us = [us[u] for u in red.left_map]
+        h_vs = [vs[v] for v in red.right_map]
         for color, pivot in pairs:
             if state.attempts >= state.budget:
                 return
@@ -217,18 +264,24 @@ def _candidates(
                 # a sub-matching that happens to avoid v still lifts cleanly,
                 # and the final verification arbitrates.
                 state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
-            # Lift tables from the sub-level's coordinates to those of g:
-            # undo red2's compaction, re-insert the pivot and the peeled
-            # color, then undo red's compaction.
-            lmap, rmap = red.left_map, red.right_map
-            lift_u = [lmap[u if u < pivot else u + 1] for u in red2.left_map]
-            lift_v = [rmap[v] for v in red2.right_map]
-            lift_c = [c if c < color else c + 1 for c in range(h.n - 1)]
-            head = Edge(lmap[edge.u], rmap[edge.v], edge.c)
-            for sub_edges, sub_trace in _candidates(red2.graph, depth + 1, state):
-                lifted = [head]
-                lifted += [Edge(lift_u[u], lift_v[v], lift_c[c]) for u, v, c in sub_edges]
-                yield lifted, [step] + sub_trace
+            head = Edge(h_us[edge.u], h_vs[edge.v], cs[edge.c])
+            # The sub-level's coordinates: undo red2's compaction, then
+            # re-insert the pivot and the peeled color.
+            sub_to_input = (
+                [h_us[u if u < pivot else u + 1] for u in red2.left_map],
+                [h_vs[v] for v in red2.right_map],
+                [cs[c if c < color else c + 1] for c in range(h.n - 1)],
+            )
+            yield from _candidates(
+                red2.graph,
+                depth + 1,
+                state,
+                sub_to_input,
+                prefix + (head,),
+                steps + (step,),
+                rights | 1 << head.v,
+                doomed or head not in state.present or (rights >> head.v) & 1 == 1,
+            )
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
             return
 
@@ -240,30 +293,36 @@ def construct(
     budget: int = DEFAULT_BUDGET,
     policies: tuple[PivotDonorPolicy, ...] = (PivotDonorPolicy.MAX_DRAIN,),
     max_iters: int | None = None,
+    reduced: ReductionOutcome | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
     level; Backtracking iterates all (color, pivot) pairs, and additional
     reduction policies when configured, within the attempt budget.
+    ``reduced`` is the caller's reduction of ``g`` under ``policies[0]`` and
+    ``max_iters``, when it already holds one; the search then reuses it.
     """
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
 
-    state = _SearchState(strategy, budget, tuple(policies), max_iters)
-    present = set(g.edges)
+    policies = tuple(policies)
+    state = _SearchState(g, strategy, budget, policies, max_iters)
+    if reduced is not None:
+        state.reductions[(g, policies[0])] = reduced
+    identity = (range(g.left_size), range(g.right_size), range(g.n))
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()
-    for edges, steps in _candidates(g, 0, state):
-        m = Matching(tuple(edges))
-        if is_rainbow_within(present, m, g.n):
+    for edges, steps in _candidates(g, 0, state, identity, (), (), 0, False):
+        m = Matching(edges)
+        if is_rainbow_within(state.present, m, g.n):
             return ConstructionOutcome(
-                ConstructStatus.MATCHED, m, None, tuple(steps), None, state.attempts
+                ConstructStatus.MATCHED, m, None, steps, None, state.attempts
             )
         if candidate is None:
             candidate = m
-            trace = tuple(steps)
+            trace = steps
         state.record(0, FailReason.RECURSIVE_FAILURE, g, steps)
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break

@@ -177,7 +177,8 @@ class InstanceRun:
 
     The reduction, the backtracking construction and the exact oracle are
     each computed at most once, on first use, so the evaluators are cheap
-    projections of one run.  A run lives exactly as long as its instance is
+    projections of one run; the construction starts from the run's
+    reduction.  A run lives exactly as long as its instance is
     being evaluated; nothing is cached beyond it.
     """
 
@@ -198,6 +199,7 @@ class InstanceRun:
             budget=opts.construct_budget,
             policies=(opts.policy,),
             max_iters=opts.max_iters,
+            reduced=self.reduction,
         )
         if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
             g, outcome.matching, g.n

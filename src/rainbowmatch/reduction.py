@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, canonical_edges, require_valid
+from .graph import (
+    ColoredMultigraph,
+    Edge,
+    Side,
+    canonical_edges,
+    delete_vertex,
+    require_valid,
+)
 from .shifting import shift_trusted
 
 
@@ -103,28 +110,35 @@ def _color_masks(g: ColoredMultigraph, side: Side) -> list[int]:
     return masks
 
 
-def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
-    """The lowest vertex of ``side`` missing some color."""
+def _pivot(masks: list[int], n: int) -> int:
     # A deficient vertex always exists once the side exceeds n + 1: total
     # degree is n * (n + 1), so the average degree is below n.
-    full = (1 << g.n) - 1
-    for v, mask in enumerate(_color_masks(g, side)):
+    full = (1 << n) - 1
+    for v, mask in enumerate(masks):
         if mask != full:
             return v
     raise ValueError("no shift-applicable pivot; side already at full spectrum")
 
 
-def pick_donor(
-    g: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy, side: Side = Side.LEFT
-) -> int:
-    size = g.side_size(side)
+def _donor(masks: list[int], pivot: int, policy: PivotDonorPolicy) -> int:
+    size = len(masks)
     if policy is PivotDonorPolicy.LAST_VERTEX:
         last = size - 1
         return last if last != pivot else last - 1
-    masks = _color_masks(g, side)
     absent = ~masks[pivot]
     candidates = [v for v in range(size) if v != pivot]
     return max(candidates, key=lambda v: ((masks[v] & absent).bit_count(), v))
+
+
+def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
+    """The lowest vertex of ``side`` missing some color."""
+    return _pivot(_color_masks(g, side), g.n)
+
+
+def pick_donor(
+    g: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy, side: Side = Side.LEFT
+) -> int:
+    return _donor(_color_masks(g, side), pivot, policy)
 
 
 def choose_shift(
@@ -147,8 +161,9 @@ def choose_shift(
         side = Side.RIGHT
     else:
         return None
-    pivot = pick_pivot(cur, side)
-    return side, pivot, pick_donor(cur, pivot, policy, side)
+    masks = _color_masks(cur, side)
+    pivot = _pivot(masks, cur.n)
+    return side, pivot, _donor(masks, pivot, policy)
 
 
 def reduce_to_normal_form(
@@ -204,10 +219,15 @@ def reduce_trusted(
         if cur.left_size > target and cur.right_size > target:
             alternate = alternate.other()
         outcome = shift_trusted(cur, pivot, donor, side)
-
-        nxt, keep_l, keep_r = compact_isolated(outcome.graph)
-        lmap = tuple(lmap[i] for i in keep_l)
-        rmap = tuple(rmap[i] for i in keep_r)
+        cur = outcome.graph
+        # cur was compact, and a shift keeps every far endpoint and gives
+        # the pivot edges, so only the donor can be left isolated: it keeps
+        # one edge per swap.
+        if not outcome.swaps:
+            cur = delete_vertex(cur, side, donor)
+            if side is Side.LEFT:
+                lmap = lmap[:donor] + lmap[donor + 1 :]
+            else:
+                rmap = rmap[:donor] + rmap[donor + 1 :]
         trace.append(ReductionStep(side, pivot, donor, outcome.moves, outcome.swaps))
         iterations += 1
-        cur = nxt

@@ -7,16 +7,33 @@ the package against these.
 
 from __future__ import annotations
 
+from rainbowmatch.construct import (
+    ConstructFailure,
+    ConstructionOutcome,
+    ConstructStatus,
+    ConstructStep,
+    FailReason,
+    PeelStrategy,
+)
 from rainbowmatch.graph import (
     ColoredMultigraph,
     Edge,
     Matching,
     Side,
     _check_vertex,
+    canonical_digest,
+    delete_color,
+    delete_vertex,
+    is_rainbow_matching,
     require_valid,
 )
-from rainbowmatch.oracle import OracleResult
-from rainbowmatch.reduction import compact_isolated
+from rainbowmatch.oracle import OracleResult, rainbow_pairs
+from rainbowmatch.reduction import (
+    PivotDonorPolicy,
+    ReductionStatus,
+    compact_isolated,
+    reduce_to_normal_form,
+)
 
 NAIVE_EDGE_LIMIT = 24
 
@@ -110,3 +127,97 @@ def max_rainbow_naive(g: ColoredMultigraph) -> OracleResult:
 
     walk(0, 0, 0, 0)
     return OracleResult(best, Matching(best_pick), nodes)
+
+
+def reference_construct(
+    g: ColoredMultigraph,
+    strategy: PeelStrategy,
+    budget: int,
+    policies: tuple[PivotDonorPolicy, ...],
+) -> ConstructionOutcome:
+    """The construction search lifting every candidate bottom-up through
+    every level and checking each one in full at the top, peeling in two
+    steps (delete the color, then the pivot).  No candidate is rejected
+    early; ``construct`` must report the same outcome."""
+    attempts = 0
+    failure: ConstructFailure | None = None
+    failure_trace: tuple = ()
+
+    def record(depth, reason, level_graph, trace):
+        nonlocal failure, failure_trace
+        if failure is None or depth > failure.depth:
+            failure = ConstructFailure(depth, reason, canonical_digest(level_graph))
+            failure_trace = tuple(trace)
+
+    def candidates(cur, depth):
+        nonlocal attempts
+        if cur.n == 2:
+            pairs2 = rainbow_pairs(cur)
+            if not pairs2:
+                record(depth, FailReason.RECURSIVE_FAILURE, cur, [])
+            for a, b in pairs2:
+                yield [a, b], []
+            return
+        for policy in policies:
+            red = reduce_to_normal_form(cur, policy)
+            if red.status is not ReductionStatus.NORMALIZED:
+                record(depth, FailReason.REDUCTION_STALLED, cur, [])
+                continue
+            h = red.graph
+            colors = range(1) if strategy is PeelStrategy.FIRST_FEASIBLE else range(h.n)
+            pairs = [
+                (c, u)
+                for c in colors
+                for u in sorted({e.u for e in h.edges if e.c == c})
+            ]
+            if strategy is PeelStrategy.FIRST_FEASIBLE:
+                pairs = pairs[:1]
+            if not pairs:
+                record(depth, FailReason.NO_PIVOT_EDGE, cur, [])
+                continue
+            for color, pivot in pairs:
+                if attempts >= budget:
+                    return
+                attempts += 1
+                edge = next(e for e in h.edges if e.u == pivot and e.c == color)
+                residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
+                red2 = reduce_to_normal_form(residual, policy)
+                step = ConstructStep(depth, color, pivot, edge, h)
+                if red2.status is not ReductionStatus.NORMALIZED:
+                    record(depth, FailReason.REDUCTION_STALLED, cur, [step])
+                    continue
+                if edge.v in red2.right_map:
+                    record(depth, FailReason.COUNT_DEFICIT, cur, [step])
+                for sub, sub_trace in candidates(red2.graph, depth + 1):
+                    lifted = [Edge(red.left_map[edge.u], red.right_map[edge.v], edge.c)]
+                    for e in sub:
+                        u = red2.left_map[e.u]
+                        u = u if u < pivot else u + 1
+                        c = e.c if e.c < color else e.c + 1
+                        lifted.append(
+                            Edge(red.left_map[u], red.right_map[red2.right_map[e.v]], c)
+                        )
+                    yield lifted, [step] + sub_trace
+            if strategy is PeelStrategy.FIRST_FEASIBLE:
+                return
+
+    candidate = None
+    trace: tuple = ()
+    for edges, steps in candidates(g, 0):
+        m = Matching(tuple(edges))
+        if is_rainbow_matching(g, m, g.n):
+            return ConstructionOutcome(
+                ConstructStatus.MATCHED, m, None, tuple(steps), None, attempts
+            )
+        if candidate is None:
+            candidate, trace = m, tuple(steps)
+        record(0, FailReason.RECURSIVE_FAILURE, g, steps)
+        if strategy is PeelStrategy.FIRST_FEASIBLE:
+            break
+    if failure is None:
+        record(0, FailReason.RECURSIVE_FAILURE, g, [])
+    if candidate is None:
+        trace = failure_trace
+    return ConstructionOutcome(
+        ConstructStatus.STEP_FAILED, None, failure, trace, candidate, attempts
+    )

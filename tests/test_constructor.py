@@ -22,6 +22,8 @@ from rainbowmatch.graph import (
     is_rainbow_matching,
 )
 from rainbowmatch.oracle import max_rainbow
+from rainbowmatch.reduction import PivotDonorPolicy
+from reference import reference_construct
 from strategies import counts_valid_graphs
 
 
@@ -155,3 +157,62 @@ def test_matched_on_oversized_when_possible():
             assert is_rainbow_matching(g, out.matching, 3)
             hits += 1
     assert hits > 0  # some oversized instances do lift cleanly
+
+
+POLICY_TUPLES = [
+    (PivotDonorPolicy.MAX_DRAIN,),
+    (PivotDonorPolicy.LAST_VERTEX,),
+    (PivotDonorPolicy.MAX_DRAIN, PivotDonorPolicy.LAST_VERTEX),
+]
+
+
+# No n=5 8x7 seed below 40 is matched under any of these settings.
+@pytest.mark.parametrize(
+    "size, seeds, matches", [((3, 6, 5), 100, True), ((4, 7, 6), 30, True), ((5, 8, 7), 10, False)]
+)
+def test_construct_matches_reference(size, seeds, matches):
+    statuses = set()
+    for seed in range(seeds):
+        g = seeded(*size, seed)
+        for strategy in PeelStrategy:
+            for policies in POLICY_TUPLES:
+                for budget in (0, 1, 7, 256):
+                    got = construct(g, strategy, budget=budget, policies=policies)
+                    want = reference_construct(g, strategy, budget, policies)
+                    key = (size, seed, strategy, policies, budget)
+                    assert got.to_dict() == want.to_dict(), key
+                    assert [s.graph for s in got.trace] == [s.graph for s in want.trace], key
+                    statuses.add((got.status, got.candidate is not None))
+    # Failures with and without an H5 witness occur, and matches where any do.
+    assert (ConstructStatus.STEP_FAILED, True) in statuses
+    assert (ConstructStatus.STEP_FAILED, False) in statuses
+    assert ((ConstructStatus.MATCHED, False) in statuses) == matches
+
+
+def _count_final_checks(monkeypatch) -> list[bool]:
+    # The package re-exports the function construct, which shadows the
+    # submodule attribute of the same name.
+    module = importlib.import_module("rainbowmatch.construct")
+    real = module.is_rainbow_within
+    results: list[bool] = []
+
+    def counting(present, m, k):
+        results.append(real(present, m, k))
+        return results[-1]
+
+    monkeypatch.setattr(module, "is_rainbow_within", counting)
+    return results
+
+
+def test_only_the_witness_and_the_match_reach_the_final_check(monkeypatch):
+    results = _count_final_checks(monkeypatch)
+    out = construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
+    assert out.attempts == 256 and out.candidate is not None
+    assert results == [False]
+    for seed in range(1, 30):
+        results.clear()
+        out = construct(seeded(4, 7, 6, seed), PeelStrategy.BACKTRACKING, budget=256)
+        # The first candidate is checked whatever it holds; any later one
+        # reaches the check only when it passes.
+        assert len(results) <= 2 and all(results[1:]), seed
+        assert (out.status is ConstructStatus.MATCHED) == (True in results), seed

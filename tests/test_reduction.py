@@ -19,7 +19,6 @@ from rainbowmatch.reduction import (
     PivotDonorPolicy,
     ReductionStatus,
     ReductionStep,
-    choose_shift,
     compact_isolated,
     default_max_iters,
     pick_donor,
@@ -125,9 +124,11 @@ def test_pick_donor_matches_color_set_reference(g):
 
 
 def reference_reduce(g, policy):
-    """The reduction loop with each visited state keyed on its full
-    canonical JSON text: no hash whose collision could fake a stall."""
-    cur, _, _ = compact_isolated(g)
+    """The reduction loop written from per-vertex color sets, with a full
+    compaction after every shift, and each visited state keyed on its full
+    canonical JSON text: no hash whose collision could fake a stall.
+    Returns the status, the final graph, the trace and both vertex maps."""
+    cur, lmap, rmap = compact_isolated(g)
     target = g.n + 1
     max_iters = default_max_iters(g)
     trace = []
@@ -135,20 +136,26 @@ def reference_reduce(g, policy):
     seen = set()
     while True:
         if cur.left_size == target and cur.right_size == target:
-            return ReductionStatus.NORMALIZED, cur, trace
+            return ReductionStatus.NORMALIZED, cur, trace, lmap, rmap
         state = (to_canonical_json(cur), alternate)
         if state in seen:
-            return ReductionStatus.STALLED, cur, trace
+            return ReductionStatus.STALLED, cur, trace, lmap, rmap
         seen.add(state)
         if len(trace) >= max_iters:
-            return ReductionStatus.ITERATION_CAP, cur, trace
-        side, pivot, donor = choose_shift(cur, alternate, policy)
+            return ReductionStatus.ITERATION_CAP, cur, trace, lmap, rmap
         if cur.left_size > target and cur.right_size > target:
+            side = alternate
             alternate = alternate.other()
+        else:
+            side = Side.LEFT if cur.left_size > target else Side.RIGHT
         work = cur if side is Side.LEFT else mirror(cur)
+        pivot = reference_pivot(work, Side.LEFT)
+        donor = reference_donor(work, pivot, policy)
         outcome = shift(work, pivot, donor)
         back = outcome.graph if side is Side.LEFT else mirror(outcome.graph)
-        cur, _, _ = compact_isolated(back)
+        cur, keep_l, keep_r = compact_isolated(back)
+        lmap = tuple(lmap[i] for i in keep_l)
+        rmap = tuple(rmap[i] for i in keep_r)
         trace.append(ReductionStep(side, pivot, donor, outcome.moves, outcome.swaps))
 
 
@@ -158,12 +165,13 @@ def test_stall_certificate_is_exact():
         for seed in range(200):
             g = seeded(n, left, right, seed)
             for policy in PivotDonorPolicy:
-                status, final, trace = reference_reduce(g, policy)
+                status, final, trace, lmap, rmap = reference_reduce(g, policy)
                 out = reduce_to_normal_form(g, policy)
                 assert out.status is status, (n, seed, policy)
                 assert out.iterations == len(trace)
                 assert list(out.trace) == trace
                 assert out.graph == final
+                assert (out.left_map, out.right_map) == (lmap, rmap), (n, seed, policy)
                 statuses.add(status)
     assert ReductionStatus.STALLED in statuses and ReductionStatus.NORMALIZED in statuses
 
