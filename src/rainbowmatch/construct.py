@@ -39,6 +39,7 @@ from .graph import (
     canonical_digest,
     edge_lists,
     is_rainbow_within,
+    new_edge,
     require_valid,
 )
 from .oracle import rainbow_pairs_trusted
@@ -50,6 +51,10 @@ from .reduction import (
 )
 
 DEFAULT_BUDGET = 10_000
+
+# Reductions keyed on the exact input graph (edge order included) and the
+# policy, all under one iteration cap.
+ReductionMemo = dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome]
 
 
 class PeelStrategy(str, Enum):
@@ -121,6 +126,18 @@ class ConstructionOutcome:
         }
 
 
+def reduce_once(
+    memo: ReductionMemo, g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None
+) -> ReductionOutcome:
+    """``reduce_trusted`` through ``memo``, whose entries were all reduced
+    under ``max_iters``: each exact input is reduced once."""
+    key = (g, policy)
+    red = memo.get(key)
+    if red is None:
+        red = memo[key] = reduce_trusted(g, policy, max_iters)
+    return red
+
+
 class _SearchState:
     def __init__(
         self,
@@ -129,6 +146,7 @@ class _SearchState:
         budget: int,
         policies: tuple[PivotDonorPolicy, ...],
         max_iters: int | None,
+        reductions: ReductionMemo,
     ):
         self.strategy = strategy
         self.budget = budget
@@ -141,16 +159,10 @@ class _SearchState:
         self.attempts = 0
         self.deepest_failure: ConstructFailure | None = None
         self.deepest_trace: tuple[ConstructStep, ...] = ()
-        # The reduction is a pure function of the exact graph (edge order
-        # included) and the policy; max_iters is fixed for the search.
-        self.reductions: dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome] = {}
+        self.reductions = reductions
 
     def reduce(self, g: ColoredMultigraph, policy: PivotDonorPolicy) -> ReductionOutcome:
-        key = (g, policy)
-        red = self.reductions.get(key)
-        if red is None:
-            red = self.reductions[key] = reduce_trusted(g, policy, self.max_iters)
-        return red
+        return reduce_once(self.reductions, g, policy, self.max_iters)
 
     def record(
         self, depth: int, reason: FailReason, g: ColoredMultigraph, trace: list[ConstructStep]
@@ -164,8 +176,8 @@ class _SearchState:
 
 def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int]]:
     left_with_color: dict[int, list[int]] = {}
-    for e in h.edges:
-        left_with_color.setdefault(e.c, []).append(e.u)
+    for u, _, c in h.edges:
+        left_with_color.setdefault(c, []).append(u)
     if strategy is PeelStrategy.FIRST_FEASIBLE:
         vs = left_with_color.get(0)
         return [(0, min(vs))] if vs else []
@@ -181,12 +193,12 @@ def peel(h: ColoredMultigraph, color: int, pivot: int) -> tuple[Edge, ColoredMul
     the pivot's ``color`` edge, and the residual, ``h`` without that color
     class and without the pivot, both reindexed densely.  The residual is
     counts-valid, since every vertex of ``h`` carries every color."""
-    edge = next(e for e in h.edges if e.u == pivot and e.c == color)
-    edges = tuple(
-        Edge(u if u < pivot else u - 1, v, c if c < color else c - 1)
+    edge = next(e for e in h.edges if e[0] == pivot and e[2] == color)
+    edges = tuple([
+        new_edge((u if u < pivot else u - 1, v, c if c < color else c - 1))
         for u, v, c in h.edges
         if u != pivot and c != color
-    )
+    ])
     return edge, ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
 
 
@@ -222,8 +234,8 @@ def _candidates(
         for a, b in pairs2:
             if doomed and state.prune:
                 return
-            ea = Edge(us[a.u], vs[a.v], cs[a.c])
-            eb = Edge(us[b.u], vs[b.v], cs[b.c])
+            ea = new_edge((us[a[0]], vs[a[1]], cs[a[2]]))
+            eb = new_edge((us[b[0]], vs[b[1]], cs[b[2]]))
             if state.prune and (
                 ea not in present
                 or eb not in present
@@ -264,7 +276,9 @@ def _candidates(
                 # a sub-matching that happens to avoid v still lifts cleanly,
                 # and the final verification arbitrates.
                 state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
-            head = Edge(h_us[edge.u], h_vs[edge.v], cs[edge.c])
+            # edge is (pivot, v, color) in h's coordinates.
+            right = h_vs[edge.v]
+            head = new_edge((h_us[pivot], right, cs[color]))
             # The sub-level's coordinates: undo red2's compaction, then
             # re-insert the pivot and the peeled color.
             sub_to_input = (
@@ -279,8 +293,8 @@ def _candidates(
                 sub_to_input,
                 prefix + (head,),
                 steps + (step,),
-                rights | 1 << head.v,
-                doomed or head not in state.present or (rights >> head.v) & 1 == 1,
+                rights | 1 << right,
+                doomed or head not in state.present or (rights >> right) & 1 == 1,
             )
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
             return
@@ -293,24 +307,24 @@ def construct(
     budget: int = DEFAULT_BUDGET,
     policies: tuple[PivotDonorPolicy, ...] = (PivotDonorPolicy.MAX_DRAIN,),
     max_iters: int | None = None,
-    reduced: ReductionOutcome | None = None,
+    reductions: ReductionMemo | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
     level; Backtracking iterates all (color, pivot) pairs, and additional
     reduction policies when configured, within the attempt budget.
-    ``reduced`` is the caller's reduction of ``g`` under ``policies[0]`` and
-    ``max_iters``, when it already holds one; the search then reuses it.
+    ``reductions`` is the caller's memo of reductions under ``max_iters``,
+    shared with the search: it reuses what the caller reduced and keeps what
+    the search reduces.
     """
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
 
     policies = tuple(policies)
-    state = _SearchState(g, strategy, budget, policies, max_iters)
-    if reduced is not None:
-        state.reductions[(g, policies[0])] = reduced
+    memo = {} if reductions is None else reductions
+    state = _SearchState(g, strategy, budget, policies, max_iters, memo)
     identity = (range(g.left_size), range(g.right_size), range(g.n))
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()

@@ -10,6 +10,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -37,6 +38,11 @@ class Edge(NamedTuple):
     u: int
     v: int
     c: int
+
+
+# ``new_edge((u, v, c))`` is ``Edge(u, v, c)`` built at C speed, for hot
+# paths that already hold the triple.
+new_edge = partial(tuple.__new__, Edge)
 
 
 @dataclass(frozen=True)
@@ -136,15 +142,34 @@ def validate(g: ColoredMultigraph, require_counts: bool = False) -> ValidationRe
                 seen_v[e.v] = i
 
     if require_counts:
-        for c in range(g.n):
-            count = len(by_color.get(c, []))
-            if count != g.n + 1:
-                idx = tuple(i for i, _ in by_color.get(c, []))
-                violations.append(
-                    Violation(RULE_COUNTS, f"color {c} has {count} edges, expected {g.n + 1}", idx)
-                )
+        violations.extend(_count_violations(g.n, by_color))
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _count_violations(n: int, by_color: dict[int, list[tuple[int, Edge]]]) -> list[Violation]:
+    """One violation per non-empty color of the wrong size, and one for all
+    empty colors together, in color order; the work and the text grow with
+    the edges, not with ``n``."""
+    out: list[tuple[int, Violation]] = []
+    present = sorted(c for c in by_color if 0 <= c < n)
+    for c in present:
+        items = by_color[c]
+        if len(items) != n + 1:
+            detail = f"color {c} has {len(items)} edges, expected {n + 1}"
+            out.append((c, Violation(RULE_COUNTS, detail, tuple(i for i, _ in items))))
+    empty = n - len(present)
+    if empty > 0:
+        # The lowest color missing from the sorted, distinct ``present``.
+        lowest = next((i for i, c in enumerate(present) if c != i), len(present))
+        detail = (
+            f"color {lowest} has 0 edges, expected {n + 1}"
+            if empty == 1
+            else f"{empty} colors have 0 edges, expected {n + 1} (lowest: color {lowest})"
+        )
+        out.append((lowest, Violation(RULE_COUNTS, detail, ())))
+        out.sort(key=lambda item: item[0])
+    return [v for _, v in out]
 
 
 def require_valid(g: ColoredMultigraph, require_counts: bool = False) -> None:

@@ -28,7 +28,15 @@ from functools import cached_property, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .construct import ConstructionOutcome, ConstructStatus, PeelStrategy, construct, peel
+from .construct import (
+    ConstructionOutcome,
+    ConstructStatus,
+    PeelStrategy,
+    ReductionMemo,
+    construct,
+    peel,
+    reduce_once,
+)
 from .generators import GenSpec, instances_for
 from .graph import (
     ColoredMultigraph,
@@ -51,7 +59,6 @@ from .reduction import (
     choose_shift,
     compact_isolated,
     reduce_to_normal_form,
-    reduce_trusted,
 )
 from .shifting import shift_trusted
 
@@ -175,20 +182,32 @@ class ReplayReport:
 class InstanceRun:
     """The shared pipeline of one instance under one set of options.
 
-    The reduction, the backtracking construction and the exact oracle are
-    each computed at most once, on first use, so the evaluators are cheap
-    projections of one run; the construction starts from the run's
-    reduction.  A run lives exactly as long as its instance is
-    being evaluated; nothing is cached beyond it.
+    The backtracking construction and the exact oracle are each computed
+    at most once, on first use, so the evaluators are cheap projections of
+    one run.  Every reduction goes through one memo, ``reductions``: the
+    entry reduction, H3's residual and each level of the construction, so
+    no exact graph is reduced twice in a run.  A run lives exactly as long
+    as its instance is being evaluated; nothing is cached beyond it.
     """
 
     def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
         self.g = g
         self.opts = opts
+        self.reductions: ReductionMemo = {}
 
     @cached_property
     def reduction(self) -> ReductionOutcome:
-        return reduce_to_normal_form(self.g, self.opts.policy, self.opts.max_iters)
+        key = (self.g, self.opts.policy)
+        if key not in self.reductions:
+            # The public call validates the instance; a construction that
+            # reduced it first has validated it already.
+            self.reductions[key] = reduce_to_normal_form(*key, self.opts.max_iters)
+        return self.reductions[key]
+
+    def reduce(self, g: ColoredMultigraph) -> ReductionOutcome:
+        """The reduction of ``g``, a graph the package built from the
+        instance, under the run's policy and iteration cap."""
+        return reduce_once(self.reductions, g, self.opts.policy, self.opts.max_iters)
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
@@ -199,7 +218,7 @@ class InstanceRun:
             budget=opts.construct_budget,
             policies=(opts.policy,),
             max_iters=opts.max_iters,
-            reduced=self.reduction,
+            reductions=self.reductions,
         )
         if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
             g, outcome.matching, g.n
@@ -289,7 +308,7 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
         return Verdict.INCONCLUSIVE, run.witness(stage="peel")
     pivot = min(carriers)
     edge, residual = peel(h, 0, pivot)
-    red2 = reduce_trusted(residual, run.opts.policy, run.opts.max_iters)
+    red2 = run.reduce(residual)
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
     if edge.v in red2.right_map:

@@ -99,8 +99,8 @@ def rainbow_pairs_trusted(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
     """``rainbow_pairs`` without its guard: ``g`` is proper with n == 2."""
     es = g.edges
     return [
-        (es[i], es[j])
-        for i in range(len(es))
-        for j in range(i + 1, len(es))
-        if es[i].c != es[j].c and es[i].u != es[j].u and es[i].v != es[j].v
+        (a, b)
+        for i, a in enumerate(es)
+        for b in es[i + 1 :]
+        if a[2] != b[2] and a[0] != b[0] and a[1] != b[1]
     ]

@@ -1,13 +1,21 @@
 """Drive repeated shifting toward normal form.
 
 Normal form: n + 1 edges of each color and exactly n + 1 non-isolated
-vertices on each side.  Each iteration compacts isolated vertices, picks the
-side that is still too large, and shifts one donor's edges onto a deficient
-pivot of that side.
+vertices on each side.  The input's isolated vertices are compacted away
+once; each iteration then picks the side that is still too large and shifts
+one donor's edges onto a deficient pivot of that side.  A donor left without
+edges is deleted, which renumbers that side.
+
+The driver holds the working graph as three parallel int lists and applies
+``shifting.shift_arrays`` to them in place; colors never change, and a graph
+is built once, at the end, only if some step ran.  The choice of side, pivot
+and donor (``_side``, ``_pivot``, ``_donor``) is shared with ``choose_shift``.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
-caps iterations rather than assuming termination.
+caps iterations rather than assuming termination.  A stall is certified by
+an exact repeated state; only states whose step swaps, and so keeps both
+side sizes, can repeat, and only those are keyed.
 """
 
 from __future__ import annotations
@@ -15,15 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import (
-    ColoredMultigraph,
-    Edge,
-    Side,
-    canonical_edges,
-    delete_vertex,
-    require_valid,
-)
-from .shifting import shift_trusted
+from .graph import ColoredMultigraph, Side, new_edge, require_valid
+from .shifting import shift_arrays
 
 
 class ReductionStatus(str, Enum):
@@ -81,18 +82,14 @@ def compact_isolated(
 
     Returns the compacted graph plus new-index -> old-index maps per side.
     """
-    left_deg = [0] * g.left_size
-    right_deg = [0] * g.right_size
-    for e in g.edges:
-        left_deg[e.u] += 1
-        right_deg[e.v] += 1
-    left_keep = tuple(i for i in range(g.left_size) if left_deg[i] > 0)
-    right_keep = tuple(i for i in range(g.right_size) if right_deg[i] > 0)
+    us, vs, _ = zip(*g.edges) if g.edges else ((), (), ())
+    left_keep = tuple(sorted(set(us)))
+    right_keep = tuple(sorted(set(vs)))
     if len(left_keep) == g.left_size and len(right_keep) == g.right_size:
         return g, left_keep, right_keep
     left_new = {old: new for new, old in enumerate(left_keep)}
     right_new = {old: new for new, old in enumerate(right_keep)}
-    edges = tuple(Edge(left_new[e.u], right_new[e.v], e.c) for e in g.edges)
+    edges = tuple([new_edge((left_new[u], right_new[v], c)) for u, v, c in g.edges])
     out = ColoredMultigraph(g.n, len(left_keep), len(right_keep), edges)
     return out, left_keep, right_keep
 
@@ -101,13 +98,32 @@ def default_max_iters(g: ColoredMultigraph) -> int:
     return 10 * g.n * (g.left_size + g.right_size)
 
 
-def _color_masks(g: ColoredMultigraph, side: Side) -> list[int]:
-    """Bit c of ``masks[v]`` is set iff color c is at vertex v of ``side``."""
-    end = 0 if side is Side.LEFT else 1
-    masks = [0] * g.side_size(side)
-    for e in g.edges:
-        masks[e[end]] |= 1 << e[2]
+def _masks(near: list[int], cs: list[int], size: int) -> list[int]:
+    """Bit c of ``masks[x]`` is set iff color c is at vertex x of the side
+    whose endpoint of edge i is ``near[i]``."""
+    masks = [0] * size
+    for x, c in zip(near, cs):
+        masks[x] |= 1 << c
     return masks
+
+
+def _color_masks(g: ColoredMultigraph, side: Side) -> list[int]:
+    end = 0 if side is Side.LEFT else 1
+    return _masks([e[end] for e in g.edges], [e[2] for e in g.edges], g.side_size(side))
+
+
+def _side(left_size: int, right_size: int, target: int, alternate: Side) -> Side | None:
+    """The side still larger than ``target``, ``alternate`` when both are,
+    or None when neither is."""
+    left_over = left_size > target
+    right_over = right_size > target
+    if left_over and right_over:
+        return alternate
+    if left_over:
+        return Side.LEFT
+    if right_over:
+        return Side.RIGHT
+    return None
 
 
 def _pivot(masks: list[int], n: int) -> int:
@@ -126,8 +142,12 @@ def _donor(masks: list[int], pivot: int, policy: PivotDonorPolicy) -> int:
         last = size - 1
         return last if last != pivot else last - 1
     absent = ~masks[pivot]
-    candidates = [v for v in range(size) if v != pivot]
-    return max(candidates, key=lambda v: ((masks[v] & absent).bit_count(), v))
+    best = donor = -1
+    for v, mask in enumerate(masks):
+        drain = (mask & absent).bit_count()
+        if drain >= best and v != pivot:
+            best, donor = drain, v
+    return donor
 
 
 def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
@@ -150,16 +170,8 @@ def choose_shift(
     The side is whichever one exceeds n + 1 vertices, or ``alternate`` when
     both do.
     """
-    target = cur.n + 1
-    left_over = cur.left_size > target
-    right_over = cur.right_size > target
-    if left_over and right_over:
-        side = alternate
-    elif left_over:
-        side = Side.LEFT
-    elif right_over:
-        side = Side.RIGHT
-    else:
+    side = _side(cur.left_size, cur.right_size, cur.n + 1, alternate)
+    if side is None:
         return None
     masks = _color_masks(cur, side)
     pivot = _pivot(masks, cur.n)
@@ -194,40 +206,56 @@ def reduce_trusted(
         max_iters = default_max_iters(g)
 
     cur, lmap, rmap = compact_isolated(g)
-    target = g.n + 1
+    n = g.n
+    target = n + 1
+    # The working graph as parallel lists: edge i is (us[i], vs[i], cs[i]).
+    # Colors never change, shifts rewrite the lists in place, and the graph
+    # stays compact: a shift keeps every far endpoint and gives the pivot
+    # edges, so only a donor that made no swap is left isolated.
+    us, vs, cs = map(list, zip(*cur.edges))
+    lsize, rsize = cur.left_size, cur.right_size
     trace: list[ReductionStep] = []
-    iterations = 0
     alternate = Side.LEFT
-    # Exact states: sizes, the edge multiset in canonical order, and the
-    # alternation; n never changes within one run.
-    seen: set[tuple[int, int, tuple[Edge, ...], Side]] = set()
+    # Exact states: the edge set (its triples are distinct by properness)
+    # and the alternation.  The step is a function of the state and sizes
+    # never grow, so a state can recur only if its step keeps both sizes,
+    # that is, swaps some edge: only such states are keyed, and the set is
+    # emptied at each deletion, after which none of its keys can recur.
+    seen: set[tuple[frozenset[tuple[int, int, int]], Side]] = set()
 
     def done(status: ReductionStatus) -> ReductionOutcome:
-        return ReductionOutcome(status, cur, tuple(trace), iterations, lmap, rmap)
+        graph = cur
+        if trace:
+            graph = ColoredMultigraph(n, lsize, rsize, tuple(map(new_edge, zip(us, vs, cs))))
+        return ReductionOutcome(status, graph, tuple(trace), len(trace), lmap, rmap)
 
     while True:
-        if cur.left_size == target and cur.right_size == target:
+        side = _side(lsize, rsize, target, alternate)
+        if side is None:
             return done(ReductionStatus.NORMALIZED)
-        state = (cur.left_size, cur.right_size, canonical_edges(cur.edges), alternate)
-        if state in seen:
-            return done(ReductionStatus.STALLED)
-        seen.add(state)
-        if iterations >= max_iters:
+        left = side is Side.LEFT
+        near, far = (us, vs) if left else (vs, us)
+        masks = _masks(near, cs, lsize if left else rsize)
+        pivot = _pivot(masks, n)
+        donor = _donor(masks, pivot, policy)
+        if masks[donor] & masks[pivot]:
+            state = (frozenset(zip(us, vs, cs)), alternate)
+            if state in seen:
+                return done(ReductionStatus.STALLED)
+            seen.add(state)
+        if len(trace) >= max_iters:
             return done(ReductionStatus.ITERATION_CAP)
 
-        side, pivot, donor = choose_shift(cur, alternate, policy)
-        if cur.left_size > target and cur.right_size > target:
+        if lsize > target and rsize > target:
             alternate = alternate.other()
-        outcome = shift_trusted(cur, pivot, donor, side)
-        cur = outcome.graph
-        # cur was compact, and a shift keeps every far endpoint and gives
-        # the pivot edges, so only the donor can be left isolated: it keeps
-        # one edge per swap.
-        if not outcome.swaps:
-            cur = delete_vertex(cur, side, donor)
-            if side is Side.LEFT:
+        moves, swaps = shift_arrays(near, far, cs, pivot, donor)
+        if not swaps:
+            near[:] = [x - 1 if x > donor else x for x in near]
+            seen.clear()
+            if left:
+                lsize -= 1
                 lmap = lmap[:donor] + lmap[donor + 1 :]
             else:
+                rsize -= 1
                 rmap = rmap[:donor] + rmap[donor + 1 :]
-        trace.append(ReductionStep(side, pivot, donor, outcome.moves, outcome.swaps))
-        iterations += 1
+        trace.append(ReductionStep(side, pivot, donor, moves, swaps))

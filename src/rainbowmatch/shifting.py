@@ -12,6 +12,12 @@ donor edge, taken in ascending color order against the current working graph:
 Each color is touched at most once and a rule only inspects edges of its own
 color, so this sequential pass equals the all-at-once reading; a dedicated
 test asserts that equivalence.
+
+The rule has one definition, ``shift_arrays``, which rewrites a graph held
+as three parallel int lists in place: a Move re-points one near endpoint and
+a Swap exchanges two far endpoints.  The reduction runs on such lists for
+its whole length; ``shift`` builds its graph and rewrite records from the
+kernel's log of touched edges.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import ColoredMultigraph, Edge, Side, edge_lists, require_valid
+from .graph import ColoredMultigraph, Edge, Side, edge_lists, new_edge, require_valid
 
 
 class RewriteKind(str, Enum):
@@ -77,34 +83,57 @@ def shift(
 def shift_trusted(g: ColoredMultigraph, pivot: int, donor: int, side: Side) -> ShiftOutcome:
     """``shift`` without its guard: ``g`` is proper and ``pivot``, ``donor``
     are distinct vertices of ``side``, as on every graph the package built."""
-    left = side is Side.LEFT
-    end = 0 if left else 1  # position of the side's endpoint in an Edge
+    us, vs, cs = map(list, zip(*g.edges)) if g.edges else ([], [], [])
+    near, far = (us, vs) if side is Side.LEFT else (vs, us)
+    log: list[tuple[int, int | None]] = []
+    moves, swaps = shift_arrays(near, far, cs, pivot, donor, log)
 
-    def attach(e: Edge, vertex: int) -> Edge:
-        return Edge(vertex, e.v, e.c) if left else Edge(e.u, vertex, e.c)
+    before = g.edges
+    after = list(before)
+    for i, j in log:
+        after[i] = new_edge((us[i], vs[i], cs[i]))
+        if j is not None:
+            after[j] = new_edge((us[j], vs[j], cs[j]))
+    rewrites = tuple(
+        ShiftRewrite(RewriteKind.MOVE, cs[i], (before[i],), (after[i],))
+        if j is None
+        else ShiftRewrite(RewriteKind.SWAP, cs[i], (before[j], before[i]), (after[j], after[i]))
+        for i, j in log
+    )
+    out = ColoredMultigraph(g.n, g.left_size, g.right_size, tuple(after))
+    return ShiftOutcome(out, rewrites, moves, swaps)
 
-    work = list(g.edges)
-    pivot_by_color: dict[int, int] = {e.c: i for i, e in enumerate(work) if e[end] == pivot}
-    donor_edges = sorted((e.c, i) for i, e in enumerate(work) if e[end] == donor)
 
-    rewrites: list[ShiftRewrite] = []
+def shift_arrays(
+    near: list[int],
+    far: list[int],
+    cs: list[int],
+    pivot: int,
+    donor: int,
+    log: list[tuple[int, int | None]] | None = None,
+) -> tuple[int, int]:
+    """The Move/Swap rule, applied in place to a graph held as parallel
+    lists: edge ``i`` joins ``near[i]``, a vertex of the shifted side, to
+    ``far[i]`` on the other side, in color ``cs[i]``.
+
+    A Move re-points the donor edge's near endpoint to the pivot; a Swap
+    exchanges the far endpoints of the donor edge and of the pivot's edge of
+    the same color.  Colors never change.  Returns ``(moves, swaps)``; with
+    ``log``, appends ``(i, None)`` per Move and ``(i, j)`` per Swap, ``i``
+    the donor edge and ``j`` the pivot's, in ascending color order.
+    """
+    at_pivot = {cs[i]: i for i, x in enumerate(near) if x == pivot}
+    donor_edges = [i for i, x in enumerate(near) if x == donor]
+    if log is not None:
+        donor_edges.sort(key=cs.__getitem__)
     moves = 0
-    swaps = 0
-    for c, i in donor_edges:
-        e = work[i]
-        j = pivot_by_color.get(c)
+    for i in donor_edges:
+        j = at_pivot.get(cs[i])
         if j is None:
-            moved = attach(e, pivot)
-            work[i] = moved
-            pivot_by_color[c] = i
-            rewrites.append(ShiftRewrite(RewriteKind.MOVE, c, (e,), (moved,)))
+            near[i] = pivot
             moves += 1
         else:
-            pe = work[j]
-            work[j] = attach(e, pivot)
-            work[i] = attach(pe, donor)
-            rewrites.append(ShiftRewrite(RewriteKind.SWAP, c, (pe, e), (work[j], work[i])))
-            swaps += 1
-
-    out = ColoredMultigraph(g.n, g.left_size, g.right_size, tuple(work))
-    return ShiftOutcome(out, tuple(rewrites), moves, swaps)
+            far[i], far[j] = far[j], far[i]
+        if log is not None:
+            log.append((i, j))
+    return moves, len(donor_edges) - moves

@@ -34,6 +34,7 @@ from rainbowmatch.reduction import (
     compact_isolated,
     reduce_to_normal_form,
 )
+from rainbowmatch.shifting import RewriteKind, ShiftOutcome, ShiftRewrite
 
 NAIVE_EDGE_LIMIT = 24
 
@@ -71,6 +72,51 @@ def mirror(g: ColoredMultigraph) -> ColoredMultigraph:
         g.left_size,
         tuple(Edge(e.v, e.u, e.c) for e in g.edges),
     )
+
+
+def reference_shift(
+    g: ColoredMultigraph, pivot: int, donor: int, side: Side = Side.LEFT
+) -> ShiftOutcome:
+    """Shifting written on Edge values for the left side only: each donor
+    edge, in ascending color order, is rewritten against the current edge
+    list.  A right-side shift is the left-side shift of the mirrored graph,
+    mirrored back along with its rewrites."""
+    if side is Side.RIGHT:
+        out = reference_shift(mirror(g), pivot, donor)
+        return ShiftOutcome(
+            mirror(out.graph),
+            tuple(
+                ShiftRewrite(r.kind, r.color, mirrored_edges(r.removed), mirrored_edges(r.added))
+                for r in out.rewrites
+            ),
+            out.moves,
+            out.swaps,
+        )
+    work = list(g.edges)
+    rewrites = []
+    for c, i in sorted((e.c, i) for i, e in enumerate(work) if e.u == donor):
+        e = work[i]
+        j = next((j for j, p in enumerate(work) if p.u == pivot and p.c == c), None)
+        if j is None:
+            work[i] = Edge(pivot, e.v, c)
+            rewrites.append(ShiftRewrite(RewriteKind.MOVE, c, (e,), (work[i],)))
+        else:
+            p = work[j]
+            work[j] = Edge(pivot, e.v, c)
+            work[i] = Edge(donor, p.v, c)
+            rewrites.append(ShiftRewrite(RewriteKind.SWAP, c, (p, e), (work[j], work[i])))
+    moves = sum(r.kind is RewriteKind.MOVE for r in rewrites)
+    return ShiftOutcome(
+        ColoredMultigraph(g.n, g.left_size, g.right_size, tuple(work)),
+        tuple(rewrites),
+        moves,
+        len(rewrites) - moves,
+    )
+
+
+def mirrored_edges(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:
+    """Each edge with its endpoints exchanged, as ``mirror`` does."""
+    return tuple(Edge(e.v, e.u, e.c) for e in edges)
 
 
 def shift_applicable(g: ColoredMultigraph, pivot: int) -> bool:

@@ -67,6 +67,15 @@ def test_validate_ok_and_exit_codes(tmp_path, capsys):
     assert main(["validate", "--in", str(bad)]) == 2
 
 
+def test_validate_output_is_bounded_by_the_input(capsys, monkeypatch):
+    text = '{"n":5000,"left":1,"right":1,"edges":[]}'
+    assert run(["validate", "--format", "summary"], text, monkeypatch) == 2
+    digest = canonical_digest(from_json(text))
+    assert capsys.readouterr().out == (
+        f"{digest} 5000 colors have 0 edges, expected 5001 (lowest: color 0)\n"
+    )
+
+
 def test_validate_malformed_input(tmp_path, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("not json at all")

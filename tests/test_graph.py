@@ -76,6 +76,36 @@ def test_validate_counts_short_color(i2):
     assert validate(g).ok  # properness alone is fine
 
 
+def _counts_details(g):
+    return [v.detail for v in validate(g, require_counts=True).violations if v.rule == RULE_COUNTS]
+
+
+def test_validate_reports_all_empty_colors_once():
+    report = validate(ColoredMultigraph.of(5000, 1, 1, []), require_counts=True)
+    assert [(v.rule, v.detail, v.edge_indices) for v in report.violations] == [
+        (RULE_COUNTS, "5000 colors have 0 edges, expected 5001 (lowest: color 0)", ()),
+    ]
+
+
+def test_validate_counts_text_in_color_order():
+    # Color 0 is full; 1 is short; 2 is the one empty color.
+    g = ColoredMultigraph.of(
+        3, 4, 4, [(u, u, 0) for u in range(4)] + [(0, 1, 1), (1, 0, 1)]
+    )
+    assert _counts_details(g) == [
+        "color 1 has 2 edges, expected 4",
+        "color 2 has 0 edges, expected 4",
+    ]
+    # Colors 1 and 3 empty, 0 and 2 short; the empty ones are reported
+    # together at the place of the lowest.
+    g = ColoredMultigraph.of(4, 5, 5, [(0, 0, 0), (1, 1, 2)])
+    assert _counts_details(g) == [
+        "color 0 has 1 edges, expected 5",
+        "2 colors have 0 edges, expected 5 (lowest: color 1)",
+        "color 2 has 1 edges, expected 5",
+    ]
+
+
 def test_validate_reports_all_violations():
     g = ColoredMultigraph.of(2, 2, 2, [(0, 0, 0), (0, 1, 0), (1, 9, 1)])
     rules = {v.rule for v in validate(g, require_counts=True).violations}

@@ -3,10 +3,20 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from hypothesis import strategies as st
+
 from rainbowmatch.graph import ColoredMultigraph, Edge, Side, validate
 from rainbowmatch.shifting import RewriteKind, ShiftRewrite, shift
 from conftest import snapshot_shift
-from reference import colors_at, degree, edges_by_color, mirror, shift_applicable
+from reference import (
+    colors_at,
+    degree,
+    edges_by_color,
+    mirror,
+    mirrored_edges,
+    reference_shift,
+    shift_applicable,
+)
 from strategies import shift_cases
 
 
@@ -110,10 +120,6 @@ def test_pivot_color_set_grows_to_donor_union(case):
     assert colors_at(h, Side.LEFT, pivot) == want
 
 
-def _mirrored(edges):
-    return tuple(Edge(e.v, e.u, e.c) for e in edges)
-
-
 @given(shift_cases(side=Side.RIGHT))
 @settings(max_examples=300)
 def test_right_side_shift_equals_mirrored_left_shift(case):
@@ -123,6 +129,23 @@ def test_right_side_shift_equals_mirrored_left_shift(case):
     assert out.graph == mirror(ref.graph)  # same edges in the same order
     assert (out.moves, out.swaps) == (ref.moves, ref.swaps)
     assert out.rewrites == tuple(
-        ShiftRewrite(r.kind, r.color, _mirrored(r.removed), _mirrored(r.added))
+        ShiftRewrite(r.kind, r.color, mirrored_edges(r.removed), mirrored_edges(r.added))
         for r in ref.rewrites
     )
+
+
+@given(
+    st.sampled_from(list(Side)).flatmap(
+        lambda side: st.tuples(st.just(side), shift_cases(side=side))
+    )
+)
+@settings(max_examples=400)
+def test_array_kernel_matches_reference_shift(sided_case):
+    # shift runs the in-place array kernel; the reference rewrites Edge
+    # values on the left side and mirrors for the right.
+    side, (g, pivot, donor) = sided_case
+    out = shift(g, pivot, donor, side)
+    ref = reference_shift(g, pivot, donor, side)
+    assert out.graph == ref.graph  # same edges in the same order
+    assert out.rewrites == ref.rewrites
+    assert (out.moves, out.swaps) == (ref.moves, ref.swaps)

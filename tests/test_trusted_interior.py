@@ -9,8 +9,9 @@ import pytest
 
 from conftest import seeded
 from rainbowmatch.construct import PeelStrategy, construct
-from rainbowmatch.graph import ColoredMultigraph
-from rainbowmatch.harness import EvalOptions, H1Mode, Hypothesis, evaluate
+from rainbowmatch.generators import instances_for, random_spec_stream
+from rainbowmatch.graph import ColoredMultigraph, canonical_digest
+from rainbowmatch.harness import EvalOptions, H1Mode, Hypothesis, _eval_instance, evaluate
 from rainbowmatch.oracle import max_rainbow, rainbow_pairs
 from rainbowmatch.reduction import reduce_to_normal_form
 from rainbowmatch.shifting import shift
@@ -92,3 +93,31 @@ def test_construct_reduces_each_exact_input_once(monkeypatch):
     assert [(s.depth, s.color, s.pivot, tuple(s.edge)) for s in out.trace] == [
         (0, 0, 0, (0, 1, 0)), (1, 0, 0, (0, 1, 0)),
     ]
+
+
+def test_instance_run_reduces_each_exact_input_once(monkeypatch):
+    # One run shares one memo among the entry reduction, H3's residual and
+    # the construction's levels; every module that calls reduce_trusted by
+    # name is wrapped.
+    names = ("rainbowmatch.reduction", "rainbowmatch.construct", "rainbowmatch.harness")
+    modules = [m for m in map(importlib.import_module, names) if hasattr(m, "reduce_trusted")]
+    inputs = []
+
+    def recording(real):
+        def reduce_trusted(g, policy, max_iters):
+            inputs.append((g, policy))
+            return real(g, policy, max_iters)
+
+        return reduce_trusted
+
+    for module in modules:
+        monkeypatch.setattr(module, "reduce_trusted", recording(module.reduce_trusted))
+    hyps = tuple(Hypothesis)
+    items = [(spec, g) for spec in random_spec_stream(3, 6, 5, 0, 200) for g in instances_for(spec)]
+    total = 0
+    for item in items:
+        inputs.clear()
+        _eval_instance(item, hyps, EvalOptions())
+        assert len(inputs) == len(set(inputs)), canonical_digest(item[1])
+        total += len(inputs)
+    assert total > len(items)
