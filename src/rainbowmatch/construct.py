@@ -22,8 +22,16 @@ coordinates.  Only the first candidate is kept whole whatever it holds: it
 is the H5 witness.  After it, a candidate reaches the final check only if
 every edge is an input edge and no two share a right vertex; lefts and
 colors never clash, because each level removes its pivot and its color.
-Every peel and reduction still runs, so attempts and failures are those of
-the unpruned search.
+
+Two kinds of work are counted, not run, because nothing can observe them.
+Below the top, a level's graph is its parent's normalized residual, which
+every policy's reduction leaves as it is, so only the input is reduced on
+entry.  At a level whose residuals are bases, once pruning is on and a
+failure at least as deep is kept, a peel whose edge dooms the child only adds
+to ``attempts``: the child would yield nothing, the failures it could record
+at this depth are not deeper than the kept one, and its base always holds a
+rainbow pair, so it records nothing.  Attempts and failures stay those of the
+unpruned search.
 """
 
 from __future__ import annotations
@@ -174,32 +182,30 @@ class _SearchState:
             self.deepest_trace = tuple(trace)
 
 
-def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int]]:
-    left_with_color: dict[int, list[int]] = {}
-    for u, _, c in h.edges:
-        left_with_color.setdefault(c, []).append(u)
+def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int, Edge]]:
+    """The (color, pivot, edge) peels of the normalized graph ``h`` in search
+    order, ``edge`` being the pivot's unique ``color`` edge."""
+    at_pivot: dict[int, dict[int, Edge]] = {}
+    for e in h.edges:
+        at_pivot.setdefault(e[2], {})[e[0]] = e
     if strategy is PeelStrategy.FIRST_FEASIBLE:
-        vs = left_with_color.get(0)
-        return [(0, min(vs))] if vs else []
-    return [
-        (c, v)
-        for c in range(h.n)
-        for v in sorted(set(left_with_color.get(c, [])))
-    ]
+        edges = at_pivot.get(0, {})
+        return [(0, u, edges[u]) for u in sorted(edges)[:1]]
+    return [(c, u, edges[u]) for c, edges in sorted(at_pivot.items()) for u in sorted(edges)]
 
 
-def peel(h: ColoredMultigraph, color: int, pivot: int) -> tuple[Edge, ColoredMultigraph]:
-    """Peel ``color`` at left vertex ``pivot`` of the normalized graph ``h``:
-    the pivot's ``color`` edge, and the residual, ``h`` without that color
-    class and without the pivot, both reindexed densely.  The residual is
-    counts-valid, since every vertex of ``h`` carries every color."""
-    edge = next(e for e in h.edges if e[0] == pivot and e[2] == color)
+def peel(h: ColoredMultigraph, edge: Edge) -> ColoredMultigraph:
+    """Peel ``edge``, a (pivot, v, color) edge of the normalized graph ``h``:
+    ``h`` without that color class and without the pivot, reindexed densely.
+    The residual is counts-valid, since every vertex of ``h`` carries every
+    color."""
+    pivot, _, color = edge
     edges = tuple([
         new_edge((u if u < pivot else u - 1, v, c if c < color else c - 1))
         for u, v, c in h.edges
         if u != pivot and c != color
     ])
-    return edge, ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
+    return ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
 
 
 # Tables from a level's left, right and color indices to the input's.
@@ -220,8 +226,10 @@ def _candidates(
     order, in input coordinates: ``prefix`` (the edges peeled above, whose
     right endpoints are the bits of ``rights``) plus a matching of ``g``.
     ``doomed`` says some prefix edge is not an input edge or repeats a right
-    vertex.  Failures are recorded on the shared state; the deepest one
-    becomes the reported failure."""
+    vertex.  ``g`` is the input at depth 0 and a normalized residual below
+    it.  Every peel tried counts as an attempt, but one whose subtree nothing
+    can observe is not run.  Failures are recorded on the shared state; the
+    deepest one becomes the reported failure."""
     us, vs, cs = to_input
     if g.n == 2:
         pairs2 = rainbow_pairs_trusted(g)
@@ -248,24 +256,40 @@ def _candidates(
         return
 
     for policy in state.policies:
-        red = state.reduce(g, policy)
-        if red.status is not ReductionStatus.NORMALIZED:
-            state.record(depth, FailReason.REDUCTION_STALLED, g, [])
-            continue
-        h = red.graph
+        if depth:
+            # g is its parent's normalized residual, which every policy's
+            # reduction returns unchanged.
+            h, h_us, h_vs = g, us, vs
+        else:
+            red = state.reduce(g, policy)
+            if red.status is not ReductionStatus.NORMALIZED:
+                state.record(depth, FailReason.REDUCTION_STALLED, g, [])
+                continue
+            h = red.graph
+            # h's vertices in input coordinates: undo red's compaction.
+            h_us = [us[u] for u in red.left_map]
+            h_vs = [vs[v] for v in red.right_map]
         pairs = _pairs(h, state.strategy)
         if not pairs:
             state.record(depth, FailReason.NO_PIVOT_EDGE, g, [])
             continue
-        # h's vertices in input coordinates: undo red's compaction first.
-        h_us = [us[u] for u in red.left_map]
-        h_vs = [vs[v] for v in red.right_map]
-        for color, pivot in pairs:
+        for color, pivot, edge in pairs:
             if state.attempts >= state.budget:
                 return
             state.attempts += 1
-            edge, residual = peel(h, color, pivot)
-            red2 = state.reduce(residual, policy)
+            # edge is (pivot, v, color) in h's coordinates.
+            right = h_vs[edge.v]
+            head = new_edge((h_us[pivot], right, cs[color]))
+            sub_doomed = doomed or head not in state.present or (rights >> right) & 1 == 1
+            if sub_doomed and h.n == 3 and state.prune and state.deepest_failure.depth >= depth:
+                # Past the H5 witness, which keeps a failure at depth 0, a
+                # doomed base child only counts.  It would yield nothing, its
+                # failures at this depth are no deeper than the kept one, and
+                # its base never records, as two proper colors of three edges
+                # always hold a rainbow pair (pinned by
+                # test_two_colors_of_three_edges_have_a_rainbow_pair).
+                continue
+            red2 = state.reduce(peel(h, edge), policy)
             step = ConstructStep(depth, color, pivot, edge, h)
             if red2.status is not ReductionStatus.NORMALIZED:
                 state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
@@ -276,9 +300,6 @@ def _candidates(
                 # a sub-matching that happens to avoid v still lifts cleanly,
                 # and the final verification arbitrates.
                 state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
-            # edge is (pivot, v, color) in h's coordinates.
-            right = h_vs[edge.v]
-            head = new_edge((h_us[pivot], right, cs[color]))
             # The sub-level's coordinates: undo red2's compaction, then
             # re-insert the pivot and the peeled color.
             sub_to_input = (
@@ -294,7 +315,7 @@ def _candidates(
                 prefix + (head,),
                 steps + (step,),
                 rights | 1 << right,
-                doomed or head not in state.present or (rights >> right) & 1 == 1,
+                sub_doomed,
             )
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
             return

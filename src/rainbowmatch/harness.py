@@ -303,16 +303,15 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
     h = red.graph
-    carriers = [e.u for e in h.edges if e.c == 0]
+    carriers = [e for e in h.edges if e.c == 0]
     if not carriers:
         return Verdict.INCONCLUSIVE, run.witness(stage="peel")
-    pivot = min(carriers)
-    edge, residual = peel(h, 0, pivot)
-    red2 = run.reduce(residual)
+    edge = min(carriers)  # the lowest pivot's, as the classes are matchings
+    red2 = run.reduce(peel(h, edge))
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
     if edge.v in red2.right_map:
-        return Verdict.VIOLATED, run.witness(color=0, pivot=pivot, peeled_right=edge.v)
+        return Verdict.VIOLATED, run.witness(color=0, pivot=edge.u, peeled_right=edge.v)
     return Verdict.HOLDS, None
 
 

@@ -283,3 +283,26 @@ def test_evaluate_rejects_foreign_run(i2, g43):
         evaluate(Hypothesis.CONJ, i2, EvalOptions(), run)
     with pytest.raises(ValueError):
         evaluate(Hypothesis.CONJ, g43, EvalOptions(max_iters=1), run)
+
+
+# (holds, violated, inconclusive) per hypothesis on n=4 7x6 seeds 0-199, the
+# Tier-1 slice of the 10^4-seed n=4 campaign.
+N4_VERDICTS = {
+    PivotDonorPolicy.MAX_DRAIN: {
+        "H1": (200, 0, 0), "H2": (128, 72, 0), "H3": (25, 103, 72),
+        "H4": (26, 174, 0), "H5": (26, 102, 72), "CONJ": (200, 0, 0),
+    },
+    PivotDonorPolicy.LAST_VERTEX: {
+        "H1": (200, 0, 0), "H2": (99, 101, 0), "H3": (19, 80, 101),
+        "H4": (22, 178, 0), "H5": (22, 77, 101), "CONJ": (200, 0, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("policy", list(N4_VERDICTS), ids=lambda p: p.value)
+def test_n4_verdict_counts(policy):
+    summaries, _ = run_campaign(
+        tuple(Hypothesis), random_spec_stream(4, 7, 6, 0, 200), opts=EvalOptions(policy=policy)
+    )
+    got = {s.hypothesis.value: (s.holds, s.violated, s.inconclusive) for s in summaries}
+    assert got == N4_VERDICTS[policy]

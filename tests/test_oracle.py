@@ -4,6 +4,7 @@ from itertools import islice
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowmatch.generators import enumerate_instances
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
@@ -146,3 +147,24 @@ def test_rainbow_pairs_wrong_n(i2):
 
     with pytest.raises(ValueError):
         rainbow_pairs(delete_color(i2, 0))
+
+
+@st.composite
+def two_colors_of_three_edges(draw):
+    left = draw(st.integers(3, 5))
+    right = draw(st.integers(3, 5))
+    edges = []
+    for c in range(2):
+        us = draw(st.permutations(range(left)))[:3]
+        vs = draw(st.permutations(range(right)))[:3]
+        edges.extend((u, v, c) for u, v in zip(us, vs))
+    return ColoredMultigraph.of(2, left, right, edges)
+
+
+@given(two_colors_of_three_edges())
+@settings(max_examples=300)
+def test_two_colors_of_three_edges_have_a_rainbow_pair(g):
+    # Each end of a color-0 edge meets at most one color-1 edge, so one of
+    # the three color-1 edges avoids it.  The construction counts, without
+    # running them, the base-level peels this makes unobservable.
+    assert rainbow_pairs(g)

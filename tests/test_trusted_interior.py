@@ -83,7 +83,12 @@ def test_construct_reduces_each_exact_input_once(monkeypatch):
     monkeypatch.setattr(module, "reduce_trusted", recording)
     out = _pinned_search()
     assert len(inputs) == len(set(inputs))
+    _assert_pinned_outcome(out)
+
+
+def _assert_pinned_outcome(out):
     # The outcome pinned in test_digest_paid_only_for_kept_failures.
+    assert out.attempts == 256
     assert out.failure.to_dict() == {
         "depth": 1, "reason": "count_deficit", "digest": "506443fdad14f1b0",
     }
@@ -93,6 +98,26 @@ def test_construct_reduces_each_exact_input_once(monkeypatch):
     assert [(s.depth, s.color, s.pivot, tuple(s.edge)) for s in out.trace] == [
         (0, 0, 0, (0, 1, 0)), (1, 0, 0, (0, 1, 0)),
     ]
+
+
+def test_construct_runs_no_work_nothing_observes(monkeypatch):
+    # Below the top a level is not reduced on entry, and past the H5 witness
+    # a peel that dooms a base child only counts.  Without either rule the
+    # search makes 212, 256 and 236 calls.
+    module = importlib.import_module("rainbowmatch.construct")
+    calls = dict.fromkeys(("reduce_trusted", "peel", "rainbow_pairs_trusted"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    _assert_pinned_outcome(_pinned_search())
+    assert calls == {"reduce_trusted": 37, "peel": 36, "rainbow_pairs_trusted": 16}
 
 
 def test_instance_run_reduces_each_exact_input_once(monkeypatch):
