@@ -139,7 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--latin-trials", type=_non_negative, default=1000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=_positive, default=1)
-    ap.add_argument("--construct-budget", type=_non_negative, default=256)
+    ap.add_argument("--construct-budget", type=_non_negative,
+                    default=EvalOptions.construct_budget)
     ap.add_argument("--phase", action="append", choices=PHASES,
                     help="run only these phases (repeatable; default all)")
     args = ap.parse_args(argv)

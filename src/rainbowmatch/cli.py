@@ -21,7 +21,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice
 from typing import Callable, Iterable
 
-from .construct import ConstructStatus, PeelStrategy, construct
+from .construct import DEFAULT_BUDGET, ConstructStatus, PeelStrategy, Reductions, construct
 from .generators import GenKind, GenSpec, instances_for, latin_spec_stream, random_spec_stream
 from .graph import (
     ColoredMultigraph,
@@ -251,7 +251,7 @@ def _cmd_construct(args) -> int:
             PeelStrategy(args.strategy),
             budget=args.budget,
             policies=tuple(PivotDonorPolicy(p) for p in args.policy),
-            max_iters=args.max_iters,
+            reductions=Reductions(args.max_iters),
         )
         matched = outcome.status is ConstructStatus.MATCHED
         if matched and not is_rainbow_matching(g, outcome.matching, g.n):
@@ -346,11 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(check: use --budget to cap an enumeration)")
 
     hyp_flags = argparse.ArgumentParser(add_help=False)
-    hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode], default="policy")
-    hyp_flags.add_argument("--policy", default=PivotDonorPolicy.MAX_DRAIN.value,
+    hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode],
+                           default=EvalOptions.h1_mode.value)
+    hyp_flags.add_argument("--policy", default=EvalOptions.policy.value,
                            choices=[p.value for p in PivotDonorPolicy])
-    hyp_flags.add_argument("--construct-budget", type=_non_negative, default=256)
-    hyp_flags.add_argument("--max-iters", type=_non_negative, default=None)
+    hyp_flags.add_argument("--construct-budget", type=_non_negative,
+                           default=EvalOptions.construct_budget)
+    hyp_flags.add_argument("--max-iters", type=_non_negative, default=EvalOptions.max_iters)
 
     p = sub.add_parser("gen", parents=[io_flags, gen_flags],
                        help="generate instances as canonical JSON lines")
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inductive rainbow matching construction")
     p.add_argument("--strategy", choices=[s.value for s in PeelStrategy],
                    default=PeelStrategy.FIRST_FEASIBLE.value)
-    p.add_argument("--budget", type=_non_negative, default=10_000)
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
     p.add_argument("--policy", action="append",
                    default=None,
                    choices=[pol.value for pol in PivotDonorPolicy],

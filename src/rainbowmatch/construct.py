@@ -60,9 +60,19 @@ from .reduction import (
 
 DEFAULT_BUDGET = 10_000
 
-# Reductions keyed on the exact input graph (edge order included) and the
-# policy, all under one iteration cap.
-ReductionMemo = dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome]
+
+class Reductions(dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome]):
+    """Reductions keyed on the exact ``(graph, policy)`` input, edge order
+    included, all under the cache's one iteration cap: looking up a missing
+    key runs ``reduce_trusted``, so each exact input is reduced once."""
+
+    def __init__(self, max_iters: int | None = None):
+        super().__init__()
+        self.max_iters = max_iters
+
+    def __missing__(self, key: tuple[ColoredMultigraph, PivotDonorPolicy]) -> ReductionOutcome:
+        red = self[key] = reduce_trusted(*key, self.max_iters)
+        return red
 
 
 class PeelStrategy(str, Enum):
@@ -134,18 +144,6 @@ class ConstructionOutcome:
         }
 
 
-def reduce_once(
-    memo: ReductionMemo, g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None
-) -> ReductionOutcome:
-    """``reduce_trusted`` through ``memo``, whose entries were all reduced
-    under ``max_iters``: each exact input is reduced once."""
-    key = (g, policy)
-    red = memo.get(key)
-    if red is None:
-        red = memo[key] = reduce_trusted(g, policy, max_iters)
-    return red
-
-
 class _SearchState:
     def __init__(
         self,
@@ -153,13 +151,11 @@ class _SearchState:
         strategy: PeelStrategy,
         budget: int,
         policies: tuple[PivotDonorPolicy, ...],
-        max_iters: int | None,
-        reductions: ReductionMemo,
+        reductions: Reductions,
     ):
         self.strategy = strategy
         self.budget = budget
         self.policies = policies
-        self.max_iters = max_iters
         self.present = set(g.edges)
         # Set once the first candidate, the H5 witness, has been assembled;
         # from then on candidates that cannot pass are not assembled.
@@ -168,9 +164,6 @@ class _SearchState:
         self.deepest_failure: ConstructFailure | None = None
         self.deepest_trace: tuple[ConstructStep, ...] = ()
         self.reductions = reductions
-
-    def reduce(self, g: ColoredMultigraph, policy: PivotDonorPolicy) -> ReductionOutcome:
-        return reduce_once(self.reductions, g, policy, self.max_iters)
 
     def record(
         self, depth: int, reason: FailReason, g: ColoredMultigraph, trace: list[ConstructStep]
@@ -182,7 +175,7 @@ class _SearchState:
             self.deepest_trace = tuple(trace)
 
 
-def _pairs(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int, Edge]]:
+def peels(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int, Edge]]:
     """The (color, pivot, edge) peels of the normalized graph ``h`` in search
     order, ``edge`` being the pivot's unique ``color`` edge."""
     at_pivot: dict[int, dict[int, Edge]] = {}
@@ -261,7 +254,7 @@ def _candidates(
             # reduction returns unchanged.
             h, h_us, h_vs = g, us, vs
         else:
-            red = state.reduce(g, policy)
+            red = state.reductions[g, policy]
             if red.status is not ReductionStatus.NORMALIZED:
                 state.record(depth, FailReason.REDUCTION_STALLED, g, [])
                 continue
@@ -269,7 +262,7 @@ def _candidates(
             # h's vertices in input coordinates: undo red's compaction.
             h_us = [us[u] for u in red.left_map]
             h_vs = [vs[v] for v in red.right_map]
-        pairs = _pairs(h, state.strategy)
+        pairs = peels(h, state.strategy)
         if not pairs:
             state.record(depth, FailReason.NO_PIVOT_EDGE, g, [])
             continue
@@ -289,7 +282,7 @@ def _candidates(
                 # always hold a rainbow pair (pinned by
                 # test_two_colors_of_three_edges_have_a_rainbow_pair).
                 continue
-            red2 = state.reduce(peel(h, edge), policy)
+            red2 = state.reductions[peel(h, edge), policy]
             step = ConstructStep(depth, color, pivot, edge, h)
             if red2.status is not ReductionStatus.NORMALIZED:
                 state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
@@ -327,25 +320,25 @@ def construct(
     *,
     budget: int = DEFAULT_BUDGET,
     policies: tuple[PivotDonorPolicy, ...] = (PivotDonorPolicy.MAX_DRAIN,),
-    max_iters: int | None = None,
-    reductions: ReductionMemo | None = None,
+    reductions: Reductions | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
     level; Backtracking iterates all (color, pivot) pairs, and additional
     reduction policies when configured, within the attempt budget.
-    ``reductions`` is the caller's memo of reductions under ``max_iters``,
-    shared with the search: it reuses what the caller reduced and keeps what
-    the search reduces.
+    ``reductions`` is the caller's cache, whose cap bounds every reduction
+    of the search; it reuses what the caller reduced and keeps what the
+    search reduces.  Without it the search gets an uncapped cache of its own.
     """
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
 
     policies = tuple(policies)
-    memo = {} if reductions is None else reductions
-    state = _SearchState(g, strategy, budget, policies, max_iters, memo)
+    if reductions is None:
+        reductions = Reductions()
+    state = _SearchState(g, strategy, budget, policies, reductions)
     identity = (range(g.left_size), range(g.right_size), range(g.n))
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()

@@ -9,7 +9,7 @@ from enum import Enum
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .graph import ColoredMultigraph, Edge, canonical_digest, canonical_edges
+from .graph import ColoredMultigraph, Edge, canonical_edges
 
 ENUMERATION_GUARD = 10**8
 
@@ -110,9 +110,7 @@ def count_instances(n: int, left_size: int, right_size: int) -> int:
     return count_matchings(left_size, right_size, n + 1) ** n
 
 
-def enumerate_instances(
-    n: int, left_size: int, right_size: int, dedup: bool = False
-) -> Iterator[ColoredMultigraph]:
+def enumerate_instances(n: int, left_size: int, right_size: int) -> Iterator[ColoredMultigraph]:
     """Stream every tuple of n color-class matchings of size n + 1, in
     lexicographic order over the per-color matchings."""
     if n < 1:
@@ -128,18 +126,11 @@ def enumerate_instances(
         for lefts in combinations(range(left_size), k)
         for rights in permutations(range(right_size), k)
     ]
-    seen: set[str] = set()
     for classes in product(matchings, repeat=n):
         edges = tuple(
             Edge(u, v, c) for c, cls in enumerate(classes) for u, v in cls
         )
-        g = ColoredMultigraph(n, left_size, right_size, edges)
-        if dedup:
-            d = canonical_digest(g)
-            if d in seen:
-                continue
-            seen.add(d)
-        yield g
+        yield ColoredMultigraph(n, left_size, right_size, edges)
 
 
 def instances_for(spec: GenSpec) -> Iterator[ColoredMultigraph]:

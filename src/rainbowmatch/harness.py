@@ -32,10 +32,10 @@ from .construct import (
     ConstructionOutcome,
     ConstructStatus,
     PeelStrategy,
-    ReductionMemo,
+    Reductions,
     construct,
     peel,
-    reduce_once,
+    peels,
 )
 from .generators import GenSpec, instances_for
 from .graph import (
@@ -110,13 +110,15 @@ class EvalOptions:
         """Parse the dict form; raises ValueError on malformed input."""
         if not isinstance(d, dict):
             raise ValueError(f"options must be a JSON object, got {type(d).__name__}")
-        budget = d.get("construct_budget", 256)
-        max_iters = d.get("max_iters")
+        budget = d.get("construct_budget", EvalOptions.construct_budget)
+        max_iters = d.get("max_iters", EvalOptions.max_iters)
         if type(budget) is not int or not (max_iters is None or type(max_iters) is int):
             raise ValueError("options construct_budget/max_iters must be integers")
+        if budget < 0 or (max_iters is not None and max_iters < 0):
+            raise ValueError("options construct_budget/max_iters must be non-negative")
         return EvalOptions(
-            h1_mode=H1Mode(d.get("h1_mode", "policy")),
-            policy=PivotDonorPolicy(d.get("policy", "maxdrain")),
+            h1_mode=H1Mode(d.get("h1_mode", EvalOptions.h1_mode)),
+            policy=PivotDonorPolicy(d.get("policy", EvalOptions.policy)),
             construct_budget=budget,
             max_iters=max_iters,
         )
@@ -184,16 +186,17 @@ class InstanceRun:
 
     The backtracking construction and the exact oracle are each computed
     at most once, on first use, so the evaluators are cheap projections of
-    one run.  Every reduction goes through one memo, ``reductions``: the
-    entry reduction, H3's residual and each level of the construction, so
-    no exact graph is reduced twice in a run.  A run lives exactly as long
-    as its instance is being evaluated; nothing is cached beyond it.
+    one run.  Every reduction goes through one cache, ``reductions``, capped
+    at ``opts.max_iters``: the entry reduction, H3's residual and each level
+    of the construction, so no exact graph is reduced twice in a run.  A run
+    lives exactly as long as its instance is being evaluated; nothing is
+    cached beyond it.
     """
 
     def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
         self.g = g
         self.opts = opts
-        self.reductions: ReductionMemo = {}
+        self.reductions = Reductions(opts.max_iters)
 
     @cached_property
     def reduction(self) -> ReductionOutcome:
@@ -201,13 +204,8 @@ class InstanceRun:
         if key not in self.reductions:
             # The public call validates the instance; a construction that
             # reduced it first has validated it already.
-            self.reductions[key] = reduce_to_normal_form(*key, self.opts.max_iters)
+            self.reductions[key] = reduce_to_normal_form(*key, self.reductions.max_iters)
         return self.reductions[key]
-
-    def reduce(self, g: ColoredMultigraph) -> ReductionOutcome:
-        """The reduction of ``g``, a graph the package built from the
-        instance, under the run's policy and iteration cap."""
-        return reduce_once(self.reductions, g, self.opts.policy, self.opts.max_iters)
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
@@ -217,7 +215,6 @@ class InstanceRun:
             PeelStrategy.BACKTRACKING,
             budget=opts.construct_budget,
             policies=(opts.policy,),
-            max_iters=opts.max_iters,
             reductions=self.reductions,
         )
         if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
@@ -303,15 +300,16 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
     h = red.graph
-    carriers = [e for e in h.edges if e.c == 0]
-    if not carriers:
+    # construct's first peel: color 0 at its lowest pivot.
+    first = peels(h, PeelStrategy.FIRST_FEASIBLE)
+    if not first:
         return Verdict.INCONCLUSIVE, run.witness(stage="peel")
-    edge = min(carriers)  # the lowest pivot's, as the classes are matchings
-    red2 = run.reduce(peel(h, edge))
+    [(color, pivot, edge)] = first
+    red2 = run.reductions[peel(h, edge), run.opts.policy]
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
     if edge.v in red2.right_map:
-        return Verdict.VIOLATED, run.witness(color=0, pivot=edge.u, peeled_right=edge.v)
+        return Verdict.VIOLATED, run.witness(color=color, pivot=pivot, peeled_right=edge.v)
     return Verdict.HOLDS, None
 
 

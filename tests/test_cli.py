@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rainbowmatch.cli import main
+from rainbowmatch.cli import _eval_options, build_parser, main
+from rainbowmatch.construct import DEFAULT_BUDGET
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
+from rainbowmatch.harness import EvalOptions
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -307,6 +309,22 @@ def test_replay_tampered_exit(tmp_path, capsys):
     assert main(["replay", "--in", str(records)]) == 4
 
 
+@pytest.mark.parametrize("key", ["construct_budget", "max_iters"])
+def test_replay_negative_option_is_invalid_input(tmp_path, capsys, key):
+    # Seed 17 stalls for real, so the record is a genuine H2 violation.
+    records = tmp_path / "rec.jsonl"
+    assert main(["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+                 "--seed", "17", "--hyp", "H2", "--records", str(records)]) == 0
+    record = json.loads(records.read_text())
+    assert record["verdict"] == "violated"
+    record["witness"]["opts"][key] = -1
+    records.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--in", str(records)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-negative" in err and "Traceback" not in err
+
+
 def test_minimize_cli(tmp_path, capsys):
     inst = tmp_path / "v.json"
     main(["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
@@ -406,6 +424,12 @@ def test_nonsensical_numeric_argument_is_usage_error(capsys, argv):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+def test_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    assert _eval_options(parser.parse_args(CHECK)) == EvalOptions()
+    assert parser.parse_args(["construct"]).budget == DEFAULT_BUDGET
+
+
 def test_zero_counts_and_budgets_are_accepted(capsys):
     assert main(CHECK + ["--count", "0", "--hyp", "H2", "--format", "summary"]) == 0
     assert capsys.readouterr().out == "H2: trials=0 holds=0 violated=0 inconclusive=0\n"
@@ -464,8 +488,17 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          '"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
          '"candidate":[[0,0,0],[1,0,1],[3,2,2]],'
          '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),
+        # The cap reaches every reduction of the search, the entry one first.
+        (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
+         ["construct", "--strategy", "backtrack", "--max-iters", "0"], 3,
+         '{"digest":"95437ec47a72c236","status":"step_failed","matching":null,"attempts":0,'
+         '"failure":{"depth":0,"reason":"reduction_stalled","digest":"95437ec47a72c236"},'
+         '"candidate":null,"steps":[]}'),
     ],
-    ids=["solve", "solve-target", "shift-right-record", "reduce-record", "construct-backtrack"],
+    ids=[
+        "solve", "solve-target", "shift-right-record", "reduce-record", "construct-backtrack",
+        "construct-max-iters-0",
+    ],
 )
 def test_record_bytes_are_pinned(capsys, monkeypatch, gen_argv, argv, code, line):
     assert _piped(capsys, gen_argv, argv, monkeypatch) == (code, line + "\n")

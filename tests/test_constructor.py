@@ -10,6 +10,7 @@ from rainbowmatch.construct import (
     ConstructStatus,
     FailReason,
     PeelStrategy,
+    Reductions,
     construct,
 )
 from rainbowmatch.generators import gen_latin
@@ -22,7 +23,7 @@ from rainbowmatch.graph import (
     is_rainbow_matching,
 )
 from rainbowmatch.oracle import max_rainbow
-from rainbowmatch.reduction import PivotDonorPolicy
+from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, reduce_trusted
 from reference import reference_construct
 from strategies import counts_valid_graphs
 
@@ -118,6 +119,24 @@ def test_stalled_instance_fails_cleanly(cycle_instance):
     assert out.status is ConstructStatus.STEP_FAILED
     assert out.failure.reason is FailReason.REDUCTION_STALLED
     assert out.candidate is None
+
+
+def test_reductions_reduce_under_their_cap(cycle_instance):
+    reductions = Reductions(2)
+    red = reductions[cycle_instance, PivotDonorPolicy.MAX_DRAIN]
+    assert red == reduce_trusted(cycle_instance, PivotDonorPolicy.MAX_DRAIN, 2)
+    assert red.status is ReductionStatus.ITERATION_CAP
+    assert reductions[cycle_instance, PivotDonorPolicy.MAX_DRAIN] is red
+    uncapped = Reductions()[cycle_instance, PivotDonorPolicy.MAX_DRAIN]
+    assert uncapped.status is ReductionStatus.STALLED
+
+
+def test_construct_reduces_under_the_cap_of_its_cache():
+    g = seeded(3, 6, 5, 0)
+    out = construct(g, PeelStrategy.BACKTRACKING, reductions=Reductions(0))
+    assert out.status is ConstructStatus.STEP_FAILED
+    assert (out.failure.depth, out.failure.reason) == (0, FailReason.REDUCTION_STALLED)
+    assert construct(g, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
 
 
 def test_budget_limits_attempts(deficit_instance):

@@ -228,6 +228,12 @@ def test_minimize_rejects_non_violating(i2):
         minimize(i2, pred)
 
 
+@pytest.mark.parametrize("key", ["construct_budget", "max_iters"])
+def test_eval_options_reject_negative_numbers(key):
+    with pytest.raises(ValueError, match="non-negative"):
+        EvalOptions.from_dict({key: -1})
+
+
 def test_eval_options_round_trip():
     opts = EvalOptions(
         h1_mode=H1Mode.ALL,
