@@ -37,10 +37,11 @@ from rainbowmatch.generators import (
     latin_spec_stream,
     random_spec_stream,
 )
-from rainbowmatch.graph import to_dict
+from rainbowmatch.graph import ColoredMultigraph, to_dict
 from rainbowmatch.harness import (
     EvalOptions,
     Hypothesis,
+    InstanceRun,
     Verdict,
     evaluate,
     minimize,
@@ -101,20 +102,26 @@ def phase_latin(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dic
 
 
 def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dict:
-    """Minimize the first violated instance found for each hypothesis."""
+    """Minimize the first violated instance found for each hypothesis.
+
+    One pass over the seed stream: each instance is generated once and the
+    hypotheses not yet violated share one run of it."""
+    found: dict[Hypothesis, tuple[GenSpec, ColoredMultigraph]] = {}
+    for spec in random_spec_stream(3, 6, 5, seed, trials):
+        pending = [hyp for hyp in RANDOM_HYPS if hyp not in found]
+        if not pending:
+            break
+        g = gen_random(spec)
+        run = InstanceRun(g, opts)
+        for hyp in pending:
+            if evaluate(hyp, g, opts, run)[0] is Verdict.VIOLATED:
+                found[hyp] = (spec, g)
     lines = []
     for hyp in RANDOM_HYPS:
-        found = None
-        for spec in random_spec_stream(3, 6, 5, seed, trials):
-            g = gen_random(spec)
-            verdict, _ = evaluate(hyp, g, opts)
-            if verdict is Verdict.VIOLATED:
-                found = (spec, g)
-                break
-        if found is None:
+        if hyp not in found:
             print(f"[shrink] {hyp.value}: no violation in {trials} trials")
             continue
-        spec, g = found
+        spec, g = found[hyp]
         small = minimize(g, violation_predicate(hyp, opts))
         lines.append(json.dumps({
             "hyp": hyp.value,

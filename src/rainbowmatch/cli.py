@@ -21,7 +21,14 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice
 from typing import Callable, Iterable
 
-from .construct import DEFAULT_BUDGET, ConstructStatus, PeelStrategy, Reductions, construct
+from .construct import (
+    DEFAULT_BUDGET,
+    DEFAULT_POLICIES,
+    ConstructStatus,
+    PeelStrategy,
+    Reductions,
+    construct,
+)
 from .generators import GenKind, GenSpec, instances_for, latin_spec_stream, random_spec_stream
 from .graph import (
     ColoredMultigraph,
@@ -46,7 +53,7 @@ from .harness import (
     violation_predicate,
 )
 from .oracle import max_rainbow
-from .reduction import PivotDonorPolicy, ReductionStatus, reduce_to_normal_form
+from .reduction import DEFAULT_POLICY, PivotDonorPolicy, ReductionStatus, reduce_to_normal_form
 from .shifting import shift
 
 EXIT_OK = 0
@@ -245,12 +252,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    policies = tuple(map(PivotDonorPolicy, args.policy)) if args.policy else DEFAULT_POLICIES
+
     def render(g):
         outcome = construct(
             g,
             PeelStrategy(args.strategy),
             budget=args.budget,
-            policies=tuple(PivotDonorPolicy(p) for p in args.policy),
+            policies=policies,
             reductions=Reductions(args.max_iters),
         )
         matched = outcome.status is ConstructStatus.MATCHED
@@ -382,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[io_flags],
                        help="reduce to normal form")
-    p.add_argument("--policy", default=PivotDonorPolicy.MAX_DRAIN.value,
+    p.add_argument("--policy", default=DEFAULT_POLICY.value,
                    choices=[pol.value for pol in PivotDonorPolicy])
     p.add_argument("--max-iters", type=_non_negative, default=None)
     p.add_argument("--emit", choices=["graph", "record"], default="graph")
@@ -395,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in PeelStrategy],
                    default=PeelStrategy.FIRST_FEASIBLE.value)
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
-    p.add_argument("--policy", action="append",
-                   default=None,
+    # No list default: argparse would append the given policies to it.
+    p.add_argument("--policy", action="append", default=None,
                    choices=[pol.value for pol in PivotDonorPolicy],
                    help="reduction policy; repeat to try several")
     p.add_argument("--max-iters", type=_non_negative, default=None)
@@ -429,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "construct" and args.policy is None:
-        args.policy = [PivotDonorPolicy.MAX_DRAIN.value]
     try:
         return args.func(args)
     except InternalConsistencyError as exc:

@@ -52,6 +52,7 @@ from .graph import (
 )
 from .oracle import rainbow_pairs_trusted
 from .reduction import (
+    DEFAULT_POLICY,
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
@@ -59,6 +60,7 @@ from .reduction import (
 )
 
 DEFAULT_BUDGET = 10_000
+DEFAULT_POLICIES = (DEFAULT_POLICY,)
 
 
 class Reductions(dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome]):
@@ -86,7 +88,6 @@ class ConstructStatus(str, Enum):
 
 
 class FailReason(str, Enum):
-    NO_PIVOT_EDGE = "no_pivot_edge"
     REDUCTION_STALLED = "reduction_stalled"
     COUNT_DEFICIT = "count_deficit"
     RECURSIVE_FAILURE = "recursive_failure"
@@ -175,15 +176,13 @@ class _SearchState:
             self.deepest_trace = tuple(trace)
 
 
-def peels(h: ColoredMultigraph, strategy: PeelStrategy) -> list[tuple[int, int, Edge]]:
+def peels(h: ColoredMultigraph) -> list[tuple[int, int, Edge]]:
     """The (color, pivot, edge) peels of the normalized graph ``h`` in search
-    order, ``edge`` being the pivot's unique ``color`` edge."""
+    order, ``edge`` being the pivot's unique ``color`` edge.  Every vertex of
+    ``h`` carries every color, so the first is color 0 at its lowest pivot."""
     at_pivot: dict[int, dict[int, Edge]] = {}
     for e in h.edges:
         at_pivot.setdefault(e[2], {})[e[0]] = e
-    if strategy is PeelStrategy.FIRST_FEASIBLE:
-        edges = at_pivot.get(0, {})
-        return [(0, u, edges[u]) for u in sorted(edges)[:1]]
     return [(c, u, edges[u]) for c, edges in sorted(at_pivot.items()) for u in sorted(edges)]
 
 
@@ -262,10 +261,9 @@ def _candidates(
             # h's vertices in input coordinates: undo red's compaction.
             h_us = [us[u] for u in red.left_map]
             h_vs = [vs[v] for v in red.right_map]
-        pairs = peels(h, state.strategy)
-        if not pairs:
-            state.record(depth, FailReason.NO_PIVOT_EDGE, g, [])
-            continue
+        pairs = peels(h)
+        if state.strategy is PeelStrategy.FIRST_FEASIBLE:
+            pairs = pairs[:1]
         for color, pivot, edge in pairs:
             if state.attempts >= state.budget:
                 return
@@ -319,7 +317,7 @@ def construct(
     strategy: PeelStrategy = PeelStrategy.FIRST_FEASIBLE,
     *,
     budget: int = DEFAULT_BUDGET,
-    policies: tuple[PivotDonorPolicy, ...] = (PivotDonorPolicy.MAX_DRAIN,),
+    policies: tuple[PivotDonorPolicy, ...] = DEFAULT_POLICIES,
     reductions: Reductions | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.

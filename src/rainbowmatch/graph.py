@@ -291,9 +291,10 @@ def canonical_digest(g: ColoredMultigraph) -> str:
 
 def json_lines(lines: Iterable[str], whole: bool = False) -> Iterator:
     """Yield the JSON value of each non-blank line, reading one line at a time;
-    a line that is not JSON raises ValueError naming its 1-based number.  With
-    ``whole``, a first line that is not JSON on its own begins one
-    pretty-printed value spanning the rest of the stream."""
+    a line that is not JSON, or nests too deeply to decode, raises ValueError
+    naming its 1-based number.  With ``whole``, a first line that is not JSON
+    on its own begins one pretty-printed value spanning the rest of the
+    stream."""
     lines = iter(lines)
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
@@ -301,13 +302,13 @@ def json_lines(lines: Iterable[str], whole: bool = False) -> Iterator:
             continue
         try:
             value = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             error = ValueError(f"line {lineno}: not valid JSON: {exc}")
             if not whole:
                 raise error from exc
             try:
                 value = json.loads("\n".join([line, *lines]))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 raise error from exc
         whole = False
         yield value

@@ -47,16 +47,15 @@ from .graph import (
     edge_lists,
     from_dict,
     is_rainbow_matching,
-    json_lines,
     to_dict,
     validate,
 )
 from .oracle import max_rainbow, max_rainbow_trusted
 from .reduction import (
+    DEFAULT_POLICY,
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
-    choose_shift,
     compact_isolated,
     reduce_to_normal_form,
 )
@@ -79,8 +78,8 @@ class Verdict(str, Enum):
 
 
 class H1Mode(str, Enum):
-    # policy: test only the (side, pivot, donor) the reduction would pick
-    # next; all: test every left-side pair whose donor has an edge, whether
+    # policy: test only the (side, pivot, donor) of the reduction's first
+    # step; all: test every left-side pair whose donor has an edge, whether
     # or not the pivot is missing a color.
     POLICY = "policy"
     ALL = "all"
@@ -93,7 +92,7 @@ class InternalConsistencyError(Exception):
 @dataclass(frozen=True)
 class EvalOptions:
     h1_mode: H1Mode = H1Mode.POLICY
-    policy: PivotDonorPolicy = PivotDonorPolicy.MAX_DRAIN
+    policy: PivotDonorPolicy = DEFAULT_POLICY
     construct_budget: int = 256
     max_iters: int | None = None
 
@@ -249,11 +248,13 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
     # g itself or its compaction: the same maximum.
     before = run.max_size
     if opts.h1_mode is H1Mode.POLICY:
-        work, _, _ = compact_isolated(g)
-        step = choose_shift(work, Side.LEFT, opts.policy)
-        if step is None:
+        # The reduction's first step, taken on g's compaction; there is none
+        # when g is already normal or the cap allows no step.
+        if not run.reduction.trace:
             return Verdict.INCONCLUSIVE, None
-        pairs = [step]
+        first = run.reduction.trace[0]
+        work, _, _ = compact_isolated(g)
+        pairs = [(first.side, first.pivot, first.donor)]
     else:
         work = g
         deg = [0] * g.left_size
@@ -301,10 +302,7 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
     h = red.graph
     # construct's first peel: color 0 at its lowest pivot.
-    first = peels(h, PeelStrategy.FIRST_FEASIBLE)
-    if not first:
-        return Verdict.INCONCLUSIVE, run.witness(stage="peel")
-    [(color, pivot, edge)] = first
+    color, pivot, edge = peels(h)[0]
     red2 = run.reductions[peel(h, edge), run.opts.policy]
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
@@ -443,18 +441,15 @@ def write_records(records: Iterable[CampaignRecord], path) -> None:
             f.write(rec.to_json_line() + "\n")
 
 
-def read_record_dicts(text: str) -> list[dict]:
-    return list(json_lines(text.splitlines()))
-
-
 def replay(records: Iterable[dict]) -> ReplayReport:
     """Re-run every Violated record's predicate on its embedded instance;
     a non-reproducing record indicates a determinism bug.
 
     Records are grouped by their exact instance (edge order included) and
     options, and each group's hypotheses are evaluated on one fresh run.
-    Raises ValueError on a record that is not an object or names no known
-    hypothesis.
+    Raises ValueError, prefixed ``record <i>: ``, on a record that is not an
+    object or whose hypothesis, instance or options are invalid; an error
+    while evaluating a group names the group's first record.
     """
     total = 0
     violated = 0
@@ -462,26 +457,32 @@ def replay(records: Iterable[dict]) -> ReplayReport:
     groups: dict[tuple[ColoredMultigraph, EvalOptions], list[tuple[int, Hypothesis]]] = {}
     for idx, rec in enumerate(records):
         total += 1
-        if not isinstance(rec, dict):
-            raise ValueError(f"record {idx}: not a JSON object")
-        if rec.get("verdict") != Verdict.VIOLATED.value:
-            continue
-        violated += 1
-        if "hyp" not in rec:
-            raise ValueError(f"record {idx}: missing key 'hyp'")
-        hyp = Hypothesis(rec["hyp"])
-        witness = rec.get("witness")
-        if not isinstance(witness, dict) or "instance" not in witness:
-            mismatches.append(idx)
-            continue
-        key = (from_dict(witness["instance"]), EvalOptions.from_dict(witness.get("opts", {})))
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+            if rec.get("verdict") != Verdict.VIOLATED.value:
+                continue
+            violated += 1
+            if "hyp" not in rec:
+                raise ValueError("missing key 'hyp'")
+            hyp = Hypothesis(rec["hyp"])
+            witness = rec.get("witness")
+            if not isinstance(witness, dict) or "instance" not in witness:
+                mismatches.append(idx)
+                continue
+            key = (from_dict(witness["instance"]), EvalOptions.from_dict(witness.get("opts", {})))
+        except ValueError as exc:
+            raise ValueError(f"record {idx}: {exc}") from exc
         groups.setdefault(key, []).append((idx, hyp))
     for (g, opts), items in groups.items():
         run = InstanceRun(g, opts)
-        for idx, hyp in items:
-            verdict, _ = evaluate(hyp, g, opts, run)
-            if verdict is not Verdict.VIOLATED:
-                mismatches.append(idx)
+        try:
+            for idx, hyp in items:
+                verdict, _ = evaluate(hyp, g, opts, run)
+                if verdict is not Verdict.VIOLATED:
+                    mismatches.append(idx)
+        except ValueError as exc:
+            raise ValueError(f"record {items[0][0]}: {exc}") from exc
     mismatches.sort()
     return ReplayReport(total, violated, violated - len(mismatches), tuple(mismatches))
 

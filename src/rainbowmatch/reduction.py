@@ -8,8 +8,8 @@ edges is deleted, which renumbers that side.
 
 The driver holds the working graph as three parallel int lists and applies
 ``shifting.shift_arrays`` to them in place; colors never change, and a graph
-is built once, at the end, only if some step ran.  The choice of side, pivot
-and donor (``_side``, ``_pivot``, ``_donor``) is shared with ``choose_shift``.
+is built once, at the end, only if some step ran.  The trace is the one
+record of the steps: H1 tests the side, pivot and donor of its first.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -38,6 +38,9 @@ class PivotDonorPolicy(str, Enum):
     # (ties break to the highest index).  LastVertex: always the last vertex.
     MAX_DRAIN = "maxdrain"
     LAST_VERTEX = "lastvertex"
+
+
+DEFAULT_POLICY = PivotDonorPolicy.MAX_DRAIN
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,12 @@ class ReductionOutcome:
     status: ReductionStatus
     graph: ColoredMultigraph
     trace: tuple[ReductionStep, ...]
-    iterations: int
     left_map: tuple[int, ...]
     right_map: tuple[int, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
 
 def compact_isolated(
@@ -161,26 +167,9 @@ def pick_donor(
     return _donor(_color_masks(g, side), pivot, policy)
 
 
-def choose_shift(
-    cur: ColoredMultigraph, alternate: Side, policy: PivotDonorPolicy
-) -> tuple[Side, int, int] | None:
-    """The (side, pivot, donor) of the shift the reduction applies to the
-    compacted graph ``cur``, or None when it is normal.
-
-    The side is whichever one exceeds n + 1 vertices, or ``alternate`` when
-    both do.
-    """
-    side = _side(cur.left_size, cur.right_size, cur.n + 1, alternate)
-    if side is None:
-        return None
-    masks = _color_masks(cur, side)
-    pivot = _pivot(masks, cur.n)
-    return side, pivot, _donor(masks, pivot, policy)
-
-
 def reduce_to_normal_form(
     g: ColoredMultigraph,
-    policy: PivotDonorPolicy = PivotDonorPolicy.MAX_DRAIN,
+    policy: PivotDonorPolicy = DEFAULT_POLICY,
     max_iters: int | None = None,
 ) -> ReductionOutcome:
     """Repeatedly compact and shift until both sides reach n + 1 vertices.
@@ -227,7 +216,7 @@ def reduce_trusted(
         graph = cur
         if trace:
             graph = ColoredMultigraph(n, lsize, rsize, tuple(map(new_edge, zip(us, vs, cs))))
-        return ReductionOutcome(status, graph, tuple(trace), len(trace), lmap, rmap)
+        return ReductionOutcome(status, graph, tuple(trace), lmap, rmap)
 
     while True:
         side = _side(lsize, rsize, target, alternate)

@@ -218,9 +218,8 @@ def reference_construct(
             ]
             if strategy is PeelStrategy.FIRST_FEASIBLE:
                 pairs = pairs[:1]
-            if not pairs:
-                record(depth, FailReason.NO_PIVOT_EDGE, cur, [])
-                continue
+            # A normal form carries every color at every vertex.
+            assert pairs
             for color, pivot in pairs:
                 if attempts >= budget:
                     return

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch.cli import _eval_options, build_parser, main
-from rainbowmatch.construct import DEFAULT_BUDGET
+from rainbowmatch.construct import DEFAULT_BUDGET, DEFAULT_POLICIES, PeelStrategy, construct
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
 from rainbowmatch.harness import EvalOptions
+from rainbowmatch.reduction import DEFAULT_POLICY, PivotDonorPolicy
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -322,7 +323,8 @@ def test_replay_negative_option_is_invalid_input(tmp_path, capsys, key):
     capsys.readouterr()
     assert main(["replay", "--in", str(records)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "non-negative" in err and "Traceback" not in err
+    assert err.startswith("error: record 0: ") and "non-negative" in err
+    assert "Traceback" not in err
 
 
 def test_minimize_cli(tmp_path, capsys):
@@ -359,21 +361,39 @@ def test_round_trip_instance_file(tmp_path, capsys):
     assert to_canonical_json(g) == inst.read_text().strip()
 
 
+EMPTY = '{"n":1,"left":2,"right":2,"edges":[]}'
+HOLDS = '{"hyp":"H2","verdict":"holds"}'
+
+
 @pytest.mark.parametrize(
-    "line",
+    "lines, message",
     [
-        '{"verdict":"violated","witness":{"instance":{"n":1,"left":2,"right":2,"edges":[]}}}',
-        "[1,2]",
-        '{"hyp":"H9","verdict":"violated","witness":{"instance":{"n":1,"left":2,"right":2,"edges":[]}}}',
+        (['{"verdict":"violated","witness":{"instance":' + EMPTY + '}}'],
+         "record 0: missing key 'hyp'"),
+        (["[1,2]"], "record 0: not a JSON object"),
+        ([HOLDS, '{"hyp":"H9","verdict":"violated","witness":{"instance":' + EMPTY + '}}'],
+         "record 1: 'H9' is not a valid Hypothesis"),
+        ([HOLDS, '{"hyp":"H2","verdict":"violated","witness":{"instance":{"n":1}}}'],
+         "record 1: instance missing key 'left'"),
+        (['{"hyp":"H2","verdict":"violated","witness":{"instance":' + EMPTY
+          + ',"opts":{"policy":"nope"}}}'],
+         "record 0: 'nope' is not a valid PivotDonorPolicy"),
+        # Evaluating a group fails on its second record (H3 is inconclusive at
+        # n=1 and H2 rejects the instance); the error names the group's first.
+        ([HOLDS,
+          '{"hyp":"H3","verdict":"violated","witness":{"instance":' + EMPTY + '}}',
+          '{"hyp":"H2","verdict":"violated","witness":{"instance":' + EMPTY + '}}'],
+         "record 1: invalid graph: color 0 has 0 edges, expected 2"),
     ],
-    ids=["missing-hyp", "not-an-object", "unknown-hyp"],
+    ids=["missing-hyp", "not-an-object", "unknown-hyp", "bad-instance", "unknown-policy",
+         "group-evaluation"],
 )
-def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, line):
+def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, lines, message):
     records = tmp_path / "bad.jsonl"
-    records.write_text(line + "\n")
+    records.write_text("\n".join(lines) + "\n")
     assert main(["replay", "--in", str(records)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    assert err == [f"error: {message}"]
 
 
 def test_replay_names_the_line_that_is_not_json(tmp_path, capsys):
@@ -386,6 +406,15 @@ def test_replay_names_the_line_that_is_not_json(tmp_path, capsys):
     assert main(["replay", "--in", str(records)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: line 2: not valid JSON: Expecting value: line 1 column 1 (char 0)"]
+
+
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_deeply_nested_json_is_invalid_input(capsys, monkeypatch, command):
+    # Deeper than the decoder's recursion limit: an error line, not a crash.
+    assert run([command], "[" * 200_000 + "\n", monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: line 1: not valid JSON: ")
+    assert "Traceback" not in err
 
 
 CHECK = ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5"]
@@ -428,6 +457,34 @@ def test_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     assert _eval_options(parser.parse_args(CHECK)) == EvalOptions()
     assert parser.parse_args(["construct"]).budget == DEFAULT_BUDGET
+    assert parser.parse_args(["reduce"]).policy == DEFAULT_POLICY.value
+    # The README findings and acceptance criterion 6 are maxdrain's.
+    assert DEFAULT_POLICIES == (DEFAULT_POLICY,) == (PivotDonorPolicy.MAX_DRAIN,)
+
+
+# No flag means the library default; a flag replaces the default rather than
+# adding to it, which argparse does with a list default and action="append".
+@pytest.mark.parametrize(
+    "flags, policies",
+    [
+        ([], DEFAULT_POLICIES),
+        (["--policy", "maxdrain"], (PivotDonorPolicy.MAX_DRAIN,)),
+        (["--policy", "lastvertex"], (PivotDonorPolicy.LAST_VERTEX,)),
+    ],
+    ids=["default", "maxdrain", "lastvertex"],
+)
+def test_construct_policies_are_the_library_calls(capsys, monkeypatch, flags, policies):
+    assert main(["gen", "--kind", "random", "--n", "4", "--left", "7", "--right", "6",
+                 "--count", "20"]) == 0
+    instances = capsys.readouterr().out
+    run(["construct", "--strategy", "backtrack"] + flags, instances, monkeypatch)
+    want = "".join(
+        json.dumps({"digest": canonical_digest(g),
+                    **construct(g, PeelStrategy.BACKTRACKING, policies=policies).to_dict()},
+                   separators=(",", ":")) + "\n"
+        for g in read_instances(instances.splitlines())
+    )
+    assert capsys.readouterr().out == want
 
 
 def test_zero_counts_and_budgets_are_accepted(capsys):

@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded
 from rainbowmatch.construct import (
@@ -12,6 +13,7 @@ from rainbowmatch.construct import (
     PeelStrategy,
     Reductions,
     construct,
+    peels,
 )
 from rainbowmatch.generators import gen_latin
 from rainbowmatch.graph import (
@@ -165,6 +167,20 @@ def test_soundness_never_lies(g):
     else:
         assert out.matching is None
         assert out.failure is not None
+
+
+@given(counts_valid_graphs(), st.sampled_from(PivotDonorPolicy))
+@settings(max_examples=150, deadline=None)
+def test_normal_form_peels_start_at_color_0s_lowest_pivot(g, policy):
+    # Why construct and H3 need no branch for a normal form without a peel.
+    red = reduce_trusted(g, policy, None)
+    if red.status is not ReductionStatus.NORMALIZED:
+        return
+    h = red.graph
+    assert all(sum(e.c == c for e in h.edges) == g.n + 1 for c in range(g.n))
+    pivot = min(e.u for e in h.edges if e.c == 0)
+    edge = next(e for e in h.edges if e.u == pivot and e.c == 0)
+    assert peels(h)[0] == (0, pivot, edge)
 
 
 def test_matched_on_oversized_when_possible():

@@ -10,6 +10,7 @@ from rainbowmatch.graph import (
     ColoredMultigraph,
     canonical_digest,
     from_dict,
+    json_lines,
     to_dict,
     validate,
 )
@@ -22,7 +23,6 @@ from rainbowmatch.harness import (
     Verdict,
     evaluate,
     minimize,
-    read_record_dicts,
     replay,
     run_campaign,
     violation_predicate,
@@ -70,6 +70,15 @@ def test_h1_policy_inconclusive_on_normal(i2):
 
 def test_h1_policy_holds_on_golden(g43):
     assert evaluate(Hypothesis.H1, g43)[0] is Verdict.HOLDS
+
+
+@pytest.mark.parametrize("policy", list(PivotDonorPolicy))
+def test_h1_policy_tests_the_reductions_first_step(g43, policy):
+    # Under a cap of 0 the reduction takes no step, so there is none to test.
+    capped = EvalOptions(policy=policy, max_iters=0)
+    assert evaluate(Hypothesis.H1, g43, capped) == (Verdict.INCONCLUSIVE, None)
+    one = EvalOptions(policy=policy, max_iters=1)
+    assert evaluate(Hypothesis.H1, g43, one) == (Verdict.HOLDS, None)
 
 
 def test_h1_all_mode(g43, i2):
@@ -176,7 +185,8 @@ def test_records_file_round_trip(tmp_path):
     _, records = run_campaign((Hypothesis.H3,), specs)
     path = tmp_path / "h3.jsonl"
     write_records(records, path)
-    loaded = read_record_dicts(path.read_text())
+    with open(path, encoding="utf-8") as f:
+        loaded = list(json_lines(f))
     assert len(loaded) == 20
     assert loaded[0]["hyp"] == "H3"
 
