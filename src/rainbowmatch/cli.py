@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("minimize", parents=[io_flags, hyp_flags],
-                       help="shrink a violating instance to a 1-minimal one")
+                       help="shrink a violating instance, keeping n + 1 edges per color")
     p.add_argument("--hyp", required=True, type=str.upper,
                    choices=[h.value for h in Hypothesis])
     p.set_defaults(func=_cmd_minimize)

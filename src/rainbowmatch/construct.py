@@ -211,18 +211,17 @@ def _candidates(
     to_input: _ToInput,
     prefix: tuple[Edge, ...],
     steps: tuple[ConstructStep, ...],
-    rights: int,
     doomed: bool,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
     """Yield full-size matchings for this subtree in deterministic search
-    order, in input coordinates: ``prefix`` (the edges peeled above, whose
-    right endpoints are the bits of ``rights``) plus a matching of ``g``.
-    ``doomed`` says some prefix edge is not an input edge or repeats a right
-    vertex.  ``g`` is the input at depth 0 and a normalized residual below
-    it.  Every peel tried counts as an attempt, but one whose subtree nothing
-    can observe is not run.  Failures are recorded on the shared state; the
-    deepest one becomes the reported failure."""
+    order, in input coordinates: ``prefix`` (the edges peeled above) plus a
+    matching of ``g``.  ``doomed`` says some prefix edge is not an input edge
+    or repeats a right vertex.  ``g`` is the input at depth 0 and a
+    normalized residual below it.  Every peel tried counts as an attempt, but
+    one whose subtree nothing can observe is not run.  Failures are recorded
+    on the shared state; the deepest one becomes the reported failure."""
     us, vs, cs = to_input
+    rights = {e.v for e in prefix}
     if g.n == 2:
         pairs2 = rainbow_pairs_trusted(g)
         if not pairs2:
@@ -239,8 +238,8 @@ def _candidates(
             if state.prune and (
                 ea not in present
                 or eb not in present
-                or (rights >> ea.v) & 1
-                or (rights >> eb.v) & 1
+                or ea.v in rights
+                or eb.v in rights
             ):
                 continue
             state.prune = True
@@ -271,7 +270,7 @@ def _candidates(
             # edge is (pivot, v, color) in h's coordinates.
             right = h_vs[edge.v]
             head = new_edge((h_us[pivot], right, cs[color]))
-            sub_doomed = doomed or head not in state.present or (rights >> right) & 1 == 1
+            sub_doomed = doomed or head not in state.present or right in rights
             if sub_doomed and h.n == 3 and state.prune and state.deepest_failure.depth >= depth:
                 # Past the H5 witness, which keeps a failure at depth 0, a
                 # doomed base child only counts.  It would yield nothing, its
@@ -305,7 +304,6 @@ def _candidates(
                 sub_to_input,
                 prefix + (head,),
                 steps + (step,),
-                rights | 1 << right,
                 sub_doomed,
             )
         if state.strategy is PeelStrategy.FIRST_FEASIBLE:
@@ -332,15 +330,22 @@ def construct(
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
-
-    policies = tuple(policies)
     if reductions is None:
         reductions = Reductions()
+    return construct_trusted(g, strategy, budget, tuple(policies), reductions)
+
+
+def construct_trusted(
+    g: ColoredMultigraph, strategy: PeelStrategy, budget: int,
+    policies: tuple[PivotDonorPolicy, ...], reductions: Reductions,
+) -> ConstructionOutcome:
+    """``construct`` without its guard: ``g`` is proper with n >= 2 colors
+    of n + 1 edges each, as on every instance an ``InstanceRun`` admits."""
     state = _SearchState(g, strategy, budget, policies, reductions)
     identity = (range(g.left_size), range(g.right_size), range(g.n))
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()
-    for edges, steps in _candidates(g, 0, state, identity, (), (), 0, False):
+    for edges, steps in _candidates(g, 0, state, identity, (), (), False):
         m = Matching(edges)
         if is_rainbow_within(state.present, m, g.n):
             return ConstructionOutcome(

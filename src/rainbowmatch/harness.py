@@ -33,7 +33,7 @@ from .construct import (
     ConstructStatus,
     PeelStrategy,
     Reductions,
-    construct,
+    construct_trusted,
     peel,
     peels,
 )
@@ -47,17 +47,17 @@ from .graph import (
     edge_lists,
     from_dict,
     is_rainbow_matching,
+    require_valid,
     to_dict,
     validate,
 )
-from .oracle import max_rainbow, max_rainbow_trusted
+from .oracle import max_rainbow_trusted
 from .reduction import (
     DEFAULT_POLICY,
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
     compact_isolated,
-    reduce_to_normal_form,
 )
 from .shifting import shift_trusted
 
@@ -183,38 +183,35 @@ class ReplayReport:
 class InstanceRun:
     """The shared pipeline of one instance under one set of options.
 
-    The backtracking construction and the exact oracle are each computed
-    at most once, on first use, so the evaluators are cheap projections of
-    one run.  Every reduction goes through one cache, ``reductions``, capped
-    at ``opts.max_iters``: the entry reduction, H3's residual and each level
-    of the construction, so no exact graph is reduced twice in a run.  A run
+    Making a run is the harness's one guard: it raises ValueError unless the
+    instance is proper with n >= 1 colors of n + 1 edges each, the domain of
+    every hypothesis, and every stage behind it runs a trusted core.  The
+    backtracking construction and the exact oracle are each computed at most
+    once, on first use, so the evaluators are cheap projections of one run.
+    Every reduction goes through one cache, ``reductions``, capped at
+    ``opts.max_iters``: the entry reduction, H3's residual and each level of
+    the construction, so no exact graph is reduced twice in a run.  A run
     lives exactly as long as its instance is being evaluated; nothing is
     cached beyond it.
     """
 
     def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
+        require_valid(g, require_counts=True)
+        if g.n < 1:
+            raise ValueError("the hypotheses need at least one color")
         self.g = g
         self.opts = opts
         self.reductions = Reductions(opts.max_iters)
 
     @cached_property
     def reduction(self) -> ReductionOutcome:
-        key = (self.g, self.opts.policy)
-        if key not in self.reductions:
-            # The public call validates the instance; a construction that
-            # reduced it first has validated it already.
-            self.reductions[key] = reduce_to_normal_form(*key, self.reductions.max_iters)
-        return self.reductions[key]
+        return self.reductions[self.g, self.opts.policy]
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
         g, opts = self.g, self.opts
-        outcome = construct(
-            g,
-            PeelStrategy.BACKTRACKING,
-            budget=opts.construct_budget,
-            policies=(opts.policy,),
-            reductions=self.reductions,
+        outcome = construct_trusted(
+            g, PeelStrategy.BACKTRACKING, opts.construct_budget, (opts.policy,), self.reductions
         )
         if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
             g, outcome.matching, g.n
@@ -226,7 +223,7 @@ class InstanceRun:
 
     @cached_property
     def max_size(self) -> int:
-        return max_rainbow(self.g).max_size
+        return max_rainbow_trusted(self.g).max_size
 
     def witness(self, **extra) -> dict:
         w: dict = {"instance": to_dict(self.g)}
@@ -243,10 +240,6 @@ def _eval_conj(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
     g, opts = run.g, run.opts
-    # Computing the maximum validates g before anything below indexes by its
-    # vertices; the shifts then act on a proper graph.  The working graph is
-    # g itself or its compaction: the same maximum.
-    before = run.max_size
     if opts.h1_mode is H1Mode.POLICY:
         # The reduction's first step, taken on g's compaction; there is none
         # when g is already normal or the cap allows no step.
@@ -257,18 +250,16 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
         pairs = [(first.side, first.pivot, first.donor)]
     else:
         work = g
-        deg = [0] * g.left_size
-        for e in g.edges:
-            deg[e.u] += 1
+        carriers = {e.u for e in g.edges}
         pairs = [
             (Side.LEFT, pivot, donor)
             for pivot in range(g.left_size)
             for donor in range(g.left_size)
-            if donor != pivot and deg[donor] > 0
+            if donor != pivot and donor in carriers
         ]
-        if not pairs:
-            return Verdict.INCONCLUSIVE, None
 
+    # The working graph is g itself or its compaction: the same maximum.
+    before = run.max_size
     for side, pivot, donor in pairs:
         after = max_rainbow_trusted(shift_trusted(work, pivot, donor, side).graph).max_size
         if (before >= g.n) != (after >= g.n):
@@ -295,8 +286,6 @@ def _eval_h2(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 
 def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
-    if run.g.n < 2:
-        return Verdict.INCONCLUSIVE, None
     red = run.reduction
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
@@ -312,8 +301,6 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 
 def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
-    if run.g.n < 2:
-        return Verdict.INCONCLUSIVE, None
     outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
@@ -322,8 +309,6 @@ def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 
 def _eval_h5(run: InstanceRun) -> tuple[Verdict, dict | None]:
-    if run.g.n < 2:
-        return Verdict.INCONCLUSIVE, None
     outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
@@ -359,6 +344,9 @@ def evaluate(
         run = InstanceRun(g, opts)
     elif run.g is not g or run.opts != opts:
         raise ValueError("run belongs to another instance or other options")
+    if g.n < 2 and hyp in (Hypothesis.H3, Hypothesis.H4, Hypothesis.H5):
+        # These peel a color and recurse on the rest, which takes two.
+        return Verdict.INCONCLUSIVE, None
     return _EVALUATORS[hyp](run)
 
 
@@ -475,8 +463,8 @@ def replay(records: Iterable[dict]) -> ReplayReport:
             raise ValueError(f"record {idx}: {exc}") from exc
         groups.setdefault(key, []).append((idx, hyp))
     for (g, opts), items in groups.items():
-        run = InstanceRun(g, opts)
         try:
+            run = InstanceRun(g, opts)
             for idx, hyp in items:
                 verdict, _ = evaluate(hyp, g, opts, run)
                 if verdict is not Verdict.VIOLATED:
@@ -497,10 +485,7 @@ def violation_predicate(
     """Predicate for minimization: instance is in-domain and still violates."""
 
     def pred(g: ColoredMultigraph) -> bool:
-        if not _counts_valid(g):
-            return False
-        verdict, _ = evaluate(hyp, g, opts)
-        return verdict is Verdict.VIOLATED
+        return _counts_valid(g) and evaluate(hyp, g, opts)[0] is Verdict.VIOLATED
 
     return pred
 
@@ -508,8 +493,9 @@ def violation_predicate(
 def minimize(
     g: ColoredMultigraph, predicate: Callable[[ColoredMultigraph], bool]
 ) -> ColoredMultigraph:
-    """Greedy 1-minimal shrink: repeatedly drop one color or one vertex while
-    the instance stays valid and the predicate still holds."""
+    """Greedy shrink: repeatedly drop one color or one vertex while the
+    instance stays counts-valid and the predicate still holds; from a
+    counts-valid instance only isolated vertices can go."""
     if not predicate(g):
         raise ValueError("predicate does not hold on the input instance")
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .graph import ColoredMultigraph, Edge, Matching, require_valid
+from .graph import ColoredMultigraph, Edge, Matching, new_edge, require_valid
+from .reduction import compact_isolated
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,12 @@ def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> Orac
     None or non-negative, as on every graph the package built."""
     if target == 0:
         return OracleResult(0, Matching(()), 0)
+    if max(g.left_size, g.right_size) > len(g.edges):
+        # Used vertices are bits of an int: search a sparse graph relabeled densely.
+        h, lmap, rmap = compact_isolated(g)
+        r = max_rainbow_trusted(h, target)
+        m = Matching(tuple([new_edge((lmap[u], rmap[v], c)) for u, v, c in r.witness.edges]))
+        return OracleResult(r.max_size, m, r.nodes_explored)
     by_color: dict[int, list[Edge]] = {}
     for e in g.edges:
         by_color.setdefault(e.c, []).append(e)

@@ -260,6 +260,32 @@ def test_construct_latin(tmp_path, capsys):
     assert len(rec["matching"]) == 3
 
 
+HUGE = 10**11
+
+
+def test_solve_answers_at_a_huge_vertex_index(capsys, monkeypatch):
+    text = json.dumps({"n": 1, "left": HUGE, "right": 2, "edges": [[HUGE - 1, 0, 0], [0, 1, 0]]})
+    assert run(["solve"], text, monkeypatch) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["max"] == 1
+    assert out["witness"] == [[HUGE - 1, 0, 0]]
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in PeelStrategy])
+def test_construct_answers_at_a_huge_vertex_index(tmp_path, capsys, monkeypatch, strategy):
+    # The Latin instance of test_construct_latin with right vertex 3 relabeled.
+    inst = tmp_path / "l4.json"
+    main(["gen", "--kind", "latin", "--order", "4", "--seed", "3", "--out", str(inst)])
+    d = json.loads(inst.read_text())
+    d["right"] = HUGE + 1
+    d["edges"] = [[u, HUGE if v == 3 else v, c] for u, v, c in d["edges"]]
+    capsys.readouterr()
+    assert run(["construct", "--strategy", strategy], json.dumps(d), monkeypatch) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["status"] == "matched"
+    assert sorted(v for _, v, _ in rec["matching"]) == [0, 2, HUGE]
+
+
 def test_construct_failure_exit_code(tmp_path, capsys):
     inst = tmp_path / "hard.json"
     main(["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
@@ -378,15 +404,19 @@ HOLDS = '{"hyp":"H2","verdict":"holds"}'
         (['{"hyp":"H2","verdict":"violated","witness":{"instance":' + EMPTY
           + ',"opts":{"policy":"nope"}}}'],
          "record 0: 'nope' is not a valid PivotDonorPolicy"),
-        # Evaluating a group fails on its second record (H3 is inconclusive at
-        # n=1 and H2 rejects the instance); the error names the group's first.
+        # The group's run rejects the edgeless instance; the error names the
+        # group's first record.
         ([HOLDS,
           '{"hyp":"H3","verdict":"violated","witness":{"instance":' + EMPTY + '}}',
           '{"hyp":"H2","verdict":"violated","witness":{"instance":' + EMPTY + '}}'],
          "record 1: invalid graph: color 0 has 0 edges, expected 2"),
+        # One edge per color: CONJ used to reproduce this false counterexample.
+        (['{"hyp":"CONJ","verdict":"violated","witness":{"instance":'
+          '{"n":2,"left":3,"right":3,"edges":[[0,0,0],[0,0,1]]}}}'],
+         "record 0: invalid graph: color 0 has 1 edges, expected 3"),
     ],
     ids=["missing-hyp", "not-an-object", "unknown-hyp", "bad-instance", "unknown-policy",
-         "group-evaluation"],
+         "group-evaluation", "conj-short-classes"],
 )
 def test_replay_malformed_record_is_invalid_input(tmp_path, capsys, lines, message):
     records = tmp_path / "bad.jsonl"

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
 
 from conftest import seeded
 from rainbowmatch.generators import GenKind, GenSpec, random_spec_stream
 from rainbowmatch.graph import (
     ColoredMultigraph,
+    Side,
     canonical_digest,
+    delete_color,
+    delete_vertex,
     from_dict,
     json_lines,
     to_dict,
@@ -21,6 +25,7 @@ from rainbowmatch.harness import (
     Hypothesis,
     InstanceRun,
     Verdict,
+    _counts_valid,
     evaluate,
     minimize,
     replay,
@@ -28,7 +33,11 @@ from rainbowmatch.harness import (
     violation_predicate,
     write_records,
 )
-from rainbowmatch.reduction import PivotDonorPolicy
+from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
+from strategies import counts_valid_graphs
+
+# Proper, but one edge per color where the hypotheses need n + 1 = 3.
+SHORT = ColoredMultigraph.of(2, 3, 3, [(0, 0, 0), (0, 0, 1)])
 
 
 def test_conj_holds(i2):
@@ -86,8 +95,10 @@ def test_h1_all_mode(g43, i2):
     assert evaluate(Hypothesis.H1, g43, opts)[0] is Verdict.HOLDS
     # swap-only pairs are exercised too on a normal-form instance
     assert evaluate(Hypothesis.H1, i2, opts)[0] is Verdict.HOLDS
+    # An edgeless instance is outside the hypotheses' domain.
     edgeless = ColoredMultigraph.of(1, 2, 2, [])
-    assert evaluate(Hypothesis.H1, edgeless, opts)[0] is Verdict.INCONCLUSIVE
+    with pytest.raises(ValueError, match="color 0 has 0 edges, expected 2"):
+        evaluate(Hypothesis.H1, edgeless, opts)
 
 
 def test_h1_all_over_enumeration():
@@ -139,6 +150,24 @@ def test_h4_h5_hold_on_latin():
     g = gen_latin(4, 3, 0)
     assert evaluate(Hypothesis.H4, g)[0] is Verdict.HOLDS
     assert evaluate(Hypothesis.H5, g)[0] is Verdict.HOLDS
+
+
+@pytest.mark.parametrize(
+    "hyp, mode",
+    [(Hypothesis.CONJ, H1Mode.POLICY), (Hypothesis.H1, H1Mode.POLICY), (Hypothesis.H1, H1Mode.ALL)],
+    ids=["CONJ", "H1-policy", "H1-all"],
+)
+def test_instance_short_of_n_plus_one_edges_per_color_is_rejected(hyp, mode):
+    # CONJ used to call this instance violated, and replay to reproduce it.
+    with pytest.raises(ValueError) as exc:
+        evaluate(hyp, SHORT, EvalOptions(h1_mode=mode))
+    assert str(exc.value) == "invalid graph: color 0 has 1 edges, expected 3"
+
+
+@pytest.mark.parametrize("hyp", list(Hypothesis), ids=lambda h: h.value)
+def test_instance_without_colors_is_rejected(hyp):
+    with pytest.raises(ValueError, match="at least one color"):
+        evaluate(hyp, ColoredMultigraph.of(0, 1, 1, []))
 
 
 def test_small_n_inconclusive():
@@ -230,6 +259,21 @@ def test_minimize_is_one_minimal():
     for side in (Side.LEFT, Side.RIGHT):
         for v in range(small.side_size(side)):
             assert not pred(delete_vertex(small, side, v))
+
+
+@given(counts_valid_graphs())
+def test_minimize_can_only_drop_isolated_vertices(g):
+    # Deleting a color leaves n - 1 colors of n + 1 edges each; deleting a
+    # vertex that carries an edge leaves some color with n.  Either fails the
+    # counts, so a shrink keeps every color and every edge, and under any
+    # predicate ends at the instance's compaction.
+    for c in range(g.n):
+        assert not _counts_valid(delete_color(g, c))
+    for side in Side:
+        carried = {e.u if side is Side.LEFT else e.v for e in g.edges}
+        for v in range(g.side_size(side)):
+            assert _counts_valid(delete_vertex(g, side, v)) == (v not in carried)
+    assert minimize(g, lambda h: True) == compact_isolated(g)[0]
 
 
 def test_minimize_rejects_non_violating(i2):

@@ -38,6 +38,24 @@ def test_blocked_colors():
     assert max_rainbow_naive(g).max_size == 1
 
 
+def test_huge_vertex_indices_get_dense_bits():
+    # The used vertices are bits of an int; a bit per declared vertex would
+    # need gigabytes here.  The search sees only which edges share a vertex,
+    # so it runs as on the same graph with vertex 1 in place of 10^11 - 1.
+    big = 10**11
+    edges = [(1, 0, 0), (0, 1, 0), (0, 1, 1)]
+    relabel = lambda x: big - 1 if x == 1 else x
+    small = max_rainbow(ColoredMultigraph.of(2, 2, 2, edges))
+    result = max_rainbow(
+        ColoredMultigraph.of(2, big, big, [(relabel(u), relabel(v), c) for u, v, c in edges])
+    )
+    assert result.max_size == small.max_size == 2
+    assert result.nodes_explored == small.nodes_explored
+    assert [tuple(e) for e in result.witness.edges] == [
+        (relabel(u), relabel(v), c) for u, v, c in small.witness.edges
+    ]
+
+
 def test_improper_rejected():
     g = ColoredMultigraph.of(1, 2, 2, [(0, 0, 0), (0, 1, 0)])
     with pytest.raises(ValueError):

@@ -4,14 +4,23 @@ calls run unguarded cores on graphs the package built itself."""
 from __future__ import annotations
 
 import importlib
+import json
 
 import pytest
 
 from conftest import seeded
 from rainbowmatch.construct import PeelStrategy, construct
 from rainbowmatch.generators import instances_for, random_spec_stream
-from rainbowmatch.graph import ColoredMultigraph, canonical_digest
-from rainbowmatch.harness import EvalOptions, H1Mode, Hypothesis, _eval_instance, evaluate
+from rainbowmatch.graph import ColoredMultigraph, canonical_digest, to_dict
+from rainbowmatch.harness import (
+    EvalOptions,
+    H1Mode,
+    Hypothesis,
+    _eval_instance,
+    evaluate,
+    replay,
+    run_campaign,
+)
 from rainbowmatch.oracle import max_rainbow, rainbow_pairs
 from rainbowmatch.reduction import reduce_to_normal_form
 from rainbowmatch.shifting import shift
@@ -42,19 +51,17 @@ def test_public_entry_rejects_an_improper_graph(entry):
 
 @pytest.mark.parametrize("mode", list(H1Mode))
 def test_h1_validates_before_indexing_by_vertex(mode):
-    # H1 compacts the graph and counts degrees per vertex; an edge out of
-    # bounds must be reported, not hit as an IndexError.
+    # H1 compacts the graph and indexes by vertex; an edge out of bounds
+    # must be reported, not hit as an IndexError.
     g = ColoredMultigraph.of(1, 2, 2, [(5, 0, 0), (1, 1, 0)])
     with pytest.raises(ValueError) as exc:
         evaluate(Hypothesis.H1, g, EvalOptions(h1_mode=mode))
     assert str(exc.value) == "invalid graph: edge (5, 0, 0) out of bounds"
 
 
-def _pinned_search():
-    return construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
-
-
-def test_construct_validates_its_input_once(monkeypatch):
+def _counting_validate(monkeypatch) -> list[ColoredMultigraph]:
+    """Record the graph of every ``graph.validate`` call, however it is
+    reached: through ``require_valid`` or by name in any module."""
     graph_module = importlib.import_module("rainbowmatch.graph")
     real = graph_module.validate
     calls = []
@@ -63,7 +70,41 @@ def test_construct_validates_its_input_once(monkeypatch):
         calls.append(g)
         return real(g, require_counts)
 
-    monkeypatch.setattr(graph_module, "validate", counting)
+    for name in ("graph", "harness", "construct", "oracle", "reduction", "shifting", "cli"):
+        module = importlib.import_module(f"rainbowmatch.{name}")
+        if getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "hyps, spec",
+    [(tuple(Hypothesis), (3, 6, 5)), ((Hypothesis.H4,), (4, 7, 6))],
+    ids=["all-n3", "H4-n4"],
+)
+def test_instance_run_validates_its_instance_once(monkeypatch, hyps, spec):
+    calls = _counting_validate(monkeypatch)
+    for item in ((s, g) for s in random_spec_stream(*spec, 0, 40) for g in instances_for(s)):
+        calls.clear()
+        _eval_instance(item, hyps, EvalOptions())
+        assert calls == [item[1]], canonical_digest(item[1])
+
+
+def test_replay_validates_each_group_once(monkeypatch):
+    _, records = run_campaign(tuple(Hypothesis), random_spec_stream(3, 6, 5, 0, 40))
+    lines = [json.loads(r.to_json_line()) for r in records]
+    groups = {json.dumps(l["witness"]["instance"]) for l in lines if l["verdict"] == "violated"}
+    calls = _counting_validate(monkeypatch)
+    assert replay(lines).ok
+    assert sorted(json.dumps(to_dict(g)) for g in calls) == sorted(groups)
+
+
+def _pinned_search():
+    return construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
+
+
+def test_construct_validates_its_input_once(monkeypatch):
+    calls = _counting_validate(monkeypatch)
     out = _pinned_search()
     assert out.attempts == 256
     assert calls == [seeded(4, 7, 6, 0)]
