@@ -3,7 +3,8 @@
 
 Four phases, each skippable via --phase:
 
-    conj    exhaustive n=2 enumeration, conjecture check on every instance
+    conj    exhaustive n=2 enumeration, conjecture check on every instance;
+            the enumeration is one spec, so one process runs it
     random  H1..H5 and CONJ over seeded random oversized instances, one pass
     latin   H4 over the Latin-square stream: construct vs. oracle agreement
     shrink  greedy minimization of one finding per violated hypothesis
@@ -61,9 +62,9 @@ RANDOM_HYPS = (
 )
 
 
-def phase_conj(out_dir: Path, workers: int) -> dict:
+def phase_conj(out_dir: Path) -> dict:
     spec = GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)
-    (summary,), records = run_campaign((Hypothesis.CONJ,), [spec], workers=workers)
+    (summary,), records = run_campaign((Hypothesis.CONJ,), [spec])
     write_records(records, out_dir / "conj_exhaustive.jsonl")
     d = summary.to_dict()
     print(f"[conj] {d['trials']} instances enumerated, "
@@ -145,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="random-campaign size (default 10000)")
     ap.add_argument("--latin-trials", type=_non_negative, default=1000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=_positive, default=1)
+    ap.add_argument("--workers", type=_positive, default=1,
+                    help="processes for the random phase")
     ap.add_argument("--construct-budget", type=_non_negative,
                     default=EvalOptions.construct_budget)
     ap.add_argument("--phase", action="append", choices=PHASES,
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary: dict = {"seed": args.seed, "trials": args.trials}
     if "conj" in phases:
-        summary["conj"] = phase_conj(args.out_dir, args.workers)
+        summary["conj"] = phase_conj(args.out_dir)
     if "random" in phases:
         summary["random"] = phase_random(
             args.out_dir, args.trials, args.seed, args.workers, opts

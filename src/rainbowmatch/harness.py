@@ -79,8 +79,8 @@ class Verdict(str, Enum):
 
 class H1Mode(str, Enum):
     # policy: test only the (side, pivot, donor) of the reduction's first
-    # step; all: test every left-side pair whose donor has an edge, whether
-    # or not the pivot is missing a color.
+    # step; all: test every ordered pair of left vertices with edges,
+    # whether or not the pivot is missing a color.
     POLICY = "policy"
     ALL = "all"
 
@@ -249,13 +249,15 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
         work, _, _ = compact_isolated(g)
         pairs = [(first.side, first.pivot, first.donor)]
     else:
+        # A shift onto an isolated pivot only relabels its donor, which
+        # keeps the maximum, so only left vertices with edges are paired.
         work = g
-        carriers = {e.u for e in g.edges}
+        carriers = sorted({e.u for e in g.edges})
         pairs = [
             (Side.LEFT, pivot, donor)
-            for pivot in range(g.left_size)
-            for donor in range(g.left_size)
-            if donor != pivot and donor in carriers
+            for pivot in carriers
+            for donor in carriers
+            if donor != pivot
         ]
 
     # The working graph is g itself or its compaction: the same maximum.
@@ -350,10 +352,10 @@ def evaluate(
     return _EVALUATORS[hyp](run)
 
 
-def _expand(specs: Iterable[GenSpec]) -> Iterator[tuple[GenSpec, ColoredMultigraph]]:
-    for spec in specs:
-        for g in instances_for(spec):
-            yield spec, g
+# Specs per pool task, so that one round trip carries a chunk's records.
+# On 100-spec H4 batches at n=4 7x6 with two workers, chunks of 4, 8 and 16
+# ran within noise of each other.
+SPEC_CHUNK = 8
 
 
 def _eval_instance(
@@ -373,6 +375,38 @@ def _eval_instance(
     return records
 
 
+def _eval_spec(
+    spec: GenSpec, hyps: tuple[Hypothesis, ...], opts: EvalOptions, cap: int | None
+) -> tuple[list[list[CampaignRecord]], bool]:
+    """The records of each of the spec's first ``cap`` instances (all of
+    them when ``cap`` is None), and whether the spec has more; those are
+    generated, never evaluated."""
+    stream = instances_for(spec)
+    per_instance = [_eval_instance((spec, g), hyps, opts) for g in islice(stream, cap)]
+    return per_instance, cap is not None and next(stream, None) is not None
+
+
+def _take(
+    results: Iterator[tuple[list[list[CampaignRecord]], bool]],
+    specs: list[GenSpec],
+    budget: int | None,
+) -> tuple[list[list[CampaignRecord]], bool]:
+    """Flatten the per-spec results in order, up to ``budget`` instances;
+    the flag says whether the stream has an instance beyond them."""
+    per_instance: list[list[CampaignRecord]] = []
+    for i, (recs, more) in enumerate(results):
+        room = None if budget is None else budget - len(per_instance)
+        per_instance.extend(recs[:room])
+        if len(per_instance) == budget:
+            # A later spec may yield nothing (an enumeration with too few
+            # vertices), so look for an instance without evaluating one.
+            return per_instance, (
+                more or len(recs) > room
+                or any(next(instances_for(s), None) is not None for s in specs[i + 1:])
+            )
+    return per_instance, False
+
+
 def run_campaign(
     hyps: tuple[Hypothesis, ...],
     specs: Iterable[GenSpec],
@@ -387,21 +421,28 @@ def run_campaign(
     shared run of its pipeline.  Returns one summary per hypothesis in the
     order of ``hyps``, and the records grouped the same way: all records of
     the first hypothesis in instance order, then those of the second, and so
-    on.  ``budget`` caps the number of instances; hitting the cap only flags
-    the summaries as truncated.  With ``workers > 1`` an ordered process pool
-    evaluates one instance at a time; the record order (and hence the output
+    on.  ``budget`` caps the number of instances of the whole stream, so an
+    enumeration can be cut part-way; hitting the cap only flags the
+    summaries as truncated.  The unit of work is a spec: it is generated and
+    evaluated where it runs.  With ``workers > 1`` and more than one spec,
+    an ordered process pool takes the specs in chunks of ``SPEC_CHUNK`` and
+    the parent only flattens and tallies the records, so an enumeration,
+    being one spec, runs in one worker.  Once the cap is reached the chunks
+    still queued are cancelled.  The record order (and hence the output
     bytes, timing aside) is identical to a sequential run.
     """
     hyps = tuple(hyps)
-    stream = _expand(specs)
-    items = list(islice(stream, budget))
-    truncated = budget is not None and next(stream, None) is not None
-    evaluate_one = partial(_eval_instance, hyps=hyps, opts=opts)
-    if workers > 1 and len(items) > 1:
+    specs = list(specs)
+    evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts, cap=budget)
+    if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_instance = list(pool.map(evaluate_one, items))
+            results = pool.map(evaluate_spec, specs, chunksize=SPEC_CHUNK)
+            try:
+                per_instance, truncated = _take(results, specs, budget)
+            finally:
+                results.close()  # cancels the chunks still queued
     else:
-        per_instance = list(map(evaluate_one, items))
+        per_instance, truncated = _take(map(evaluate_spec, specs), specs, budget)
 
     summaries: list[CampaignSummary] = []
     records: list[CampaignRecord] = []

@@ -7,6 +7,8 @@ the package against these.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from rainbowmatch.construct import (
     ConstructFailure,
     ConstructionOutcome,
@@ -112,6 +114,33 @@ def reference_shift(
         moves,
         len(rewrites) - moves,
     )
+
+
+def reference_h1_all(
+    g: ColoredMultigraph, maximum: Callable[[ColoredMultigraph], int]
+) -> dict | None:
+    """H1's ``all`` mode as a loop over every declared left vertex: each
+    ordered pair of distinct left vertices whose donor has an edge, isolated
+    pivots included, in ascending (pivot, donor) order.  Returns the first
+    pair whose shift moves ``maximum`` across ``g.n`` as H1's witness
+    fields, or None."""
+    carriers = {e.u for e in g.edges}
+    before = maximum(g)
+    for pivot in range(g.left_size):
+        for donor in range(g.left_size):
+            if donor == pivot or donor not in carriers:
+                continue
+            after = maximum(reference_shift(g, pivot, donor).graph)
+            if (before >= g.n) != (after >= g.n):
+                return {
+                    "side": Side.LEFT.value,
+                    "pivot": pivot,
+                    "donor": donor,
+                    "direction": "forward" if before >= g.n else "reverse",
+                    "max_before": before,
+                    "max_after": after,
+                }
+    return None
 
 
 def mirrored_edges(edges: tuple[Edge, ...]) -> tuple[Edge, ...]:

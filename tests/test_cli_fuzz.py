@@ -20,8 +20,8 @@ from rainbowmatch.cli import main
 from rainbowmatch.graph import to_dict
 from strategies import counts_valid_graphs
 
-# Integers stay small: the oracle keeps vertex sets as bits of an int, so a
-# huge in-bounds vertex index costs memory in proportion to its value.
+# Integers stay small: `minimize` tries deleting every declared vertex, so a
+# huge in-bounds vertex index costs time in proportion to its value.
 SMALL = st.integers(-2, 9)
 
 json_values = st.recursive(

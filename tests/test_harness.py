@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 
 from conftest import seeded
+from rainbowmatch import harness
 from rainbowmatch.generators import GenKind, GenSpec, random_spec_stream
 from rainbowmatch.graph import (
     ColoredMultigraph,
@@ -33,11 +36,29 @@ from rainbowmatch.harness import (
     violation_predicate,
     write_records,
 )
+from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
+from reference import reference_h1_all
 from strategies import counts_valid_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.
 SHORT = ColoredMultigraph.of(2, 3, 3, [(0, 0, 0), (0, 0, 1)])
+# The 36 instances of n = 2 on 3x3, and a spec with too few left vertices
+# to yield any instance.
+ENUM = GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)
+EMPTY_ENUM = GenSpec(GenKind.EXHAUSTIVE, 2, 2, 3)
+
+
+def strip_ms(rec) -> dict:
+    """A record or summary as a dict without its one timing key."""
+    d = json.loads(rec.to_json_line()) if isinstance(rec, CampaignRecord) else rec.to_dict()
+    del d["ms"]
+    return d
+
+
+def stripped(campaign) -> tuple[list[dict], list[dict]]:
+    summaries, records = campaign
+    return [strip_ms(s) for s in summaries], [strip_ms(r) for r in records]
 
 
 def test_conj_holds(i2):
@@ -99,6 +120,46 @@ def test_h1_all_mode(g43, i2):
     edgeless = ColoredMultigraph.of(1, 2, 2, [])
     with pytest.raises(ValueError, match="color 0 has 0 edges, expected 2"):
         evaluate(Hypothesis.H1, edgeless, opts)
+
+
+def test_h1_all_mode_answers_on_a_huge_declared_side():
+    # Of 10^6 left vertices only 0 and 999999 carry edges.
+    g = from_dict({"n": 1, "left": 1000000, "right": 2, "edges": [[999999, 0, 0], [0, 1, 0]]})
+    assert evaluate(Hypothesis.H1, g, EvalOptions(h1_mode=H1Mode.ALL)) == (Verdict.HOLDS, None)
+
+
+def _full_degree_count(g: ColoredMultigraph) -> SimpleNamespace:
+    """A stand-in for the oracle that, like the maximum, ignores vertex
+    names, but that shifts do move across n: the number of left vertices
+    carrying all n colors."""
+    degrees = Counter(e.u for e in g.edges)
+    return SimpleNamespace(max_size=sum(d == g.n for d in degrees.values()))
+
+
+@pytest.mark.parametrize("stand_in", [False, True], ids=["oracle", "full-degree-count"])
+def test_h1_all_mode_matches_the_loop_over_every_declared_pivot(monkeypatch, stand_in):
+    # Pairing only left vertices with edges skips the shifts onto isolated
+    # pivots, which only relabel; verdicts and first witnesses stay the same.
+    maximum = lambda g: max_rainbow(g).max_size
+    if stand_in:
+        monkeypatch.setattr(harness, "max_rainbow_trusted", _full_degree_count)
+        maximum = lambda g: _full_degree_count(g).max_size
+    opts = EvalOptions(h1_mode=H1Mode.ALL)
+    violated = isolated = 0
+    for left in (6, 9):
+        for seed in range(30):
+            g = seeded(3, left, 5, seed)
+            isolated += len({e.u for e in g.edges}) < left
+            want = reference_h1_all(g, maximum)
+            verdict, witness = evaluate(Hypothesis.H1, g, opts)
+            if want is None:
+                assert (verdict, witness) == (Verdict.HOLDS, None), (left, seed)
+            else:
+                violated += 1
+                assert verdict is Verdict.VIOLATED, (left, seed)
+                assert {k: witness[k] for k in want} == want, (left, seed)
+    assert isolated > 0
+    assert violated > 0 if stand_in else violated == 0
 
 
 def test_h1_all_over_enumeration():
@@ -190,13 +251,27 @@ def test_campaign_counts_and_records():
     assert set(line) == {"hyp", "digest", "verdict", "spec", "witness", "ms"}
 
 
-def test_campaign_budget_truncates():
-    specs = [GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)]
-    (summary,), records = run_campaign((Hypothesis.CONJ,), specs, budget=10)
-    assert summary.trials == 10
+@pytest.mark.parametrize("workers", [1, 2])
+def test_campaign_budget_truncates(workers):
+    (summary,), records = run_campaign((Hypothesis.CONJ,), [ENUM], budget=10, workers=workers)
+    assert summary.trials == len(records) == 10
     assert summary.truncated
-    (full,), _ = run_campaign((Hypothesis.CONJ,), specs, budget=36)
+    (full,), _ = run_campaign((Hypothesis.CONJ,), [ENUM], budget=36, workers=workers)
     assert not full.truncated
+    # The cap counts the instances of the whole stream: it may cut a spec
+    # part-way or fall on a spec's end, and a spec may yield no instance.
+    for specs, budget, truncated in [
+        ([ENUM, ENUM], 36, True),
+        ([ENUM, ENUM], 40, True),
+        ([ENUM, ENUM], 72, False),
+        ([ENUM, EMPTY_ENUM], 36, False),
+        ([ENUM, EMPTY_ENUM, ENUM], 36, True),
+        ([EMPTY_ENUM, ENUM], 0, True),
+        ([EMPTY_ENUM, EMPTY_ENUM], 0, False),
+    ]:
+        (s,), recs = run_campaign((Hypothesis.CONJ,), specs, budget=budget, workers=workers)
+        want = min(budget, 36 * specs.count(ENUM))
+        assert (s.trials, len(recs), s.truncated) == (want, want, truncated), (specs, budget)
 
 
 def test_campaign_workers_match_sequential():
@@ -204,9 +279,36 @@ def test_campaign_workers_match_sequential():
     (s1,), r1 = run_campaign((Hypothesis.H2,), specs)
     (s2,), r2 = run_campaign((Hypothesis.H2,), specs, workers=3)
     assert [r.to_json_line() for r in r1] != []
-    strip = lambda r: {k: v for k, v in json.loads(r.to_json_line()).items() if k != "ms"}
-    assert [strip(r) for r in r1] == [strip(r) for r in r2]
+    assert [strip_ms(r) for r in r1] == [strip_ms(r) for r in r2]
     assert (s1.holds, s1.violated, s1.inconclusive) == (s2.holds, s2.violated, s2.inconclusive)
+
+
+def test_capped_random_stream_is_the_same_for_any_worker_count():
+    specs = list(random_spec_stream(3, 6, 5, 0, 50))
+    hyps = (Hypothesis.H2, Hypothesis.H4)
+    one = stripped(run_campaign(hyps, specs, budget=20))
+    assert stripped(run_campaign(hyps, specs, budget=20, workers=2)) == one
+    summaries, records = one
+    assert [(s["trials"], s["truncated"]) for s in summaries] == [(20, True)] * 2
+    # The capped records are the first 20 of each hypothesis's column.
+    _, full = stripped(run_campaign(hyps, specs))
+    assert records == full[:20] + full[50:70]
+
+
+@pytest.mark.parametrize(
+    "specs", [[], [GenSpec(GenKind.RANDOM, 3, 6, 5, 4)]], ids=["empty", "one-spec"]
+)
+def test_two_workers_on_a_stream_too_short_to_share(specs):
+    hyps = (Hypothesis.H2, Hypothesis.H4)
+    assert stripped(run_campaign(hyps, specs, workers=2)) == stripped(run_campaign(hyps, specs))
+
+
+def test_two_workers_match_one_on_n4_construction():
+    specs = list(random_spec_stream(4, 7, 6, 0, 20))
+    hyps = (Hypothesis.H4, Hypothesis.H5)
+    one = stripped(run_campaign(hyps, specs))
+    assert len(one[1]) == 40
+    assert stripped(run_campaign(hyps, specs, workers=2)) == one
 
 
 def test_records_file_round_trip(tmp_path):
@@ -302,7 +404,6 @@ def test_eval_options_round_trip():
 def test_multi_hypothesis_campaign_matches_single_runs(workers):
     specs = list(random_spec_stream(3, 6, 5, 0, 30))
     hyps = tuple(Hypothesis)
-    strip = lambda r: {k: v for k, v in json.loads(r.to_json_line()).items() if k != "ms"}
     summaries, records = run_campaign(hyps, specs, workers=workers)
     single = []
     for hyp, summary in zip(hyps, summaries):
@@ -312,7 +413,7 @@ def test_multi_hypothesis_campaign_matches_single_runs(workers):
             alone.trials, alone.holds, alone.violated, alone.inconclusive
         )
         single.extend(recs)
-    assert [strip(r) for r in records] == [strip(r) for r in single]
+    assert [strip_ms(r) for r in records] == [strip_ms(r) for r in single]
 
 
 def test_replay_group_key_includes_opts():
