@@ -34,6 +34,7 @@ from .graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
+    compact_json,
     edge_lists,
     is_rainbow_matching,
     json_lines,
@@ -117,13 +118,9 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
                 out.write(line + "\n")
                 if trace is not None:
                     head = {"index": index, "digest": canonical_digest(g)}
-                    trace.writelines(_json({**head, **e}) + "\n" for e in entries)
+                    trace.writelines(compact_json({**head, **e}) + "\n" for e in entries)
                 worst = max(worst, code)
     return worst
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def _specs_from_args(args) -> list[GenSpec]:
@@ -165,7 +162,7 @@ def _cmd_validate(args) -> int:
     def render(g):
         report = validate_graph(g, require_counts=not args.no_counts)
         if args.format == "json":
-            line = _json({
+            line = compact_json({
                 "digest": canonical_digest(g),
                 "ok": report.ok,
                 "violations": [{"rule": v.rule, "detail": v.detail} for v in report.violations],
@@ -199,7 +196,7 @@ def _cmd_solve(args) -> int:
                 "nodes": result.nodes_explored,
             }
             text = f"{payload['digest']} max={result.max_size}"
-        return _json(payload) if args.format == "json" else text, (), EXIT_OK
+        return compact_json(payload) if args.format == "json" else text, (), EXIT_OK
 
     return _each_instance(args, render)
 
@@ -213,7 +210,7 @@ def _cmd_shift(args) -> int:
         if args.emit == "graph":
             line = to_canonical_json(outcome.graph)
         else:
-            line = _json({
+            line = compact_json({
                 "digest_before": canonical_digest(g),
                 "digest_after": canonical_digest(outcome.graph),
                 "side": side.value,
@@ -236,7 +233,7 @@ def _cmd_reduce(args) -> int:
         if args.emit == "graph":
             line = to_canonical_json(red.graph)
         else:
-            line = _json({
+            line = compact_json({
                 "digest_before": canonical_digest(g),
                 "status": red.status.value,
                 "iterations": red.iterations,
@@ -267,7 +264,7 @@ def _cmd_construct(args) -> int:
             raise InternalConsistencyError(f"invalid matching reported for {canonical_digest(g)}")
         payload = {"digest": canonical_digest(g), **outcome.to_dict()}
         if args.format == "json":
-            line = _json(payload)
+            line = compact_json(payload)
         else:
             detail = f"matching={payload['matching']}" if matched else f"failure={payload['failure']}"
             line = f"{payload['digest']} {outcome.status.value} {detail}"
@@ -285,7 +282,7 @@ def _cmd_check(args) -> int:
     lines = []
     for summary in summaries:
         if args.format == "json":
-            lines.append(_json(summary.to_dict()))
+            lines.append(compact_json(summary.to_dict()))
         else:
             extra = " truncated" if summary.truncated else ""
             lines.append(
@@ -314,7 +311,7 @@ def _cmd_replay(args) -> int:
         "mismatches": list(report.mismatches),
     }
     if args.format == "json":
-        line = _json(payload)
+        line = compact_json(payload)
     else:
         line = (
             f"records={report.total} violated={report.violated} "

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -104,13 +105,42 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+_CLEAN = ValidationReport(ok=True, violations=())
+
+
 def validate(g: ColoredMultigraph, require_counts: bool = False) -> ValidationReport:
     """Report every violated structural invariant of ``g``.
 
     Checks index bounds and properness; with ``require_counts`` additionally
     checks that each color class has exactly ``n + 1`` edges.  Never raises:
-    all problems are reported.
+    all problems are reported.  Clean input is accepted on whole columns
+    (bounds by ``min``/``max``, properness by counting distinct
+    ``(vertex, color)`` pairs) and gets one shared report; only invalid input
+    is scanned edge by edge for its violations.
     """
+    return _CLEAN if _is_clean(g, require_counts) else _scan(g, require_counts)
+
+
+def _is_clean(g: ColoredMultigraph, require_counts: bool) -> bool:
+    """Whether ``validate`` has nothing to report, decided on whole columns."""
+    n, m = g.n, len(g.edges)
+    if n < 0 or g.left_size < 0 or g.right_size < 0:
+        return False
+    if not m:
+        return not require_counts or n == 0
+    us, vs, cs = zip(*g.edges)
+    return (
+        0 <= min(us) and max(us) < g.left_size
+        and 0 <= min(vs) and max(vs) < g.right_size
+        and 0 <= min(cs) and max(cs) < n
+        and len(set(zip(us, cs))) == m
+        and len(set(zip(vs, cs))) == m
+        and (not require_counts or m == n * (n + 1) and max(Counter(cs).values()) == n + 1)
+    )
+
+
+def _scan(g: ColoredMultigraph, require_counts: bool) -> ValidationReport:
+    """``validate``'s report, built edge by edge."""
     violations: list[Violation] = []
     if g.n < 0 or g.left_size < 0 or g.right_size < 0:
         violations.append(
@@ -182,16 +212,6 @@ def require_valid(g: ColoredMultigraph, require_counts: bool = False) -> None:
 def _check_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> None:
     if not 0 <= vertex < g.side_size(side):
         raise ValueError(f"vertex {vertex} out of range for side {side.value} (size {g.side_size(side)})")
-
-
-def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:
-    """Remove color class ``c`` and reindex the remaining colors densely."""
-    if not 0 <= c < g.n:
-        raise ValueError(f"color {c} out of range (n={g.n})")
-    edges = tuple(
-        Edge(e.u, e.v, e.c if e.c < c else e.c - 1) for e in g.edges if e.c != c
-    )
-    return ColoredMultigraph(g.n - 1, g.left_size, g.right_size, edges)
 
 
 def delete_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> ColoredMultigraph:
@@ -266,17 +286,23 @@ def from_dict(d: dict) -> ColoredMultigraph:
         raise ValueError("instance fields n/left/right must be integers")
     if not isinstance(raw_edges, list):
         raise ValueError("instance field edges must be a list")
-    edges = []
     for t in raw_edges:
-        if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
+        if type(t) is not list or len(t) != 3:
             raise ValueError(f"bad edge entry {t!r}: expected [u, v, c]")
-        edges.append(Edge(t[0], t[1], t[2]))
-    return ColoredMultigraph(n, left, right, tuple(edges))
+        u, v, c = t
+        if type(u) is not int or type(v) is not int or type(c) is not int:
+            raise ValueError(f"bad edge entry {t!r}: expected [u, v, c]")
+    return ColoredMultigraph(n, left, right, tuple(map(new_edge, raw_edges)))
+
+
+# One compact encoder for every JSON line the package writes: the bytes of
+# ``json.dumps(obj, separators=(",", ":"))``, which builds an encoder per call.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def to_canonical_json(g: ColoredMultigraph) -> str:
     """Single-line canonical serialization; bit-exact for golden tests."""
-    return json.dumps(to_dict(g), separators=(",", ":"))
+    return compact_json(to_dict(g))
 
 
 def from_json(text: str) -> ColoredMultigraph:

@@ -19,7 +19,6 @@ non-reproducing record) are failures.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
-    delete_color,
+    compact_json,
     delete_vertex,
     edge_lists,
     from_dict,
@@ -133,17 +132,14 @@ class CampaignRecord:
     wall_time_ms: float
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "hyp": self.hypothesis.value,
-                "digest": self.instance_digest,
-                "verdict": self.verdict.value,
-                "spec": self.spec.to_dict(),
-                "witness": self.witness,
-                "ms": self.wall_time_ms,
-            },
-            separators=(",", ":"),
-        )
+        return compact_json({
+            "hyp": self.hypothesis.value,
+            "digest": self.instance_digest,
+            "verdict": self.verdict.value,
+            "spec": self.spec.to_dict(),
+            "witness": self.witness,
+            "ms": self.wall_time_ms,
+        })
 
 
 @dataclass(frozen=True)
@@ -359,11 +355,10 @@ SPEC_CHUNK = 8
 
 
 def _eval_instance(
-    item: tuple[GenSpec, ColoredMultigraph], hyps: tuple[Hypothesis, ...], opts: EvalOptions
+    spec: GenSpec, g: ColoredMultigraph, hyps: tuple[Hypothesis, ...], opts: EvalOptions
 ) -> list[CampaignRecord]:
     """One record per hypothesis, all evaluated on one shared run; a
     record's time is that hypothesis's cost on top of the earlier ones."""
-    spec, g = item
     digest = canonical_digest(g)
     run = InstanceRun(g, opts)
     records = []
@@ -382,7 +377,7 @@ def _eval_spec(
     them when ``cap`` is None), and whether the spec has more; those are
     generated, never evaluated."""
     stream = instances_for(spec)
-    per_instance = [_eval_instance((spec, g), hyps, opts) for g in islice(stream, cap)]
+    per_instance = [_eval_instance(spec, g, hyps, opts) for g in islice(stream, cap)]
     return per_instance, cap is not None and next(stream, None) is not None
 
 
@@ -534,17 +529,26 @@ def violation_predicate(
 def minimize(
     g: ColoredMultigraph, predicate: Callable[[ColoredMultigraph], bool]
 ) -> ColoredMultigraph:
-    """Greedy shrink: repeatedly drop one color or one vertex while the
-    instance stays counts-valid and the predicate still holds; from a
-    counts-valid instance only isolated vertices can go."""
+    """Greedy shrink: repeatedly drop isolated vertices while the instance
+    stays counts-valid and the predicate still holds.
+
+    From a counts-valid instance nothing else can go: deleting a color or a
+    vertex that carries an edge breaks the counts.  Each pass first tries
+    the compaction, which drops every isolated vertex at once, then one
+    vertex of each run of isolated vertices (deleting any vertex of a run
+    gives the same graph), so the work grows with the edges, not with the
+    declared sides.
+    """
     if not predicate(g):
         raise ValueError("predicate does not hold on the input instance")
 
     def candidates(cur: ColoredMultigraph) -> Iterator[ColoredMultigraph]:
-        for c in range(cur.n):
-            yield delete_color(cur, c)
-        for side in (Side.LEFT, Side.RIGHT):
-            for v in range(cur.side_size(side)):
+        compact, _, _ = compact_isolated(cur)
+        if compact is not cur:
+            yield compact
+        for side in Side:
+            carried = {e.u if side is Side.LEFT else e.v for e in cur.edges}
+            for v in _isolated_runs(carried, cur.side_size(side)):
                 yield delete_vertex(cur, side, v)
 
     changed = True
@@ -556,3 +560,15 @@ def minimize(
                 changed = True
                 break
     return g
+
+
+def _isolated_runs(carried: set[int], size: int) -> list[int]:
+    """The lowest vertex of each maximal run of ``range(size)`` that avoids
+    ``carried``, in ascending order."""
+    starts = []
+    prev = -1
+    for x in sorted(x for x in carried if 0 <= x < size) + [size]:
+        if x > prev + 1:
+            starts.append(prev + 1)
+        prev = x
+    return starts

@@ -18,13 +18,18 @@ from rainbowmatch.construct import (
     PeelStrategy,
 )
 from rainbowmatch.graph import (
+    RULE_BOUNDS,
+    RULE_COUNTS,
+    RULE_PROPERNESS,
+    RULE_SHAPE,
     ColoredMultigraph,
     Edge,
     Matching,
     Side,
+    ValidationReport,
+    Violation,
     _check_vertex,
     canonical_digest,
-    delete_color,
     delete_vertex,
     is_rainbow_matching,
     require_valid,
@@ -39,6 +44,92 @@ from rainbowmatch.reduction import (
 from rainbowmatch.shifting import RewriteKind, ShiftOutcome, ShiftRewrite
 
 NAIVE_EDGE_LIMIT = 24
+
+
+def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:
+    """Remove color class ``c`` and reindex the remaining colors densely."""
+    if not 0 <= c < g.n:
+        raise ValueError(f"color {c} out of range (n={g.n})")
+    edges = tuple(
+        Edge(e.u, e.v, e.c if e.c < c else e.c - 1) for e in g.edges if e.c != c
+    )
+    return ColoredMultigraph(g.n - 1, g.left_size, g.right_size, edges)
+
+
+def reference_from_dict(d: dict) -> ColoredMultigraph:
+    """The instance parser checking and building one edge at a time;
+    ``from_dict`` must return the same graph or raise the same message."""
+    if not isinstance(d, dict):
+        raise ValueError(f"instance must be a JSON object, got {type(d).__name__}")
+    try:
+        n = d["n"]
+        left = d["left"]
+        right = d["right"]
+        raw_edges = d["edges"]
+    except KeyError as exc:
+        raise ValueError(f"instance missing key {exc}") from exc
+    if not all(type(x) is int for x in (n, left, right)):
+        raise ValueError("instance fields n/left/right must be integers")
+    if not isinstance(raw_edges, list):
+        raise ValueError("instance field edges must be a list")
+    edges = []
+    for t in raw_edges:
+        if not (isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)):
+            raise ValueError(f"bad edge entry {t!r}: expected [u, v, c]")
+        edges.append(Edge(t[0], t[1], t[2]))
+    return ColoredMultigraph(n, left, right, tuple(edges))
+
+
+def reference_validate(g: ColoredMultigraph, require_counts: bool = False) -> ValidationReport:
+    """Every violated invariant of ``g``, found by scanning the edges one at
+    a time, clean or not; ``validate`` must report the same."""
+    violations: list[Violation] = []
+    if g.n < 0 or g.left_size < 0 or g.right_size < 0:
+        violations.append(
+            Violation(RULE_SHAPE, f"negative dimension: n={g.n} left={g.left_size} right={g.right_size}", ())
+        )
+    for i, e in enumerate(g.edges):
+        if not (0 <= e.u < g.left_size and 0 <= e.v < g.right_size and 0 <= e.c < g.n):
+            violations.append(Violation(RULE_BOUNDS, f"edge {tuple(e)} out of bounds", (i,)))
+    by_color: dict[int, list[tuple[int, Edge]]] = {}
+    for i, e in enumerate(g.edges):
+        by_color.setdefault(e.c, []).append((i, e))
+    for c, items in sorted(by_color.items()):
+        seen_u: dict[int, int] = {}
+        seen_v: dict[int, int] = {}
+        for i, e in items:
+            if e.u in seen_u:
+                violations.append(
+                    Violation(RULE_PROPERNESS, f"color {c}: edges share left vertex {e.u}", (seen_u[e.u], i))
+                )
+            else:
+                seen_u[e.u] = i
+            if e.v in seen_v:
+                violations.append(
+                    Violation(RULE_PROPERNESS, f"color {c}: edges share right vertex {e.v}", (seen_v[e.v], i))
+                )
+            else:
+                seen_v[e.v] = i
+    if require_counts:
+        out: list[tuple[int, Violation]] = []
+        present = sorted(c for c in by_color if 0 <= c < g.n)
+        for c in present:
+            items = by_color[c]
+            if len(items) != g.n + 1:
+                detail = f"color {c} has {len(items)} edges, expected {g.n + 1}"
+                out.append((c, Violation(RULE_COUNTS, detail, tuple(i for i, _ in items))))
+        empty = g.n - len(present)
+        if empty > 0:
+            lowest = next((i for i, c in enumerate(present) if c != i), len(present))
+            detail = (
+                f"color {lowest} has 0 edges, expected {g.n + 1}"
+                if empty == 1
+                else f"{empty} colors have 0 edges, expected {g.n + 1} (lowest: color {lowest})"
+            )
+            out.append((lowest, Violation(RULE_COUNTS, detail, ())))
+            out.sort(key=lambda item: item[0])
+        violations.extend(v for _, v in out)
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def edges_by_color(g: ColoredMultigraph) -> dict[int, list[Edge]]:

@@ -20,9 +20,11 @@ from rainbowmatch.cli import main
 from rainbowmatch.graph import to_dict
 from strategies import counts_valid_graphs
 
-# Integers stay small: `minimize` tries deleting every declared vertex, so a
-# huge in-bounds vertex index costs time in proportion to its value.
+# Small integers get instances past validation.  Side sizes and edge
+# entries also reach 10**12: no subcommand may do work in proportion to a
+# declared side or a vertex index.
 SMALL = st.integers(-2, 9)
+WIDE = SMALL | st.integers(10, 10**12)
 
 json_values = st.recursive(
     st.none() | st.booleans() | SMALL | st.text(max_size=4),
@@ -31,14 +33,30 @@ json_values = st.recursive(
     max_leaves=8,
 )
 
-edges = st.lists(st.lists(SMALL, min_size=3, max_size=3) | json_values, max_size=12)
+edges = st.lists(st.lists(WIDE, min_size=3, max_size=3) | json_values, max_size=12)
+
+
+@st.composite
+def huge_sides(draw):
+    """A counts-valid instance whose last vertex on one side is relabeled to
+    a huge index, the side declared just large enough to hold it."""
+    d = to_dict(draw(counts_valid_graphs()))
+    key, at = draw(st.sampled_from([("left", 0), ("right", 1)]))
+    size = draw(st.integers(d[key], 10**12))
+    for e in d["edges"]:
+        if e[at] == d[key] - 1:
+            e[at] = size - 1
+    d[key] = size
+    return d
+
 
 instances = (
     st.fixed_dictionaries(
-        {}, optional={"n": SMALL | json_values, "left": SMALL, "right": SMALL, "edges": edges}
+        {}, optional={"n": SMALL | json_values, "left": WIDE, "right": WIDE, "edges": edges}
     )
-    | st.fixed_dictionaries({"n": SMALL, "left": SMALL, "right": SMALL, "edges": edges})
+    | st.fixed_dictionaries({"n": SMALL, "left": WIDE, "right": WIDE, "edges": edges})
     | counts_valid_graphs().map(to_dict)
+    | huge_sides()
 )
 
 options = st.fixed_dictionaries({}, optional={

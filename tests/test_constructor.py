@@ -26,7 +26,7 @@ from rainbowmatch.graph import (
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, reduce_trusted
-from reference import reference_construct
+from reference import delete_color, reference_construct
 from strategies import counts_valid_graphs
 
 
@@ -150,8 +150,6 @@ def test_budget_limits_attempts(deficit_instance):
 def test_invalid_inputs(i2):
     with pytest.raises(ValueError):
         construct(delete_vertex(i2, Side.LEFT, 0))
-    from rainbowmatch.graph import delete_color
-
     with pytest.raises(ValueError):
         construct(delete_color(i2, 0))
 

@@ -5,8 +5,9 @@ import re
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import I2_DIGEST
+from conftest import I2_DIGEST, I2_EDGES
 from rainbowmatch.graph import (
     RULE_BOUNDS,
     RULE_COUNTS,
@@ -17,7 +18,6 @@ from rainbowmatch.graph import (
     Side,
     canonical_digest,
     canonical_edges,
-    delete_color,
     delete_vertex,
     from_dict,
     from_json,
@@ -28,8 +28,15 @@ from rainbowmatch.graph import (
     to_dict,
     validate,
 )
-from reference import colors_at, degree, incident_edges
-from strategies import counts_valid_graphs, proper_graphs
+from reference import (
+    colors_at,
+    degree,
+    delete_color,
+    incident_edges,
+    reference_from_dict,
+    reference_validate,
+)
+from strategies import counts_valid_graphs, perturbed_dicts, perturbed_graphs, proper_graphs
 
 
 def test_builder_and_sizes(i2):
@@ -260,3 +267,56 @@ def test_from_dict_rejects_bool_sizes():
 def test_from_dict_rejects_bool_edge_entries():
     with pytest.raises(ValueError):
         from_dict({"n": 1, "left": 2, "right": 2, "edges": [[False, 0, 0], [True, 1, 0]]})
+
+
+def _i2_with(field: str, value: int) -> ColoredMultigraph:
+    """i2 with one coordinate of its second edge, (1, 1, 0), replaced."""
+    edges = [Edge(*e) for e in I2_EDGES]
+    edges[1] = edges[1]._replace(**{field: value})
+    return ColoredMultigraph(2, 3, 3, tuple(edges))
+
+
+# Each breaks a clean graph in one place, so one column check alone decides.
+ONE_RULE_BROKEN = {
+    "u-negative": _i2_with("u", -1),
+    "u-at-bound": _i2_with("u", 3),
+    "v-negative": _i2_with("v", -1),
+    "v-at-bound": _i2_with("v", 3),
+    "c-negative": _i2_with("c", -1),
+    "c-at-bound": _i2_with("c", 2),
+    "left-properness": _i2_with("u", 0),
+    "right-properness": _i2_with("v", 0),
+    "negative-n": ColoredMultigraph(-1, 3, 3, ()),
+    "negative-left": ColoredMultigraph(0, -1, 3, ()),
+    "negative-right": ColoredMultigraph(0, 3, -1, ()),
+    "no-edges": ColoredMultigraph(1, 2, 2, ()),
+    # color sizes 4 and 2: uneven, though they add up to n(n + 1)
+    "uneven-counts": ColoredMultigraph.of(
+        2, 4, 4, [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0), (0, 1, 1), (1, 0, 1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("require_counts", [False, True])
+@pytest.mark.parametrize("name", sorted(ONE_RULE_BROKEN))
+def test_validate_matches_the_reference_with_one_rule_broken(name, require_counts):
+    g = ONE_RULE_BROKEN[name]
+    assert validate(g, require_counts) == reference_validate(g, require_counts)
+    assert not validate(g, True).ok
+
+
+@given(perturbed_graphs(), st.booleans())
+def test_validate_matches_the_edge_by_edge_reference(g, require_counts):
+    assert validate(g, require_counts) == reference_validate(g, require_counts)
+
+
+def _parsed(parse, d):
+    try:
+        return parse(d)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(perturbed_dicts())
+def test_from_dict_matches_the_edge_by_edge_reference(d):
+    assert _parsed(from_dict, d) == _parsed(reference_from_dict, d)

@@ -14,7 +14,6 @@ from rainbowmatch.graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
-    delete_color,
     delete_vertex,
     from_dict,
     json_lines,
@@ -38,7 +37,7 @@ from rainbowmatch.harness import (
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
-from reference import reference_h1_all
+from reference import delete_color, reference_h1_all
 from strategies import counts_valid_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.
@@ -351,8 +350,6 @@ def test_minimize_h3():
 
 
 def test_minimize_is_one_minimal():
-    from rainbowmatch.graph import Side, delete_color, delete_vertex
-
     g = seeded(3, 6, 5, 17)
     pred = violation_predicate(Hypothesis.H2)
     small = minimize(g, pred)

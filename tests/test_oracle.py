@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rainbowmatch.generators import enumerate_instances
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.oracle import max_rainbow, rainbow_pairs
-from reference import NAIVE_EDGE_LIMIT, max_rainbow_naive
+from reference import NAIVE_EDGE_LIMIT, delete_color, max_rainbow_naive
 from strategies import counts_valid_graphs, proper_graphs
 
 
@@ -161,8 +161,6 @@ def test_rainbow_pairs_exhaustive(g):
 
 
 def test_rainbow_pairs_wrong_n(i2):
-    from rainbowmatch.graph import delete_color
-
     with pytest.raises(ValueError):
         rainbow_pairs(delete_color(i2, 0))
 

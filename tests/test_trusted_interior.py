@@ -84,10 +84,11 @@ def _counting_validate(monkeypatch) -> list[ColoredMultigraph]:
 )
 def test_instance_run_validates_its_instance_once(monkeypatch, hyps, spec):
     calls = _counting_validate(monkeypatch)
-    for item in ((s, g) for s in random_spec_stream(*spec, 0, 40) for g in instances_for(s)):
-        calls.clear()
-        _eval_instance(item, hyps, EvalOptions())
-        assert calls == [item[1]], canonical_digest(item[1])
+    for s in random_spec_stream(*spec, 0, 40):
+        for g in instances_for(s):
+            calls.clear()
+            _eval_instance(s, g, hyps, EvalOptions())
+            assert calls == [g], canonical_digest(g)
 
 
 def test_replay_validates_each_group_once(monkeypatch):
@@ -181,9 +182,9 @@ def test_instance_run_reduces_each_exact_input_once(monkeypatch):
     hyps = tuple(Hypothesis)
     items = [(spec, g) for spec in random_spec_stream(3, 6, 5, 0, 200) for g in instances_for(spec)]
     total = 0
-    for item in items:
+    for spec, g in items:
         inputs.clear()
-        _eval_instance(item, hyps, EvalOptions())
-        assert len(inputs) == len(set(inputs)), canonical_digest(item[1])
+        _eval_instance(spec, g, hyps, EvalOptions())
+        assert len(inputs) == len(set(inputs)), canonical_digest(g)
         total += len(inputs)
     assert total > len(items)
