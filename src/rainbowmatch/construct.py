@@ -46,7 +46,7 @@ from .graph import (
     Matching,
     canonical_digest,
     edge_lists,
-    is_rainbow_within,
+    is_rainbow_matching,
     new_edge,
     require_valid,
 )
@@ -347,7 +347,7 @@ def construct_trusted(
     trace: tuple[ConstructStep, ...] = ()
     for edges, steps in _candidates(g, 0, state, identity, (), (), False):
         m = Matching(edges)
-        if is_rainbow_within(state.present, m, g.n):
+        if is_rainbow_matching(g, m, g.n):
             return ConstructionOutcome(
                 ConstructStatus.MATCHED, m, None, steps, None, state.attempts
             )

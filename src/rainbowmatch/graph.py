@@ -231,14 +231,9 @@ def delete_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> ColoredMulti
 def is_rainbow_matching(g: ColoredMultigraph, m: Matching, k: int) -> bool:
     """True iff ``m`` has exactly ``k`` edges of ``g``, pairwise disjoint on
     both sides and pairwise color-distinct."""
-    return is_rainbow_within(set(g.edges), m, k)
-
-
-def is_rainbow_within(present: set[Edge], m: Matching, k: int) -> bool:
-    """``is_rainbow_matching`` against ``present``, the set of a graph's
-    edges, built once by a caller that checks many matchings."""
     if len(m.edges) != k:
         return False
+    present = set(g.edges)
     if any(e not in present for e in m.edges):
         return False
     lefts = {e.u for e in m.edges}

@@ -13,8 +13,9 @@ Each hypothesis is a measurable predicate evaluated per instance:
 * CONJ: every valid instance has a rainbow matching of size n.
 
 A Violated verdict is a *finding*, not an error: campaigns exit cleanly and
-report counts.  Only internal inconsistencies (an invalid Matched witness, a
-non-reproducing record) are failures.
+report counts.  Only a non-reproducing record is a failure.  A Matched
+construction is never re-checked here: ``construct_trusted`` verifies its
+matching before it can return one.
 """
 
 from __future__ import annotations
@@ -45,10 +46,8 @@ from .graph import (
     delete_vertex,
     edge_lists,
     from_dict,
-    is_rainbow_matching,
     require_valid,
     to_dict,
-    validate,
 )
 from .oracle import max_rainbow_trusted
 from .reduction import (
@@ -82,10 +81,6 @@ class H1Mode(str, Enum):
     # whether or not the pivot is missing a color.
     POLICY = "policy"
     ALL = "all"
-
-
-class InternalConsistencyError(Exception):
-    """A witness failed its own validity check; always a hard failure."""
 
 
 @dataclass(frozen=True)
@@ -205,17 +200,11 @@ class InstanceRun:
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
-        g, opts = self.g, self.opts
-        outcome = construct_trusted(
-            g, PeelStrategy.BACKTRACKING, opts.construct_budget, (opts.policy,), self.reductions
+        opts = self.opts
+        return construct_trusted(
+            self.g, PeelStrategy.BACKTRACKING, opts.construct_budget, (opts.policy,),
+            self.reductions,
         )
-        if outcome.status is ConstructStatus.MATCHED and not is_rainbow_matching(
-            g, outcome.matching, g.n
-        ):
-            raise InternalConsistencyError(
-                f"construct returned an invalid matching on {canonical_digest(g)}"
-            )
-        return outcome
 
     @cached_property
     def max_size(self) -> int:
@@ -511,17 +500,19 @@ def replay(records: Iterable[dict]) -> ReplayReport:
     return ReplayReport(total, violated, violated - len(mismatches), tuple(mismatches))
 
 
-def _counts_valid(g: ColoredMultigraph) -> bool:
-    return g.n >= 1 and validate(g, require_counts=True).ok
-
-
 def violation_predicate(
     hyp: Hypothesis, opts: EvalOptions = EvalOptions()
 ) -> Callable[[ColoredMultigraph], bool]:
-    """Predicate for minimization: instance is in-domain and still violates."""
+    """Predicate for minimization: the instance still violates ``hyp``.  An
+    instance outside the domain, which making its ``InstanceRun`` refuses,
+    answers False."""
 
     def pred(g: ColoredMultigraph) -> bool:
-        return _counts_valid(g) and evaluate(hyp, g, opts)[0] is Verdict.VIOLATED
+        try:
+            run = InstanceRun(g, opts)
+        except ValueError:
+            return False
+        return evaluate(hyp, g, opts, run)[0] is Verdict.VIOLATED
 
     return pred
 
@@ -529,15 +520,16 @@ def violation_predicate(
 def minimize(
     g: ColoredMultigraph, predicate: Callable[[ColoredMultigraph], bool]
 ) -> ColoredMultigraph:
-    """Greedy shrink: repeatedly drop isolated vertices while the instance
-    stays counts-valid and the predicate still holds.
+    """Greedy shrink: repeatedly drop isolated vertices while the predicate
+    still holds.  The predicate is the one judge of the domain, as
+    ``violation_predicate`` is by making an ``InstanceRun``.
 
-    From a counts-valid instance nothing else can go: deleting a color or a
-    vertex that carries an edge breaks the counts.  Each pass first tries
-    the compaction, which drops every isolated vertex at once, then one
-    vertex of each run of isolated vertices (deleting any vertex of a run
-    gives the same graph), so the work grows with the edges, not with the
-    declared sides.
+    Dropping an isolated vertex keeps a counts-valid instance counts-valid,
+    and nothing else can go: deleting a color or a vertex that carries an
+    edge breaks the counts.  Each pass first tries the compaction, which
+    drops every isolated vertex at once, then one vertex of each run of
+    isolated vertices (deleting any vertex of a run gives the same graph),
+    so the work grows with the edges, not with the declared sides.
     """
     if not predicate(g):
         raise ValueError("predicate does not hold on the input instance")
@@ -555,7 +547,7 @@ def minimize(
     while changed:
         changed = False
         for cand in candidates(g):
-            if _counts_valid(cand) and predicate(cand):
+            if predicate(cand):
                 g = cand
                 changed = True
                 break

@@ -56,6 +56,12 @@ def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:
     return ColoredMultigraph(g.n - 1, g.left_size, g.right_size, edges)
 
 
+def counts_valid(g: ColoredMultigraph) -> bool:
+    """In the hypotheses' domain: proper, ``n >= 1`` and ``n + 1`` edges per
+    color, the instances an ``InstanceRun`` admits."""
+    return g.n >= 1 and reference_validate(g, require_counts=True).ok
+
+
 def reference_from_dict(d: dict) -> ColoredMultigraph:
     """The instance parser checking and building one edge at a time;
     ``from_dict`` must return the same graph or raise the same message."""

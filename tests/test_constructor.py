@@ -231,14 +231,14 @@ def _count_final_checks(monkeypatch) -> list[bool]:
     # The package re-exports the function construct, which shadows the
     # submodule attribute of the same name.
     module = importlib.import_module("rainbowmatch.construct")
-    real = module.is_rainbow_within
+    real = module.is_rainbow_matching
     results: list[bool] = []
 
-    def counting(present, m, k):
-        results.append(real(present, m, k))
+    def counting(g, m, k):
+        results.append(real(g, m, k))
         return results[-1]
 
-    monkeypatch.setattr(module, "is_rainbow_within", counting)
+    monkeypatch.setattr(module, "is_rainbow_matching", counting)
     return results
 
 

@@ -27,7 +27,6 @@ from rainbowmatch.harness import (
     Hypothesis,
     InstanceRun,
     Verdict,
-    _counts_valid,
     evaluate,
     minimize,
     replay,
@@ -37,7 +36,7 @@ from rainbowmatch.harness import (
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
-from reference import delete_color, reference_h1_all
+from reference import counts_valid, delete_color, reference_h1_all
 from strategies import counts_valid_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.
@@ -367,12 +366,30 @@ def test_minimize_can_only_drop_isolated_vertices(g):
     # counts, so a shrink keeps every color and every edge, and under any
     # predicate ends at the instance's compaction.
     for c in range(g.n):
-        assert not _counts_valid(delete_color(g, c))
+        assert not counts_valid(delete_color(g, c))
     for side in Side:
         carried = {e.u if side is Side.LEFT else e.v for e in g.edges}
         for v in range(g.side_size(side)):
-            assert _counts_valid(delete_vertex(g, side, v)) == (v not in carried)
+            assert counts_valid(delete_vertex(g, side, v)) == (v not in carried)
     assert minimize(g, lambda h: True) == compact_isolated(g)[0]
+
+
+OUT_OF_DOMAIN = {
+    "short-color-class": SHORT,
+    "no-colors": ColoredMultigraph.of(0, 1, 1, []),
+    # Counts-valid, but color 0 meets left vertex 0 twice.
+    "improper": ColoredMultigraph.of(
+        2, 4, 3, [(0, 0, 0), (0, 1, 0), (2, 2, 0), (3, 0, 1), (1, 1, 1), (2, 2, 1)]
+    ),
+    "edge-out-of-bounds": ColoredMultigraph.of(1, 2, 2, [(5, 0, 0), (1, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("g", OUT_OF_DOMAIN.values(), ids=OUT_OF_DOMAIN.keys())
+@pytest.mark.parametrize("hyp", list(Hypothesis), ids=lambda h: h.value)
+def test_violation_predicate_is_false_outside_the_domain(hyp, g):
+    assert counts_valid(g) is False
+    assert violation_predicate(hyp)(g) is False
 
 
 def test_minimize_rejects_non_violating(i2):

@@ -4,22 +4,29 @@ calls run unguarded cores on graphs the package built itself."""
 from __future__ import annotations
 
 import importlib
+import io
 import json
+import sys
 
 import pytest
 
 from conftest import seeded
-from rainbowmatch.construct import PeelStrategy, construct
+from rainbowmatch.cli import main
+from rainbowmatch.construct import ConstructStatus, PeelStrategy, construct
 from rainbowmatch.generators import instances_for, random_spec_stream
-from rainbowmatch.graph import ColoredMultigraph, canonical_digest, to_dict
+from rainbowmatch.graph import ColoredMultigraph, canonical_digest, to_canonical_json, to_dict
 from rainbowmatch.harness import (
     EvalOptions,
     H1Mode,
     Hypothesis,
+    InstanceRun,
+    Verdict,
     _eval_instance,
     evaluate,
+    minimize,
     replay,
     run_campaign,
+    violation_predicate,
 )
 from rainbowmatch.oracle import max_rainbow, rainbow_pairs
 from rainbowmatch.reduction import reduce_to_normal_form
@@ -70,11 +77,15 @@ def _counting_validate(monkeypatch) -> list[ColoredMultigraph]:
         calls.append(g)
         return real(g, require_counts)
 
-    for name in ("graph", "harness", "construct", "oracle", "reduction", "shifting", "cli"):
-        module = importlib.import_module(f"rainbowmatch.{name}")
+    for module in _modules():
         if getattr(module, "validate", None) is real:
             monkeypatch.setattr(module, "validate", counting)
     return calls
+
+
+def _modules():
+    names = ("graph", "harness", "construct", "oracle", "reduction", "shifting", "cli")
+    return [importlib.import_module(f"rainbowmatch.{name}") for name in names]
 
 
 @pytest.mark.parametrize(
@@ -89,6 +100,87 @@ def test_instance_run_validates_its_instance_once(monkeypatch, hyps, spec):
             calls.clear()
             _eval_instance(s, g, hyps, EvalOptions())
             assert calls == [g], canonical_digest(g)
+
+
+def test_minimize_validates_once_per_predicate_call(monkeypatch):
+    # The predicate's InstanceRun is the one judge of a candidate's domain.
+    pred = violation_predicate(Hypothesis.H4)
+    seeds = [s for s in range(12) if pred(seeded(3, 6, 5, s))]
+    assert seeds
+    calls = _counting_validate(monkeypatch)
+    for seed in seeds:
+        asked = []
+
+        def counted(h):
+            asked.append(h)
+            return pred(h)
+
+        calls.clear()
+        minimize(seeded(3, 6, 5, seed), counted)
+        assert calls == asked, seed
+
+
+def _counting_rainbow_checks(monkeypatch) -> list[tuple[str, bool]]:
+    """Record the calling module and the answer of every
+    ``graph.is_rainbow_matching`` call, in every module that binds the name."""
+    real = importlib.import_module("rainbowmatch.graph").is_rainbow_matching
+    calls: list[tuple[str, bool]] = []
+
+    def counting(name):
+        def is_rainbow_matching(g, m, k):
+            calls.append((name, real(g, m, k)))
+            return calls[-1][1]
+
+        return is_rainbow_matching
+
+    for module in _modules():
+        if getattr(module, "is_rainbow_matching", None) is real:
+            monkeypatch.setattr(module, "is_rainbow_matching", counting(module.__name__))
+    return calls
+
+
+def _assert_only_construct_checks(calls, matched, seed):
+    # Construct's own final check sees at most the H5 witness and the match,
+    # and nothing checks a matching again after it.
+    assert len(calls) <= 2, seed
+    assert {name for name, _ in calls} <= {"rainbowmatch.construct"}, seed
+    assert matched == any(ok for _, ok in calls), seed
+
+
+N4_SEEDS = range(20)
+
+
+def test_evaluate_leaves_the_matching_check_to_construct(monkeypatch):
+    calls = _counting_rainbow_checks(monkeypatch)
+    opts = EvalOptions()
+    matches = 0
+    for seed in N4_SEEDS:
+        g = seeded(4, 7, 6, seed)
+        calls.clear()
+        run = InstanceRun(g, opts)
+        verdicts = [evaluate(h, g, opts, run)[0] for h in (Hypothesis.H4, Hypothesis.H5)]
+        matched = run.construction.status is ConstructStatus.MATCHED
+        _assert_only_construct_checks(calls, matched, seed)
+        if matched:
+            assert verdicts == [Verdict.HOLDS, Verdict.HOLDS], seed
+        matches += matched
+    assert matches > 0
+
+
+def test_cli_construct_leaves_the_matching_check_to_construct(monkeypatch, capsys):
+    calls = _counting_rainbow_checks(monkeypatch)
+    matches = 0
+    for seed in N4_SEEDS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(to_canonical_json(seeded(4, 7, 6, seed))))
+        calls.clear()
+        code = main(["construct", "--strategy", "backtrack"])
+        out = capsys.readouterr().out
+        assert code in (0, 3) and len(out.splitlines()) == 1, seed
+        matched = json.loads(out)["status"] == ConstructStatus.MATCHED.value
+        assert matched == (code == 0), seed
+        _assert_only_construct_checks(calls, matched, seed)
+        matches += matched
+    assert matches > 0
 
 
 def test_replay_validates_each_group_once(monkeypatch):
