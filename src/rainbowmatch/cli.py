@@ -20,14 +20,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice
 from typing import Callable, Iterable
 
-from .construct import (
-    DEFAULT_BUDGET,
-    DEFAULT_POLICIES,
-    ConstructStatus,
-    PeelStrategy,
-    Reductions,
-    construct,
-)
+from .construct import DEFAULT_BUDGET, ConstructStatus, PeelStrategy, construct
 from .generators import GenKind, GenSpec, instances_for, latin_spec_stream, random_spec_stream
 from .graph import (
     ColoredMultigraph,
@@ -246,15 +239,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    policies = tuple(map(PivotDonorPolicy, args.policy)) if args.policy else DEFAULT_POLICIES
-
     def render(g):
         outcome = construct(
             g,
             PeelStrategy(args.strategy),
             budget=args.budget,
-            policies=policies,
-            reductions=Reductions(args.max_iters),
+            policy=PivotDonorPolicy(args.policy),
+            max_iters=args.max_iters,
         )
         matched = outcome.status is ConstructStatus.MATCHED
         payload = {"digest": canonical_digest(g), **outcome.to_dict()}
@@ -346,14 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
                            help="instances to generate; gen also caps an enumeration with it "
                                 "(check: use --budget to cap an enumeration)")
 
-    hyp_flags = argparse.ArgumentParser(add_help=False)
+    reduction_flags = argparse.ArgumentParser(add_help=False)
+    reduction_flags.add_argument("--policy", default=DEFAULT_POLICY.value,
+                                 choices=[pol.value for pol in PivotDonorPolicy])
+    reduction_flags.add_argument("--max-iters", type=_non_negative, default=None,
+                                 help="cap on the shifts of each reduction")
+
+    hyp_flags = argparse.ArgumentParser(add_help=False, parents=[reduction_flags])
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode],
                            default=EvalOptions.h1_mode.value)
-    hyp_flags.add_argument("--policy", default=EvalOptions.policy.value,
-                           choices=[p.value for p in PivotDonorPolicy])
     hyp_flags.add_argument("--construct-budget", type=_non_negative,
                            default=EvalOptions.construct_budget)
-    hyp_flags.add_argument("--max-iters", type=_non_negative, default=EvalOptions.max_iters)
 
     p = sub.add_parser("gen", parents=[io_flags, gen_flags],
                        help="generate instances as canonical JSON lines")
@@ -381,26 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-color rewrites as JSON lines here")
     p.set_defaults(func=_cmd_shift)
 
-    p = sub.add_parser("reduce", parents=[io_flags],
+    p = sub.add_parser("reduce", parents=[io_flags, reduction_flags],
                        help="reduce to normal form")
-    p.add_argument("--policy", default=DEFAULT_POLICY.value,
-                   choices=[pol.value for pol in PivotDonorPolicy])
-    p.add_argument("--max-iters", type=_non_negative, default=None)
     p.add_argument("--emit", choices=["graph", "record"], default="graph")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write one JSON line per shift step here")
     p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("construct", parents=[io_flags, fmt_flags],
+    p = sub.add_parser("construct", parents=[io_flags, fmt_flags, reduction_flags],
                        help="inductive rainbow matching construction")
     p.add_argument("--strategy", choices=[s.value for s in PeelStrategy],
                    default=PeelStrategy.FIRST_FEASIBLE.value)
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
-    # No list default: argparse would append the given policies to it.
-    p.add_argument("--policy", action="append", default=None,
-                   choices=[pol.value for pol in PivotDonorPolicy],
-                   help="reduction policy; repeat to try several")
-    p.add_argument("--max-iters", type=_non_negative, default=None)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check", parents=[io_flags, fmt_flags, gen_flags, hyp_flags],

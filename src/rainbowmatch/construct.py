@@ -8,7 +8,8 @@ break the per-color counts, which is the CountDeficit failure (hypothesis
 H3).  The search records that diagnosis but still recurses, because a
 sub-matching that avoids v lifts cleanly regardless.  Recursion bottoms out
 at n == 2, where the oracle enumerates every witness; the induction only
-needs some matching, so candidates are tried in turn.
+needs some matching, so candidates are tried in turn.  The input and every
+residual are reduced by one policy, the reduction cache's.
 
 Edges found at deeper levels live in graphs rewritten by shifting, so the
 assembled matching is only *claimed* to exist in the original input.  The
@@ -25,11 +26,11 @@ colors never clash, because each level removes its pivot and its color.
 
 Two kinds of work are counted, not run, because nothing can observe them.
 Below the top, a level's graph is its parent's normalized residual, which
-every policy's reduction leaves as it is, so only the input is reduced on
-entry.  At a level whose residuals are bases, once pruning is on and a
-failure at least as deep is kept, a peel whose edge dooms the child only adds
-to ``attempts``: the child would yield nothing, the failures it could record
-at this depth are not deeper than the kept one, and its base always holds a
+the reduction leaves as it is, so only the input is reduced on entry.  At a
+level whose residuals are bases, once pruning is on and a failure at least
+as deep is kept, a peel whose edge dooms the child only adds to
+``attempts``: the child would yield nothing, the failures it could record at
+this depth are not deeper than the kept one, and its base always holds a
 rainbow pair, so it records nothing.  Attempts and failures stay those of the
 unpruned search.
 """
@@ -60,20 +61,20 @@ from .reduction import (
 )
 
 DEFAULT_BUDGET = 10_000
-DEFAULT_POLICIES = (DEFAULT_POLICY,)
 
 
-class Reductions(dict[tuple[ColoredMultigraph, PivotDonorPolicy], ReductionOutcome]):
-    """Reductions keyed on the exact ``(graph, policy)`` input, edge order
-    included, all under the cache's one iteration cap: looking up a missing
-    key runs ``reduce_trusted``, so each exact input is reduced once."""
+class Reductions(dict[ColoredMultigraph, ReductionOutcome]):
+    """Reductions keyed on the exact input graph, edge order included, all
+    under the cache's one policy and iteration cap: looking up a missing
+    graph runs ``reduce_trusted``, so each exact input is reduced once."""
 
-    def __init__(self, max_iters: int | None = None):
+    def __init__(self, policy: PivotDonorPolicy = DEFAULT_POLICY, max_iters: int | None = None):
         super().__init__()
+        self.policy = policy
         self.max_iters = max_iters
 
-    def __missing__(self, key: tuple[ColoredMultigraph, PivotDonorPolicy]) -> ReductionOutcome:
-        red = self[key] = reduce_trusted(*key, self.max_iters)
+    def __missing__(self, g: ColoredMultigraph) -> ReductionOutcome:
+        red = self[g] = reduce_trusted(g, self.policy, self.max_iters)
         return red
 
 
@@ -151,12 +152,10 @@ class _SearchState:
         g: ColoredMultigraph,
         strategy: PeelStrategy,
         budget: int,
-        policies: tuple[PivotDonorPolicy, ...],
         reductions: Reductions,
     ):
         self.strategy = strategy
         self.budget = budget
-        self.policies = policies
         self.present = set(g.edges)
         # Set once the first candidate, the H5 witness, has been assembled;
         # from then on candidates that cannot pass are not assembled.
@@ -246,68 +245,65 @@ def _candidates(
             yield prefix + (ea, eb), steps
         return
 
-    for policy in state.policies:
-        if depth:
-            # g is its parent's normalized residual, which every policy's
-            # reduction returns unchanged.
-            h, h_us, h_vs = g, us, vs
-        else:
-            red = state.reductions[g, policy]
-            if red.status is not ReductionStatus.NORMALIZED:
-                state.record(depth, FailReason.REDUCTION_STALLED, g, [])
-                continue
-            h = red.graph
-            # h's vertices in input coordinates: undo red's compaction.
-            h_us = [us[u] for u in red.left_map]
-            h_vs = [vs[v] for v in red.right_map]
-        pairs = peels(h)
-        if state.strategy is PeelStrategy.FIRST_FEASIBLE:
-            pairs = pairs[:1]
-        for color, pivot, edge in pairs:
-            if state.attempts >= state.budget:
-                return
-            state.attempts += 1
-            # edge is (pivot, v, color) in h's coordinates.
-            right = h_vs[edge.v]
-            head = new_edge((h_us[pivot], right, cs[color]))
-            sub_doomed = doomed or head not in state.present or right in rights
-            if sub_doomed and h.n == 3 and state.prune and state.deepest_failure.depth >= depth:
-                # Past the H5 witness, which keeps a failure at depth 0, a
-                # doomed base child only counts.  It would yield nothing, its
-                # failures at this depth are no deeper than the kept one, and
-                # its base never records, as two proper colors of three edges
-                # always hold a rainbow pair (pinned by
-                # test_two_colors_of_three_edges_have_a_rainbow_pair).
-                continue
-            red2 = state.reductions[peel(h, edge), policy]
-            step = ConstructStep(depth, color, pivot, edge, h)
-            if red2.status is not ReductionStatus.NORMALIZED:
-                state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
-                continue
-            if edge.v in red2.right_map:
-                # The wrong right vertex was emptied, so excising v would
-                # leave some color class short of n edges.  Recurse anyway:
-                # a sub-matching that happens to avoid v still lifts cleanly,
-                # and the final verification arbitrates.
-                state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
-            # The sub-level's coordinates: undo red2's compaction, then
-            # re-insert the pivot and the peeled color.
-            sub_to_input = (
-                [h_us[u if u < pivot else u + 1] for u in red2.left_map],
-                [h_vs[v] for v in red2.right_map],
-                [cs[c if c < color else c + 1] for c in range(h.n - 1)],
-            )
-            yield from _candidates(
-                red2.graph,
-                depth + 1,
-                state,
-                sub_to_input,
-                prefix + (head,),
-                steps + (step,),
-                sub_doomed,
-            )
-        if state.strategy is PeelStrategy.FIRST_FEASIBLE:
+    if depth:
+        # g is its parent's normalized residual, which the reduction returns
+        # unchanged.
+        h, h_us, h_vs = g, us, vs
+    else:
+        red = state.reductions[g]
+        if red.status is not ReductionStatus.NORMALIZED:
+            state.record(depth, FailReason.REDUCTION_STALLED, g, [])
             return
+        h = red.graph
+        # h's vertices in input coordinates: undo red's compaction.
+        h_us = [us[u] for u in red.left_map]
+        h_vs = [vs[v] for v in red.right_map]
+    pairs = peels(h)
+    if state.strategy is PeelStrategy.FIRST_FEASIBLE:
+        pairs = pairs[:1]
+    for color, pivot, edge in pairs:
+        if state.attempts >= state.budget:
+            return
+        state.attempts += 1
+        # edge is (pivot, v, color) in h's coordinates.
+        right = h_vs[edge.v]
+        head = new_edge((h_us[pivot], right, cs[color]))
+        sub_doomed = doomed or head not in state.present or right in rights
+        if sub_doomed and h.n == 3 and state.prune and state.deepest_failure.depth >= depth:
+            # Past the H5 witness, which keeps a failure at depth 0, a
+            # doomed base child only counts.  It would yield nothing, its
+            # failures at this depth are no deeper than the kept one, and
+            # its base never records, as two proper colors of three edges
+            # always hold a rainbow pair (pinned by
+            # test_two_colors_of_three_edges_have_a_rainbow_pair).
+            continue
+        red2 = state.reductions[peel(h, edge)]
+        step = ConstructStep(depth, color, pivot, edge, h)
+        if red2.status is not ReductionStatus.NORMALIZED:
+            state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
+            continue
+        if edge.v in red2.right_map:
+            # The wrong right vertex was emptied, so excising v would
+            # leave some color class short of n edges.  Recurse anyway:
+            # a sub-matching that happens to avoid v still lifts cleanly,
+            # and the final verification arbitrates.
+            state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
+        # The sub-level's coordinates: undo red2's compaction, then
+        # re-insert the pivot and the peeled color.
+        sub_to_input = (
+            [h_us[u if u < pivot else u + 1] for u in red2.left_map],
+            [h_vs[v] for v in red2.right_map],
+            [cs[c if c < color else c + 1] for c in range(h.n - 1)],
+        )
+        yield from _candidates(
+            red2.graph,
+            depth + 1,
+            state,
+            sub_to_input,
+            prefix + (head,),
+            steps + (step,),
+            sub_doomed,
+        )
 
 
 def construct(
@@ -315,33 +311,31 @@ def construct(
     strategy: PeelStrategy = PeelStrategy.FIRST_FEASIBLE,
     *,
     budget: int = DEFAULT_BUDGET,
-    policies: tuple[PivotDonorPolicy, ...] = DEFAULT_POLICIES,
-    reductions: Reductions | None = None,
+    policy: PivotDonorPolicy = DEFAULT_POLICY,
+    max_iters: int | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
-    level; Backtracking iterates all (color, pivot) pairs, and additional
-    reduction policies when configured, within the attempt budget.
-    ``reductions`` is the caller's cache, whose cap bounds every reduction
-    of the search; it reuses what the caller reduced and keeps what the
-    search reduces.  Without it the search gets an uncapped cache of its own.
+    level; Backtracking iterates all (color, pivot) pairs within the attempt
+    budget.  The input and every residual are reduced by ``policy`` under
+    the iteration cap ``max_iters``, as ``reduce_to_normal_form`` takes them.
     """
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
-    if reductions is None:
-        reductions = Reductions()
-    return construct_trusted(g, strategy, budget, tuple(policies), reductions)
+    return construct_trusted(g, strategy, budget, Reductions(policy, max_iters))
 
 
 def construct_trusted(
-    g: ColoredMultigraph, strategy: PeelStrategy, budget: int,
-    policies: tuple[PivotDonorPolicy, ...], reductions: Reductions,
+    g: ColoredMultigraph, strategy: PeelStrategy, budget: int, reductions: Reductions
 ) -> ConstructionOutcome:
     """``construct`` without its guard: ``g`` is proper with n >= 2 colors
-    of n + 1 edges each, as on every instance an ``InstanceRun`` admits."""
-    state = _SearchState(g, strategy, budget, policies, reductions)
+    of n + 1 edges each, as on every instance an ``InstanceRun`` admits.
+    Every reduction of the search goes through ``reductions``, under its
+    policy and cap; it reuses what the caller reduced and keeps what the
+    search reduces."""
+    state = _SearchState(g, strategy, budget, reductions)
     identity = (range(g.left_size), range(g.right_size), range(g.n))
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()

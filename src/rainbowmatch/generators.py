@@ -115,6 +115,8 @@ def enumerate_instances(n: int, left_size: int, right_size: int) -> Iterator[Col
     lexicographic order over the per-color matchings."""
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
+    if left_size < 0 or right_size < 0:
+        raise ValueError(f"side sizes must be non-negative, got {left_size}x{right_size}")
     total = count_instances(n, left_size, right_size)
     if total > ENUMERATION_GUARD:
         raise ValueError(

@@ -179,11 +179,11 @@ class InstanceRun:
     every hypothesis, and every stage behind it runs a trusted core.  The
     backtracking construction and the exact oracle are each computed at most
     once, on first use, so the evaluators are cheap projections of one run.
-    Every reduction goes through one cache, ``reductions``, capped at
-    ``opts.max_iters``: the entry reduction, H3's residual and each level of
-    the construction, so no exact graph is reduced twice in a run.  A run
-    lives exactly as long as its instance is being evaluated; nothing is
-    cached beyond it.
+    Every reduction goes through one cache, ``reductions``, under
+    ``opts.policy`` and capped at ``opts.max_iters``: the entry reduction,
+    H3's residual and each level of the construction, so no exact graph is
+    reduced twice in a run.  A run lives exactly as long as its instance is
+    being evaluated; nothing is cached beyond it.
     """
 
     def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
@@ -192,18 +192,16 @@ class InstanceRun:
             raise ValueError("the hypotheses need at least one color")
         self.g = g
         self.opts = opts
-        self.reductions = Reductions(opts.max_iters)
+        self.reductions = Reductions(opts.policy, opts.max_iters)
 
     @cached_property
     def reduction(self) -> ReductionOutcome:
-        return self.reductions[self.g, self.opts.policy]
+        return self.reductions[self.g]
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
-        opts = self.opts
         return construct_trusted(
-            self.g, PeelStrategy.BACKTRACKING, opts.construct_budget, (opts.policy,),
-            self.reductions,
+            self.g, PeelStrategy.BACKTRACKING, self.opts.construct_budget, self.reductions
         )
 
     @cached_property
@@ -279,7 +277,7 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     h = red.graph
     # construct's first peel: color 0 at its lowest pivot.
     color, pivot, edge = peels(h)[0]
-    red2 = run.reductions[peel(h, edge), run.opts.policy]
+    red2 = run.reductions[peel(h, edge)]
     if red2.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
     if edge.v in red2.right_map:

@@ -156,11 +156,6 @@ def _donor(masks: list[int], pivot: int, policy: PivotDonorPolicy) -> int:
     return donor
 
 
-def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
-    """The lowest vertex of ``side`` missing some color."""
-    return _pivot(_color_masks(g, side), g.n)
-
-
 def pick_donor(
     g: ColoredMultigraph, pivot: int, policy: PivotDonorPolicy, side: Side = Side.LEFT
 ) -> int:

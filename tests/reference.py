@@ -38,6 +38,8 @@ from rainbowmatch.oracle import OracleResult, rainbow_pairs
 from rainbowmatch.reduction import (
     PivotDonorPolicy,
     ReductionStatus,
+    _color_masks,
+    _pivot,
     compact_isolated,
     reduce_to_normal_form,
 )
@@ -254,6 +256,13 @@ def shift_applicable(g: ColoredMultigraph, pivot: int) -> bool:
     return len(colors_at(g, Side.LEFT, pivot)) < g.n
 
 
+def pick_pivot(g: ColoredMultigraph, side: Side = Side.LEFT) -> int:
+    """The reduction's pivot rule applied to a graph rather than to the
+    reduction's working lists: the lowest vertex of ``side`` missing some
+    color."""
+    return _pivot(_color_masks(g, side), g.n)
+
+
 def is_normal_form(g: ColoredMultigraph) -> bool:
     """True iff each side has exactly n + 1 non-isolated vertices (isolated
     vertices are ignored; compaction removes them)."""
@@ -305,12 +314,13 @@ def reference_construct(
     g: ColoredMultigraph,
     strategy: PeelStrategy,
     budget: int,
-    policies: tuple[PivotDonorPolicy, ...],
+    policy: PivotDonorPolicy,
 ) -> ConstructionOutcome:
     """The construction search lifting every candidate bottom-up through
     every level and checking each one in full at the top, peeling in two
-    steps (delete the color, then the pivot).  No candidate is rejected
-    early; ``construct`` must report the same outcome."""
+    steps (delete the color, then the pivot) and reducing every level by
+    ``policy``.  No candidate is rejected early; ``construct`` must report
+    the same outcome."""
     attempts = 0
     failure: ConstructFailure | None = None
     failure_trace: tuple = ()
@@ -330,47 +340,44 @@ def reference_construct(
             for a, b in pairs2:
                 yield [a, b], []
             return
-        for policy in policies:
-            red = reduce_to_normal_form(cur, policy)
-            if red.status is not ReductionStatus.NORMALIZED:
-                record(depth, FailReason.REDUCTION_STALLED, cur, [])
-                continue
-            h = red.graph
-            colors = range(1) if strategy is PeelStrategy.FIRST_FEASIBLE else range(h.n)
-            pairs = [
-                (c, u)
-                for c in colors
-                for u in sorted({e.u for e in h.edges if e.c == c})
-            ]
-            if strategy is PeelStrategy.FIRST_FEASIBLE:
-                pairs = pairs[:1]
-            # A normal form carries every color at every vertex.
-            assert pairs
-            for color, pivot in pairs:
-                if attempts >= budget:
-                    return
-                attempts += 1
-                edge = next(e for e in h.edges if e.u == pivot and e.c == color)
-                residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
-                red2 = reduce_to_normal_form(residual, policy)
-                step = ConstructStep(depth, color, pivot, edge, h)
-                if red2.status is not ReductionStatus.NORMALIZED:
-                    record(depth, FailReason.REDUCTION_STALLED, cur, [step])
-                    continue
-                if edge.v in red2.right_map:
-                    record(depth, FailReason.COUNT_DEFICIT, cur, [step])
-                for sub, sub_trace in candidates(red2.graph, depth + 1):
-                    lifted = [Edge(red.left_map[edge.u], red.right_map[edge.v], edge.c)]
-                    for e in sub:
-                        u = red2.left_map[e.u]
-                        u = u if u < pivot else u + 1
-                        c = e.c if e.c < color else e.c + 1
-                        lifted.append(
-                            Edge(red.left_map[u], red.right_map[red2.right_map[e.v]], c)
-                        )
-                    yield lifted, [step] + sub_trace
-            if strategy is PeelStrategy.FIRST_FEASIBLE:
+        red = reduce_to_normal_form(cur, policy)
+        if red.status is not ReductionStatus.NORMALIZED:
+            record(depth, FailReason.REDUCTION_STALLED, cur, [])
+            return
+        h = red.graph
+        colors = range(1) if strategy is PeelStrategy.FIRST_FEASIBLE else range(h.n)
+        pairs = [
+            (c, u)
+            for c in colors
+            for u in sorted({e.u for e in h.edges if e.c == c})
+        ]
+        if strategy is PeelStrategy.FIRST_FEASIBLE:
+            pairs = pairs[:1]
+        # A normal form carries every color at every vertex.
+        assert pairs
+        for color, pivot in pairs:
+            if attempts >= budget:
                 return
+            attempts += 1
+            edge = next(e for e in h.edges if e.u == pivot and e.c == color)
+            residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
+            red2 = reduce_to_normal_form(residual, policy)
+            step = ConstructStep(depth, color, pivot, edge, h)
+            if red2.status is not ReductionStatus.NORMALIZED:
+                record(depth, FailReason.REDUCTION_STALLED, cur, [step])
+                continue
+            if edge.v in red2.right_map:
+                record(depth, FailReason.COUNT_DEFICIT, cur, [step])
+            for sub, sub_trace in candidates(red2.graph, depth + 1):
+                lifted = [Edge(red.left_map[edge.u], red.right_map[edge.v], edge.c)]
+                for e in sub:
+                    u = red2.left_map[e.u]
+                    u = u if u < pivot else u + 1
+                    c = e.c if e.c < color else e.c + 1
+                    lifted.append(
+                        Edge(red.left_map[u], red.right_map[red2.right_map[e.v]], c)
+                    )
+                yield lifted, [step] + sub_trace
 
     candidate = None
     trace: tuple = ()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch.cli import _eval_options, build_parser, main
-from rainbowmatch.construct import DEFAULT_BUDGET, DEFAULT_POLICIES, PeelStrategy, construct
+from rainbowmatch.construct import DEFAULT_BUDGET, PeelStrategy, construct
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
 from rainbowmatch.harness import EvalOptions
 from rainbowmatch.reduction import DEFAULT_POLICY, PivotDonorPolicy
@@ -487,30 +487,58 @@ def test_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     assert _eval_options(parser.parse_args(CHECK)) == EvalOptions()
     assert parser.parse_args(["construct"]).budget == DEFAULT_BUDGET
-    assert parser.parse_args(["reduce"]).policy == DEFAULT_POLICY.value
     # The README findings and acceptance criterion 6 are maxdrain's.
-    assert DEFAULT_POLICIES == (DEFAULT_POLICY,) == (PivotDonorPolicy.MAX_DRAIN,)
+    assert DEFAULT_POLICY is PivotDonorPolicy.MAX_DRAIN
 
 
-# No flag means the library default; a flag replaces the default rather than
-# adding to it, which argparse does with a list default and action="append".
+# The subcommands that reduce, with the arguments each needs besides.
+REDUCING = {
+    "reduce": ["reduce"],
+    "construct": ["construct"],
+    "check": CHECK,
+    "minimize": ["minimize", "--hyp", "H2"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REDUCING.values()), ids=list(REDUCING))
+def test_reduction_flags_are_shared(capsys, argv):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    defaults = EvalOptions()
+    assert (args.policy, args.max_iters) == (defaults.policy.value, defaults.max_iters)
+    assert (defaults.policy, defaults.max_iters) == (DEFAULT_POLICY, None)
+    for policy in PivotDonorPolicy:
+        args = parser.parse_args(argv + ["--policy", policy.value, "--max-iters", "3"])
+        assert (args.policy, args.max_iters) == (policy.value, 3)
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv + ["--policy", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --policy: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+# No flag means the library default, and a repeated --policy takes the last
+# value, as it does for reduce and check.
 @pytest.mark.parametrize(
-    "flags, policies",
+    "flags, kwargs",
     [
-        ([], DEFAULT_POLICIES),
-        (["--policy", "maxdrain"], (PivotDonorPolicy.MAX_DRAIN,)),
-        (["--policy", "lastvertex"], (PivotDonorPolicy.LAST_VERTEX,)),
+        ([], {}),
+        (["--policy", "maxdrain"], {"policy": PivotDonorPolicy.MAX_DRAIN}),
+        (["--policy", "lastvertex"], {"policy": PivotDonorPolicy.LAST_VERTEX}),
+        (["--policy", "lastvertex", "--max-iters", "3"],
+         {"policy": PivotDonorPolicy.LAST_VERTEX, "max_iters": 3}),
+        (["--policy", "lastvertex", "--policy", "maxdrain"],
+         {"policy": PivotDonorPolicy.MAX_DRAIN}),
     ],
-    ids=["default", "maxdrain", "lastvertex"],
+    ids=["default", "maxdrain", "lastvertex", "lastvertex-capped", "repeated"],
 )
-def test_construct_policies_are_the_library_calls(capsys, monkeypatch, flags, policies):
+def test_construct_policies_are_the_library_calls(capsys, monkeypatch, flags, kwargs):
     assert main(["gen", "--kind", "random", "--n", "4", "--left", "7", "--right", "6",
                  "--count", "20"]) == 0
     instances = capsys.readouterr().out
     run(["construct", "--strategy", "backtrack"] + flags, instances, monkeypatch)
     want = "".join(
         json.dumps({"digest": canonical_digest(g),
-                    **construct(g, PeelStrategy.BACKTRACKING, policies=policies).to_dict()},
+                    **construct(g, PeelStrategy.BACKTRACKING, **kwargs).to_dict()},
                    separators=(",", ":")) + "\n"
         for g in read_instances(instances.splitlines())
     )
@@ -529,6 +557,15 @@ def test_zero_counts_and_budgets_are_accepted(capsys):
 def test_gen_enumerate_emits_exactly_count(capsys, count):
     assert main(["gen", "--kind", "enumerate", "--n", "2", "--count", str(count)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == count
+
+
+@pytest.mark.parametrize("command", ["gen", "check"])
+def test_enumerate_with_a_negative_side_is_invalid_input(capsys, command):
+    # Not an empty enumeration of zero instances or trials.
+    assert main([command, "--kind", "enumerate", "--n", "2", "--left", "-1", "--right", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: side sizes must be non-negative, got -1x3\n"
 
 
 def _piped(capsys, gen_argv, argv, monkeypatch):

@@ -25,7 +25,12 @@ from rainbowmatch.graph import (
     is_rainbow_matching,
 )
 from rainbowmatch.oracle import max_rainbow
-from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, reduce_trusted
+from rainbowmatch.reduction import (
+    DEFAULT_POLICY,
+    PivotDonorPolicy,
+    ReductionStatus,
+    reduce_trusted,
+)
 from reference import delete_color, reference_construct
 from strategies import counts_valid_graphs
 
@@ -124,18 +129,20 @@ def test_stalled_instance_fails_cleanly(cycle_instance):
 
 
 def test_reductions_reduce_under_their_cap(cycle_instance):
-    reductions = Reductions(2)
-    red = reductions[cycle_instance, PivotDonorPolicy.MAX_DRAIN]
-    assert red == reduce_trusted(cycle_instance, PivotDonorPolicy.MAX_DRAIN, 2)
+    reductions = Reductions(PivotDonorPolicy.LAST_VERTEX, 2)
+    red = reductions[cycle_instance]
+    assert red == reduce_trusted(cycle_instance, PivotDonorPolicy.LAST_VERTEX, 2)
     assert red.status is ReductionStatus.ITERATION_CAP
-    assert reductions[cycle_instance, PivotDonorPolicy.MAX_DRAIN] is red
-    uncapped = Reductions()[cycle_instance, PivotDonorPolicy.MAX_DRAIN]
+    assert reductions[cycle_instance] is red
+    assert list(reductions) == [cycle_instance]
+    uncapped = Reductions()[cycle_instance]
+    assert uncapped == reduce_trusted(cycle_instance, DEFAULT_POLICY, None)
     assert uncapped.status is ReductionStatus.STALLED
 
 
 def test_construct_reduces_under_the_cap_of_its_cache():
     g = seeded(3, 6, 5, 0)
-    out = construct(g, PeelStrategy.BACKTRACKING, reductions=Reductions(0))
+    out = construct(g, PeelStrategy.BACKTRACKING, max_iters=0)
     assert out.status is ConstructStatus.STEP_FAILED
     assert (out.failure.depth, out.failure.reason) == (0, FailReason.REDUCTION_STALLED)
     assert construct(g, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
@@ -192,13 +199,6 @@ def test_matched_on_oversized_when_possible():
     assert hits > 0  # some oversized instances do lift cleanly
 
 
-POLICY_TUPLES = [
-    (PivotDonorPolicy.MAX_DRAIN,),
-    (PivotDonorPolicy.LAST_VERTEX,),
-    (PivotDonorPolicy.MAX_DRAIN, PivotDonorPolicy.LAST_VERTEX),
-]
-
-
 BUDGETS = (0, 1, 7, 256)
 # Budgets that run out inside runs of base-level peels that are only counted.
 EXTRA_BUDGETS = {(4, 7, 6): (13, 100, 145)}
@@ -213,11 +213,11 @@ def test_construct_matches_reference(size, seeds, matches):
     for seed in range(seeds):
         g = seeded(*size, seed)
         for strategy in PeelStrategy:
-            for policies in POLICY_TUPLES:
+            for policy in PivotDonorPolicy:
                 for budget in BUDGETS + EXTRA_BUDGETS.get(size, ()):
-                    got = construct(g, strategy, budget=budget, policies=policies)
-                    want = reference_construct(g, strategy, budget, policies)
-                    key = (size, seed, strategy, policies, budget)
+                    got = construct(g, strategy, budget=budget, policy=policy)
+                    want = reference_construct(g, strategy, budget, policy)
+                    key = (size, seed, strategy, policy, budget)
                     assert got.to_dict() == want.to_dict(), key
                     assert [s.graph for s in got.trace] == [s.graph for s in want.trace], key
                     statuses.add((got.status, got.candidate is not None))

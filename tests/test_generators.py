@@ -91,6 +91,13 @@ def test_enumeration_guard():
         next(enumerate_instances(4, 8, 8))
 
 
+@pytest.mark.parametrize("left, right", [(-1, 3), (3, -1)])
+def test_enumeration_rejects_a_negative_side(left, right):
+    # Not an empty enumeration: gen_random refuses such a spec too.
+    with pytest.raises(ValueError, match="non-negative"):
+        next(enumerate_instances(2, left, right))
+
+
 def test_instances_for_dispatch():
     rnd = list(instances_for(GenSpec(GenKind.RANDOM, 2, 3, 3, seed=1)))
     assert len(rnd) == 1

@@ -22,11 +22,10 @@ from rainbowmatch.reduction import (
     compact_isolated,
     default_max_iters,
     pick_donor,
-    pick_pivot,
     reduce_to_normal_form,
 )
 from rainbowmatch.shifting import shift
-from reference import colors_at, is_normal_form, mirror, reference_shift
+from reference import colors_at, is_normal_form, mirror, pick_pivot, reference_shift
 from strategies import counts_valid_graphs, proper_graphs
 
 
