@@ -38,7 +38,7 @@ from rainbowmatch.generators import (
     latin_spec_stream,
     random_spec_stream,
 )
-from rainbowmatch.graph import ColoredMultigraph, to_dict
+from rainbowmatch.graph import ColoredMultigraph, compact_json, to_dict
 from rainbowmatch.harness import (
     EvalOptions,
     Hypothesis,
@@ -124,13 +124,13 @@ def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> di
             continue
         spec, g = found[hyp]
         small = minimize(g, violation_predicate(hyp, opts))
-        lines.append(json.dumps({
+        lines.append(compact_json({
             "hyp": hyp.value,
             "spec": spec.to_dict(),
             "original": {"left": g.left_size, "right": g.right_size,
                          "edges": len(g.edges)},
             "minimized": to_dict(small),
-        }, separators=(",", ":")))
+        }))
         print(f"[shrink] {hyp.value}: seed {spec.seed} "
               f"{g.left_size}x{g.right_size}/{len(g.edges)}e -> "
               f"{small.left_size}x{small.right_size}/{len(small.edges)}e")

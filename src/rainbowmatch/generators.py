@@ -22,8 +22,9 @@ class GenKind(str, Enum):
 
 @dataclass(frozen=True)
 class GenSpec:
-    """One generation request; a color class of size n + 1 needs n + 1
-    distinct vertices per side, hence the size floor for random/latin."""
+    """One generation request, checked where it is made: a color class of
+    n + 1 edges is a matching, so a spec that exists yields an instance and
+    the generators trust it."""
 
     kind: GenKind
     n: int
@@ -31,6 +32,25 @@ class GenSpec:
     right_size: int
     seed: int = 0
     drop: int | None = None  # latin only; None means the last symbol
+
+    def __post_init__(self) -> None:
+        n, left, right = self.n, self.left_size, self.right_size
+        if n < 1:
+            raise ValueError(f"generation needs n >= 1, got {n}")
+        if left < n + 1 or right < n + 1:
+            raise ValueError(f"sizes too small: need at least {n + 1} vertices per side, "
+                             f"got {left}x{right}")
+        if self.kind is GenKind.LATIN:
+            if left != n + 1 or right != n + 1:
+                raise ValueError(f"a latin spec with n = {n} needs {n + 1}x{n + 1} sides, "
+                                 f"got {left}x{right}")
+            if self.drop is not None and self.drop not in range(n + 1):
+                raise ValueError(f"drop symbol {self.drop} out of range for order {n + 1}")
+        elif self.kind is GenKind.EXHAUSTIVE:
+            total = count_instances(n, left, right)
+            if total > ENUMERATION_GUARD:
+                raise ValueError(f"enumeration of {total} instances exceeds guard "
+                                 f"{ENUMERATION_GUARD}")
 
     def to_dict(self) -> dict:
         d = {
@@ -60,13 +80,6 @@ def gen_random(spec: GenSpec) -> ColoredMultigraph:
     """Independently sample a uniform random partial matching of size n + 1
     for each color; deterministic in the seed."""
     n = spec.n
-    if n < 1:
-        raise ValueError("random generation needs n >= 1")
-    if spec.left_size < n + 1 or spec.right_size < n + 1:
-        raise ValueError(
-            f"sizes too small: need at least {n + 1} vertices per side, "
-            f"got {spec.left_size}x{spec.right_size}"
-        )
     rng = random.Random(spec.seed)
     edges: list[Edge] = []
     for c in range(n):
@@ -76,15 +89,13 @@ def gen_random(spec: GenSpec) -> ColoredMultigraph:
     return ColoredMultigraph(n, spec.left_size, spec.right_size, canonical_edges(edges))
 
 
-def gen_latin(order: int, drop_symbol: int, seed: int) -> ColoredMultigraph:
-    """Seeded row/column/symbol shuffle of the cyclic Latin square of the
-    given order, with one symbol dropped; always a normal-form instance with
-    n = order - 1 colors."""
-    if order < 2:
-        raise ValueError("latin square order must be at least 2")
-    if not 0 <= drop_symbol < order:
-        raise ValueError(f"drop symbol {drop_symbol} out of range for order {order}")
-    rng = random.Random(seed)
+def gen_latin(spec: GenSpec) -> ColoredMultigraph:
+    """Seeded row/column/symbol shuffle of the cyclic Latin square of order
+    n + 1, with one symbol dropped (the last unless ``spec.drop`` names
+    one); always a normal-form instance with n colors."""
+    order = spec.n + 1
+    drop_symbol = spec.n if spec.drop is None else spec.drop
+    rng = random.Random(spec.seed)
     row_perm = rng.sample(range(order), order)
     col_perm = rng.sample(range(order), order)
     sym_perm = rng.sample(range(order), order)
@@ -96,13 +107,11 @@ def gen_latin(order: int, drop_symbol: int, seed: int) -> ColoredMultigraph:
                 continue
             color = symbol if symbol < drop_symbol else symbol - 1
             edges.append(Edge(r, c, color))
-    return ColoredMultigraph(order - 1, order, order, canonical_edges(edges))
+    return ColoredMultigraph(spec.n, order, order, canonical_edges(edges))
 
 
 def count_matchings(left_size: int, right_size: int, size: int) -> int:
     """Number of partial matchings of the given size in K_{left,right}."""
-    if size > left_size or size > right_size:
-        return 0
     return math.comb(left_size, size) * math.comb(right_size, size) * math.factorial(size)
 
 
@@ -110,29 +119,20 @@ def count_instances(n: int, left_size: int, right_size: int) -> int:
     return count_matchings(left_size, right_size, n + 1) ** n
 
 
-def enumerate_instances(n: int, left_size: int, right_size: int) -> Iterator[ColoredMultigraph]:
+def enumerate_instances(spec: GenSpec) -> Iterator[ColoredMultigraph]:
     """Stream every tuple of n color-class matchings of size n + 1, in
     lexicographic order over the per-color matchings."""
-    if n < 1:
-        raise ValueError("enumeration needs n >= 1")
-    if left_size < 0 or right_size < 0:
-        raise ValueError(f"side sizes must be non-negative, got {left_size}x{right_size}")
-    total = count_instances(n, left_size, right_size)
-    if total > ENUMERATION_GUARD:
-        raise ValueError(
-            f"enumeration of {total} instances exceeds guard {ENUMERATION_GUARD}"
-        )
-    k = n + 1
+    k = spec.n + 1
     matchings = [
         tuple(zip(lefts, rights))
-        for lefts in combinations(range(left_size), k)
-        for rights in permutations(range(right_size), k)
+        for lefts in combinations(range(spec.left_size), k)
+        for rights in permutations(range(spec.right_size), k)
     ]
-    for classes in product(matchings, repeat=n):
+    for classes in product(matchings, repeat=spec.n):
         edges = tuple(
             Edge(u, v, c) for c, cls in enumerate(classes) for u, v in cls
         )
-        yield ColoredMultigraph(n, left_size, right_size, edges)
+        yield ColoredMultigraph(spec.n, spec.left_size, spec.right_size, edges)
 
 
 def instances_for(spec: GenSpec) -> Iterator[ColoredMultigraph]:
@@ -141,11 +141,9 @@ def instances_for(spec: GenSpec) -> Iterator[ColoredMultigraph]:
     if spec.kind is GenKind.RANDOM:
         yield gen_random(spec)
     elif spec.kind is GenKind.LATIN:
-        order = spec.left_size
-        drop = spec.drop if spec.drop is not None else order - 1
-        yield gen_latin(order, drop, spec.seed)
+        yield gen_latin(spec)
     else:
-        yield from enumerate_instances(spec.n, spec.left_size, spec.right_size)
+        yield from enumerate_instances(spec)
 
 
 def random_spec_stream(

@@ -98,22 +98,23 @@ class EvalOptions:
             "max_iters": self.max_iters,
         }
 
+    def __post_init__(self) -> None:
+        budget, max_iters = self.construct_budget, self.max_iters
+        if type(budget) is not int or not (max_iters is None or type(max_iters) is int):
+            raise ValueError("options construct_budget/max_iters must be integers")
+        if budget < 0 or (max_iters is not None and max_iters < 0):
+            raise ValueError("options construct_budget/max_iters must be non-negative")
+
     @staticmethod
     def from_dict(d: dict) -> "EvalOptions":
         """Parse the dict form; raises ValueError on malformed input."""
         if not isinstance(d, dict):
             raise ValueError(f"options must be a JSON object, got {type(d).__name__}")
-        budget = d.get("construct_budget", EvalOptions.construct_budget)
-        max_iters = d.get("max_iters", EvalOptions.max_iters)
-        if type(budget) is not int or not (max_iters is None or type(max_iters) is int):
-            raise ValueError("options construct_budget/max_iters must be integers")
-        if budget < 0 or (max_iters is not None and max_iters < 0):
-            raise ValueError("options construct_budget/max_iters must be non-negative")
         return EvalOptions(
             h1_mode=H1Mode(d.get("h1_mode", EvalOptions.h1_mode)),
             policy=PivotDonorPolicy(d.get("policy", EvalOptions.policy)),
-            construct_budget=budget,
-            max_iters=max_iters,
+            construct_budget=d.get("construct_budget", EvalOptions.construct_budget),
+            max_iters=d.get("max_iters", EvalOptions.max_iters),
         )
 
 
@@ -370,22 +371,17 @@ def _eval_spec(
 
 def _take(
     results: Iterator[tuple[list[list[CampaignRecord]], bool]],
-    specs: list[GenSpec],
+    total: int,
     budget: int | None,
 ) -> tuple[list[list[CampaignRecord]], bool]:
-    """Flatten the per-spec results in order, up to ``budget`` instances;
-    the flag says whether the stream has an instance beyond them."""
+    """Flatten the per-spec results of a ``total``-spec stream in order, up
+    to ``budget`` instances, and say whether the stream has more."""
     per_instance: list[list[CampaignRecord]] = []
     for i, (recs, more) in enumerate(results):
         room = None if budget is None else budget - len(per_instance)
         per_instance.extend(recs[:room])
         if len(per_instance) == budget:
-            # A later spec may yield nothing (an enumeration with too few
-            # vertices), so look for an instance without evaluating one.
-            return per_instance, (
-                more or len(recs) > room
-                or any(next(instances_for(s), None) is not None for s in specs[i + 1:])
-            )
+            return per_instance, more or len(recs) > room or i + 1 < total
     return per_instance, False
 
 
@@ -406,25 +402,29 @@ def run_campaign(
     on.  ``budget`` caps the number of instances of the whole stream, so an
     enumeration can be cut part-way; hitting the cap only flags the
     summaries as truncated.  The unit of work is a spec: it is generated and
-    evaluated where it runs.  With ``workers > 1`` and more than one spec,
-    an ordered process pool takes the specs in chunks of ``SPEC_CHUNK`` and
-    the parent only flattens and tallies the records, so an enumeration,
-    being one spec, runs in one worker.  Once the cap is reached the chunks
-    still queued are cancelled.  The record order (and hence the output
-    bytes, timing aside) is identical to a sequential run.
+    evaluated where it runs.  Every spec yields an instance, so a capped
+    campaign runs only its first ``budget`` specs (one at a cap of 0).  With
+    ``workers > 1`` and more than one such spec, an ordered process pool
+    takes them in chunks of ``SPEC_CHUNK`` and the parent only flattens and
+    tallies the records, so an enumeration, being one spec, runs in one
+    worker.  Once the cap is reached the chunks still queued are cancelled.
+    The record order (and hence the output bytes, timing aside) is
+    identical to a sequential run.
     """
     hyps = tuple(hyps)
     specs = list(specs)
+    total = len(specs)
+    specs = specs if budget is None else specs[:max(budget, 1)]
     evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts, cap=budget)
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(evaluate_spec, specs, chunksize=SPEC_CHUNK)
             try:
-                per_instance, truncated = _take(results, specs, budget)
+                per_instance, truncated = _take(results, total, budget)
             finally:
                 results.close()  # cancels the chunks still queued
     else:
-        per_instance, truncated = _take(map(evaluate_spec, specs), specs, budget)
+        per_instance, truncated = _take(map(evaluate_spec, specs), total, budget)
 
     summaries: list[CampaignSummary] = []
     records: list[CampaignRecord] = []

@@ -65,7 +65,7 @@ def latin_outcomes():
     """Criterion 7 battery, shared with the soundness criterion."""
     results = []
     for spec in latin_spec_stream(4, 3, 0, 1000):
-        g = gen_latin(4, spec.drop if spec.drop is not None else 3, spec.seed)
+        g = gen_latin(spec)
         out = construct(g, PeelStrategy.BACKTRACKING)
         oracle = max_rainbow(g).max_size
         results.append((spec, g, out, oracle))
@@ -91,7 +91,7 @@ def test_criterion_1_oracle_cross_validation():
     t0 = time.perf_counter()
     mismatches = 0
     total = 0
-    for g in enumerate_instances(2, 3, 3):
+    for g in enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)):
         total += 1
         if max_rainbow(g).max_size != max_rainbow_naive(g).max_size:
             mismatches += 1

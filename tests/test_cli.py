@@ -561,11 +561,30 @@ def test_gen_enumerate_emits_exactly_count(capsys, count):
 
 @pytest.mark.parametrize("command", ["gen", "check"])
 def test_enumerate_with_a_negative_side_is_invalid_input(capsys, command):
-    # Not an empty enumeration of zero instances or trials.
-    assert main([command, "--kind", "enumerate", "--n", "2", "--left", "-1", "--right", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: side sizes must be non-negative, got -1x3\n"
+    # Not an empty enumeration of zero instances or trials, nor when a side
+    # is non-negative but too small: random refuses the same sizes.
+    for kind, left in [("enumerate", "-1"), ("enumerate", "2"), ("random", "2")]:
+        assert main([command, "--kind", kind, "--n", "2", "--left", left, "--right", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: sizes too small: need at least 3 vertices per side, got {left}x3\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ["--kind", "random", "--n", "3", "--left", "2", "--right", "3"],
+        ["--kind", "enumerate", "--n", "2", "--left", "-1", "--right", "3"],
+        ["--kind", "enumerate", "--n", "4", "--left", "8", "--right", "8"],
+        ["--kind", "latin", "--order", "4", "--drop", "4"],
+    ],
+)
+def test_failed_gen_leaves_an_existing_output_untouched(tmp_path, capsys, spec):
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    assert main(["gen", *spec, "--count", "3", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _piped(capsys, gen_argv, argv, monkeypatch):

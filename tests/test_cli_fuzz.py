@@ -3,6 +3,7 @@
 Lines are arbitrary text or JSON, most of it shaped like an instance or a
 campaign record so that it gets past the parser.  Whatever the input, the
 exit code is 0, 2, 3 or 4 and nothing escapes ``main`` as a traceback.
+``gen`` and ``check`` read no input: their spec flags are fuzzed instead.
 """
 
 from __future__ import annotations
@@ -113,4 +114,31 @@ def test_every_subcommand_maps_any_input_to_an_exit_code(argv, text_lines):
     with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3, 4), (argv, text_lines, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def spec_commands(draw):
+    """``gen`` or a capped ``check`` on small spec flags, each flag present
+    or not, so that many specs break the size rule."""
+    argv = [draw(st.sampled_from(["gen", "check"])),
+            "--kind", draw(st.sampled_from(["random", "latin", "enumerate"]))]
+    for flag in ("--n", "--left", "--right", "--order", "--drop", "--seed", "--count"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(SMALL))]
+    if argv[0] == "check":
+        argv += ["--budget", str(draw(st.integers(0, 9)))]
+    return argv
+
+
+@given(spec_commands())
+@settings(max_examples=200, deadline=None)
+def test_gen_and_check_map_any_spec_to_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a negative --count
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -15,7 +15,7 @@ from rainbowmatch.construct import (
     construct,
     peels,
 )
-from rainbowmatch.generators import gen_latin
+from rainbowmatch.generators import GenKind, GenSpec, gen_latin
 from rainbowmatch.graph import (
     Edge,
     Matching,
@@ -44,7 +44,7 @@ def test_base_case_i2(i2):
 
 
 def test_latin_first_feasible():
-    g = gen_latin(4, 3, 0)
+    g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 0))
     out = construct(g)
     assert out.status in (ConstructStatus.MATCHED, ConstructStatus.STEP_FAILED)
     if out.status is ConstructStatus.MATCHED:
@@ -53,14 +53,14 @@ def test_latin_first_feasible():
 
 def test_latin_backtracking_succeeds():
     for seed in range(20):
-        g = gen_latin(4, 3, seed)
+        g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, seed))
         out = construct(g, PeelStrategy.BACKTRACKING)
         assert out.status is ConstructStatus.MATCHED
         assert is_rainbow_matching(g, out.matching, 3)
 
 
 def test_trace_coherence():
-    g = gen_latin(4, 3, 2)
+    g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 2))
     out = construct(g, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.MATCHED
     for depth, step in enumerate(out.trace):
@@ -71,7 +71,7 @@ def test_trace_coherence():
 
 
 def test_matched_uses_peeled_colors_distinctly():
-    g = gen_latin(4, 3, 4)
+    g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 4))
     out = construct(g, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.MATCHED
     assert len({e.c for e in out.matching.edges}) == g.n

@@ -43,15 +43,45 @@ def test_gen_random_always_counts_valid(n, dl, dr, seed):
     assert all(len(es) == n + 1 for es in edges_by_color(g).values())
 
 
+@pytest.mark.parametrize(
+    "kind, n, left, right, drop, match",
+    [
+        (kind, 0, 2, 2, None, "needs n >= 1")
+        for kind in GenKind
+    ] + [
+        (kind, 3, left, right, None, "sizes too small")
+        for kind in GenKind
+        for left, right in [(3, 4), (4, 3), (-1, 4)]
+    ] + [
+        # Not an n = 4 Latin square under an n = 3 spec.
+        (GenKind.LATIN, 3, 5, 5, None, "needs 4x4 sides"),
+        (GenKind.LATIN, 3, 4, 5, None, "needs 4x4 sides"),
+        (GenKind.LATIN, 3, 4, 4, -1, "out of range"),
+        (GenKind.LATIN, 3, 4, 4, 4, "out of range"),
+        (GenKind.EXHAUSTIVE, 4, 8, 8, None, "exceeds guard"),
+    ],
+)
+def test_spec_guard_rejects_each_rule(kind, n, left, right, drop, match):
+    with pytest.raises(ValueError, match=match):
+        GenSpec(kind, n, left, right, drop=drop)
+
+
 def test_gen_random_rejects_small_sides():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sizes too small"):
         gen_random(GenSpec(GenKind.RANDOM, 3, 3, 4, seed=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs n >= 1"):
         gen_random(GenSpec(GenKind.RANDOM, 0, 2, 2, seed=0))
 
 
+def test_spec_guard_accepts_the_smallest_spec_of_each_kind():
+    for kind in GenKind:
+        assert len(list(instances_for(GenSpec(kind, 1, 2, 2)))) >= 1
+    assert GenSpec(GenKind.LATIN, 3, 4, 4, drop=0).drop == 0
+    assert GenSpec(GenKind.LATIN, 3, 4, 4, drop=3).drop == 3
+
+
 def test_gen_latin_shape_and_validity():
-    g = gen_latin(4, 3, 0)
+    g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4))
     assert g.n == 3 and g.left_size == 4 and g.right_size == 4
     assert validate(g, require_counts=True).ok
     assert is_normal_form(g)
@@ -60,14 +90,15 @@ def test_gen_latin_shape_and_validity():
 
 
 def test_gen_latin_drop_symbol_varies():
-    a = gen_latin(4, 0, 5)
-    b = gen_latin(4, 3, 5)
+    a = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 5, drop=0))
+    b = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 5, drop=3))
     assert a.n == b.n == 3
     assert a.edges != b.edges
 
 
 def test_gen_latin_deterministic():
-    assert gen_latin(5, 2, 9).edges == gen_latin(5, 2, 9).edges
+    spec = GenSpec(GenKind.LATIN, 4, 5, 5, 9, drop=2)
+    assert gen_latin(spec).edges == gen_latin(spec).edges
 
 
 def test_count_formulas():
@@ -75,10 +106,14 @@ def test_count_formulas():
     assert count_instances(2, 3, 3) == 36
     assert count_instances(1, 2, 2) == 2
     assert count_matchings(4, 3, 3) == 24
+    # Too few vertices on one side for a matching of that size.
+    assert count_matchings(2, 3, 3) == 0
+    assert count_matchings(3, 2, 3) == 0
+    assert count_instances(2, 3, 2) == 0
 
 
 def test_enumeration_full():
-    insts = list(enumerate_instances(2, 3, 3))
+    insts = list(enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)))
     assert len(insts) == 36
     digests = {canonical_digest(g) for g in insts}
     assert len(digests) == 36
@@ -87,15 +122,16 @@ def test_enumeration_full():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ValueError):
-        next(enumerate_instances(4, 8, 8))
+    with pytest.raises(ValueError, match="exceeds guard"):
+        GenSpec(GenKind.EXHAUSTIVE, 4, 8, 8)
 
 
-@pytest.mark.parametrize("left, right", [(-1, 3), (3, -1)])
+@pytest.mark.parametrize("left, right", [(-1, 3), (3, -1), (2, 3)])
 def test_enumeration_rejects_a_negative_side(left, right):
-    # Not an empty enumeration: gen_random refuses such a spec too.
-    with pytest.raises(ValueError, match="non-negative"):
-        next(enumerate_instances(2, left, right))
+    # Not an empty enumeration: a random spec of these sizes is refused too,
+    # and so are sides with no room for a color class of n + 1 edges.
+    with pytest.raises(ValueError, match="sizes too small: need at least 3 vertices per side"):
+        GenSpec(GenKind.EXHAUSTIVE, 2, left, right)
 
 
 def test_instances_for_dispatch():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -41,10 +42,8 @@ from strategies import counts_valid_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.
 SHORT = ColoredMultigraph.of(2, 3, 3, [(0, 0, 0), (0, 0, 1)])
-# The 36 instances of n = 2 on 3x3, and a spec with too few left vertices
-# to yield any instance.
+# The 36 instances of n = 2 on 3x3.
 ENUM = GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)
-EMPTY_ENUM = GenSpec(GenKind.EXHAUSTIVE, 2, 2, 3)
 
 
 def strip_ms(rec) -> dict:
@@ -206,7 +205,7 @@ def test_h4_h5_on_pinned(deficit_instance):
 def test_h4_h5_hold_on_latin():
     from rainbowmatch.generators import gen_latin
 
-    g = gen_latin(4, 3, 0)
+    g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4))
     assert evaluate(Hypothesis.H4, g)[0] is Verdict.HOLDS
     assert evaluate(Hypothesis.H5, g)[0] is Verdict.HOLDS
 
@@ -257,15 +256,12 @@ def test_campaign_budget_truncates(workers):
     (full,), _ = run_campaign((Hypothesis.CONJ,), [ENUM], budget=36, workers=workers)
     assert not full.truncated
     # The cap counts the instances of the whole stream: it may cut a spec
-    # part-way or fall on a spec's end, and a spec may yield no instance.
+    # part-way or fall on a spec's end.
     for specs, budget, truncated in [
         ([ENUM, ENUM], 36, True),
         ([ENUM, ENUM], 40, True),
         ([ENUM, ENUM], 72, False),
-        ([ENUM, EMPTY_ENUM], 36, False),
-        ([ENUM, EMPTY_ENUM, ENUM], 36, True),
-        ([EMPTY_ENUM, ENUM], 0, True),
-        ([EMPTY_ENUM, EMPTY_ENUM], 0, False),
+        ([ENUM, ENUM], 0, True),
     ]:
         (s,), recs = run_campaign((Hypothesis.CONJ,), specs, budget=budget, workers=workers)
         want = min(budget, 36 * specs.count(ENUM))
@@ -291,6 +287,28 @@ def test_capped_random_stream_is_the_same_for_any_worker_count():
     # The capped records are the first 20 of each hypothesis's column.
     _, full = stripped(run_campaign(hyps, specs))
     assert records == full[:20] + full[50:70]
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """A process pool that keeps every spec handed to its ``map``."""
+
+    submitted: list = []
+
+    def map(self, fn, *iterables, **kwargs):
+        specs = list(iterables[0])
+        RecordingPool.submitted.extend(specs)
+        return super().map(fn, specs, *iterables[1:], **kwargs)
+
+
+@pytest.mark.parametrize("budget", [2, 9, 20])
+def test_capped_pooled_campaign_submits_at_most_budget_specs(monkeypatch, budget):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    specs = list(random_spec_stream(3, 6, 5, 0, 100))
+    pooled = stripped(run_campaign((Hypothesis.H2,), specs, budget=budget, workers=2))
+    assert RecordingPool.submitted == specs[:budget]
+    assert pooled == stripped(run_campaign((Hypothesis.H2,), specs, budget=budget))
+    assert [(s["trials"], s["truncated"]) for s in pooled[0]] == [(budget, True)]
 
 
 @pytest.mark.parametrize(
@@ -400,8 +418,14 @@ def test_minimize_rejects_non_violating(i2):
 
 @pytest.mark.parametrize("key", ["construct_budget", "max_iters"])
 def test_eval_options_reject_negative_numbers(key):
-    with pytest.raises(ValueError, match="non-negative"):
-        EvalOptions.from_dict({key: -1})
+    # Made from the library as well as parsed: a negative cap would
+    # otherwise read as an inconclusive H2.
+    for make in (EvalOptions.from_dict, lambda d: EvalOptions(**d)):
+        with pytest.raises(ValueError, match="max_iters must be non-negative"):
+            make({key: -1})
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="max_iters must be integers"):
+                make({key: bad})
 
 
 def test_eval_options_round_trip():

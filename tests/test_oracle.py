@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch.generators import enumerate_instances
+from rainbowmatch.generators import GenKind, GenSpec, enumerate_instances
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
 from rainbowmatch.oracle import max_rainbow, rainbow_pairs
 from reference import NAIVE_EDGE_LIMIT, delete_color, max_rainbow_naive
@@ -79,14 +79,14 @@ def test_oracles_agree(g):
 
 
 def test_oracles_agree_on_enumeration_sample():
-    for i, g in enumerate(enumerate_instances(2, 3, 3)):
+    for i, g in enumerate(enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3))):
         assert max_rainbow(g).max_size == max_rainbow_naive(g).max_size
 
 
 def test_empty_color_classes_change_no_answer():
     # An empty class inserted before, between or after the others leaves the
     # maximum and the witness as they were, and the naive checker agrees.
-    for g in islice(enumerate_instances(2, 3, 3), 60):
+    for g in islice(enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)), 60):
         base = max_rainbow(g)
         for empty in range(g.n + 1):
             edges = [(e.u, e.v, e.c + (e.c >= empty)) for e in g.edges]
