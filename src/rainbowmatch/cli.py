@@ -123,6 +123,9 @@ def _specs_from_args(args) -> list[GenSpec]:
         order = args.order if args.order is not None else args.left
         if order is None:
             raise ValueError("--kind latin needs --order")
+        for flag, value, want in (("--n", args.n, order - 1), ("--right", args.right, order)):
+            if value is not None and value != want:
+                raise ValueError(f"--kind latin of order {order} needs {flag} {want}, got {value}")
         return list(latin_spec_stream(order, args.drop, args.seed, args.count))
     if args.n is None:
         raise ValueError("--kind enumerate needs --n")

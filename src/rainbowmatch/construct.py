@@ -24,15 +24,12 @@ is the H5 witness.  After it, a candidate reaches the final check only if
 every edge is an input edge and no two share a right vertex; lefts and
 colors never clash, because each level removes its pivot and its color.
 
-Two kinds of work are counted, not run, because nothing can observe them.
-Below the top, a level's graph is its parent's normalized residual, which
-the reduction leaves as it is, so only the input is reduced on entry.  At a
-level whose residuals are bases, once pruning is on and a failure at least
-as deep is kept, a peel whose edge dooms the child only adds to
-``attempts``: the child would yield nothing, the failures it could record at
-this depth are not deeper than the kept one, and its base always holds a
-rainbow pair, so it records nothing.  Attempts and failures stay those of the
-unpruned search.
+Past the witness a peel is run only while its head edge, in input
+coordinates, is an input edge on a right vertex no earlier peel used; any
+other peel dooms every candidate below it, so it is neither reduced, walked
+nor counted.  ``attempts`` is the number of peels run, and the budget caps
+those.  Below the top, a level's graph is its parent's normalized residual,
+which the reduction leaves as it is, so only the input is reduced on entry.
 """
 
 from __future__ import annotations
@@ -158,7 +155,7 @@ class _SearchState:
         self.budget = budget
         self.present = set(g.edges)
         # Set once the first candidate, the H5 witness, has been assembled;
-        # from then on candidates that cannot pass are not assembled.
+        # from then on no peel or candidate that cannot pass is run.
         self.prune = False
         self.attempts = 0
         self.deepest_failure: ConstructFailure | None = None
@@ -216,9 +213,8 @@ def _candidates(
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
     matching of ``g``.  ``doomed`` says some prefix edge is not an input edge
     or repeats a right vertex.  ``g`` is the input at depth 0 and a
-    normalized residual below it.  Every peel tried counts as an attempt, but
-    one whose subtree nothing can observe is not run.  Failures are recorded
-    on the shared state; the deepest one becomes the reported failure."""
+    normalized residual below it.  Failures are recorded on the shared state;
+    the deepest one becomes the reported failure."""
     us, vs, cs = to_input
     rights = {e.v for e in prefix}
     if g.n == 2:
@@ -264,19 +260,13 @@ def _candidates(
     for color, pivot, edge in pairs:
         if state.attempts >= state.budget:
             return
-        state.attempts += 1
         # edge is (pivot, v, color) in h's coordinates.
         right = h_vs[edge.v]
         head = new_edge((h_us[pivot], right, cs[color]))
         sub_doomed = doomed or head not in state.present or right in rights
-        if sub_doomed and h.n == 3 and state.prune and state.deepest_failure.depth >= depth:
-            # Past the H5 witness, which keeps a failure at depth 0, a
-            # doomed base child only counts.  It would yield nothing, its
-            # failures at this depth are no deeper than the kept one, and
-            # its base never records, as two proper colors of three edges
-            # always hold a rainbow pair (pinned by
-            # test_two_colors_of_three_edges_have_a_rainbow_pair).
+        if sub_doomed and state.prune:
             continue
+        state.attempts += 1
         red2 = state.reductions[peel(h, edge)]
         step = ConstructStep(depth, color, pivot, edge, h)
         if red2.status is not ReductionStatus.NORMALIZED:
@@ -317,9 +307,10 @@ def construct(
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
-    level; Backtracking iterates all (color, pivot) pairs within the attempt
-    budget.  The input and every residual are reduced by ``policy`` under
-    the iteration cap ``max_iters``, as ``reduce_to_normal_form`` takes them.
+    level; Backtracking iterates all (color, pivot) pairs, running at most
+    ``budget`` peels.  The input and every residual are reduced by
+    ``policy`` under the iteration cap ``max_iters``, as
+    ``reduce_to_normal_form`` takes them.
     """
     require_valid(g, require_counts=True)
     if g.n < 2:

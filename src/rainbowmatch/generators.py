@@ -34,6 +34,7 @@ class GenSpec:
     drop: int | None = None  # latin only; None means the last symbol
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", GenKind(self.kind))
         n, left, right = self.n, self.left_size, self.right_size
         if n < 1:
             raise ValueError(f"generation needs n >= 1, got {n}")
@@ -47,6 +48,10 @@ class GenSpec:
             if self.drop is not None and self.drop not in range(n + 1):
                 raise ValueError(f"drop symbol {self.drop} out of range for order {n + 1}")
         elif self.kind is GenKind.EXHAUSTIVE:
+            # Every color has at least (n + 1)! matchings and (5!)^4 > 10^8,
+            # so n >= 4 is refused before its count, which can be huge.
+            if n >= 4:
+                raise ValueError(f"enumeration with n = {n} exceeds guard {ENUMERATION_GUARD}")
             total = count_instances(n, left, right)
             if total > ENUMERATION_GUARD:
                 raise ValueError(f"enumeration of {total} instances exceeds guard "

@@ -290,7 +290,9 @@ def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
     outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
-    verdict = Verdict.VIOLATED if run.max_size >= run.g.n else Verdict.INCONCLUSIVE
+    # A search stopped by its budget has not run out of peels.
+    exhausted = outcome.attempts < run.opts.construct_budget
+    verdict = Verdict.VIOLATED if exhausted and run.max_size >= run.g.n else Verdict.INCONCLUSIVE
     return verdict, run.witness(oracle_max=run.max_size, failure=outcome.failure.to_dict())
 
 

@@ -51,8 +51,9 @@ def test_gen_enumerate_capped(tmp_path):
 
 def test_gen_latin(tmp_path):
     out = tmp_path / "latin.jsonl"
-    assert main(["gen", "--kind", "latin", "--order", "4", "--seed", "1",
-                 "--out", str(out)]) == 0
+    # --n and --right may restate the order.
+    assert main(["gen", "--kind", "latin", "--order", "4", "--n", "3", "--right", "4",
+                 "--seed", "1", "--out", str(out)]) == 0
     g = from_json(out.read_text())
     assert g.n == 3 and g.left_size == 4
 
@@ -587,6 +588,23 @@ def test_failed_gen_leaves_an_existing_output_untouched(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "2", "--order", "5", "--right", "3"], "of order 5 needs --n 4, got 2"),
+        (["--order", "5", "--right", "3"], "of order 5 needs --right 5, got 3"),
+        (["--left", "4", "--n", "4"], "of order 4 needs --n 3, got 4"),
+    ],
+)
+def test_gen_latin_refuses_flags_that_contradict_the_order(tmp_path, capsys, flags, message):
+    # Not a square of the --order beside an --n or --right that says otherwise.
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    assert main(["gen", "--kind", "latin", *flags, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err == f"error: --kind latin {message}\n"
+
+
 def _piped(capsys, gen_argv, argv, monkeypatch):
     assert main(["gen"] + gen_argv) == 0
     instance = capsys.readouterr().out
@@ -627,7 +645,7 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          '{"side":"right","pivot":3,"donor":4,"moves":1,"swaps":0}]}'),
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "1"],
          ["construct", "--strategy", "backtrack"], 3,
-         '{"digest":"2114ed8bc95ecb18","status":"step_failed","matching":null,"attempts":12,'
+         '{"digest":"2114ed8bc95ecb18","status":"step_failed","matching":null,"attempts":8,'
          '"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
          '"candidate":[[0,0,0],[1,0,1],[3,2,2]],'
          '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),

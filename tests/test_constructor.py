@@ -106,7 +106,7 @@ def test_digest_paid_only_for_kept_failures(monkeypatch):
     g = seeded(4, 7, 6, 0)
     out = construct(g, PeelStrategy.BACKTRACKING, budget=256)
     assert out.status is ConstructStatus.STEP_FAILED
-    assert out.attempts == 256
+    assert out.attempts == 25
     # A kept failure is strictly deeper than the one it replaces, so at most
     # one digest per depth.
     assert len(hashed) <= g.n
@@ -199,32 +199,48 @@ def test_matched_on_oversized_when_possible():
     assert hits > 0  # some oversized instances do lift cleanly
 
 
+# Far above any search below: the reference walks every peel, 7830 of them
+# on n=5 8x7.
+NO_CAP = 10**6
 BUDGETS = (0, 1, 7, 256)
-# Budgets that run out inside runs of base-level peels that are only counted.
-EXTRA_BUDGETS = {(4, 7, 6): (13, 100, 145)}
 
 
-# No n=5 8x7 seed below 40 is matched under any of these settings.
-@pytest.mark.parametrize(
-    "size, seeds, matches", [((3, 6, 5), 100, True), ((4, 7, 6), 30, True), ((5, 8, 7), 10, False)]
-)
-def test_construct_matches_reference(size, seeds, matches):
+@pytest.mark.parametrize("size, seeds", [((3, 6, 5), 100), ((4, 7, 6), 30), ((5, 8, 7), 10)])
+def test_construct_matches_reference(size, seeds):
+    # The reference runs every peel; construct skips those whose head edge
+    # cannot be in the input matching, so it finds the same match or witness
+    # in no more attempts, its kept failure no deeper.
     statuses = set()
     for seed in range(seeds):
         g = seeded(*size, seed)
         for strategy in PeelStrategy:
             for policy in PivotDonorPolicy:
-                for budget in BUDGETS + EXTRA_BUDGETS.get(size, ()):
-                    got = construct(g, strategy, budget=budget, policy=policy)
-                    want = reference_construct(g, strategy, budget, policy)
-                    key = (size, seed, strategy, policy, budget)
-                    assert got.to_dict() == want.to_dict(), key
-                    assert [s.graph for s in got.trace] == [s.graph for s in want.trace], key
-                    statuses.add((got.status, got.candidate is not None))
-    # Failures with and without an H5 witness occur, and matches where any do.
+                got = construct(g, strategy, budget=NO_CAP, policy=policy)
+                want = reference_construct(g, strategy, NO_CAP, policy)
+                key = (size, seed, strategy, policy)
+                assert (got.status, got.matching, got.candidate) == (
+                    want.status, want.matching, want.candidate
+                ), key
+                assert got.attempts <= want.attempts, key
+                if got.failure is not None:
+                    assert got.failure.depth <= want.failure.depth, key
+                if got.matching is not None or got.candidate is not None:
+                    assert got.trace == want.trace, key
+                statuses.add((got.status, got.candidate is not None))
+                # A cap the search stays within changes nothing; one it
+                # reaches stops the same search after exactly that many.
+                for budget in BUDGETS:
+                    capped = construct(g, strategy, budget=budget, policy=policy)
+                    if budget >= got.attempts:
+                        assert capped == got, (key, budget)
+                    else:
+                        assert capped.status is ConstructStatus.STEP_FAILED, (key, budget)
+                        assert capped.attempts == budget, (key, budget)
+    # Failures with and without an H5 witness occur, and matches: on n=5
+    # 8x7 only seed 9 under lastvertex, after 115 of the reference's 3446.
     assert (ConstructStatus.STEP_FAILED, True) in statuses
     assert (ConstructStatus.STEP_FAILED, False) in statuses
-    assert ((ConstructStatus.MATCHED, False) in statuses) == matches
+    assert (ConstructStatus.MATCHED, False) in statuses
 
 
 def _count_final_checks(monkeypatch) -> list[bool]:
@@ -245,7 +261,7 @@ def _count_final_checks(monkeypatch) -> list[bool]:
 def test_only_the_witness_and_the_match_reach_the_final_check(monkeypatch):
     results = _count_final_checks(monkeypatch)
     out = construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
-    assert out.attempts == 256 and out.candidate is not None
+    assert out.attempts == 25 and out.candidate is not None
     assert results == [False]
     for seed in range(1, 30):
         results.clear()

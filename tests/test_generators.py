@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowmatch import generators
 from rainbowmatch.generators import (
     GenKind,
     GenSpec,
@@ -124,6 +125,31 @@ def test_enumeration_full():
 def test_enumeration_guard():
     with pytest.raises(ValueError, match="exceeds guard"):
         GenSpec(GenKind.EXHAUSTIVE, 4, 8, 8)
+
+
+def test_enumeration_guard_refuses_n_4_without_counting(monkeypatch):
+    # (n + 1)!^n instances at the least, already past the guard at n = 4; at
+    # n = 300 the exact count has too many digits to print.
+    def counting(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(generators, "count_instances", counting)
+    for n in (4, 300):
+        with pytest.raises(ValueError, match=f"enumeration with n = {n} exceeds guard"):
+            GenSpec(GenKind.EXHAUSTIVE, n, n + 1, n + 1)
+
+
+def test_spec_coerces_a_plain_string_kind():
+    # Not an enumeration of 13824 instances with neither kind's rules.
+    latin = GenSpec("latin", 3, 4, 4)
+    assert latin.kind is GenKind.LATIN and latin == GenSpec(GenKind.LATIN, 3, 4, 4)
+    assert list(instances_for(latin)) == [gen_latin(latin)]
+    with pytest.raises(ValueError, match="needs 4x4 sides"):
+        GenSpec("latin", 3, 5, 5)
+    with pytest.raises(ValueError, match="exceeds guard"):
+        GenSpec("enumerate", 4, 8, 8)
+    with pytest.raises(ValueError, match="not a valid GenKind"):
+        GenSpec("square", 3, 4, 4)
 
 
 @pytest.mark.parametrize("left, right", [(-1, 3), (3, -1), (2, 3)])

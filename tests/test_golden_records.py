@@ -25,12 +25,12 @@ CASES = {
     "h4_n4_7x6_0_99_maxdrain": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "maxdrain"],
-        "4cad9fe8f0d2042f5436c74113f4dcf0b66553b5cdf92dc33f135b930d31048f",
+        "17a75954f5752680dc6dd7ffe9e66be1792ba6eb88bab6664bf7b0c13369906b",
     ),
     "h4_n4_7x6_0_99_lastvertex": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "lastvertex"],
-        "3a6e72e212e8d6ffdd65ccdbf9b8346cbe508cb081cd32811393b7cd170f961f",
+        "f30d4610bed65d55acd189fc08b2f3da3c559d913285ee6636f0dbc8ed5f3082",
     ),
 }
 

@@ -202,6 +202,25 @@ def test_h4_h5_on_pinned(deficit_instance):
     assert len(w5["candidate"]) == 3
 
 
+def test_h4_is_inconclusive_when_its_budget_binds():
+    # A search stopped by its cap has not run out of peels; one whose input
+    # does not normalize has no peel to run, so no cap can bind.
+    g = seeded(4, 7, 6, 0)
+    assert evaluate(Hypothesis.H4, g)[0] is Verdict.VIOLATED
+    assert evaluate(Hypothesis.H4, g, EvalOptions(construct_budget=1))[0] is Verdict.INCONCLUSIVE
+    stalled = 0
+    for seed in range(50):
+        run = InstanceRun(seeded(4, 7, 6, seed), EvalOptions(construct_budget=1))
+        verdict, witness = evaluate(Hypothesis.H4, run.g, run.opts, run)
+        assert verdict is not Verdict.HOLDS, seed
+        if run.construction.attempts == 0:
+            assert witness["failure"]["reason"] == "reduction_stalled", seed
+            stalled += verdict is Verdict.VIOLATED
+        else:
+            assert verdict is Verdict.INCONCLUSIVE, seed
+    assert stalled > 0
+
+
 def test_h4_h5_hold_on_latin():
     from rainbowmatch.generators import gen_latin
 

@@ -181,6 +181,5 @@ def two_colors_of_three_edges(draw):
 @settings(max_examples=300)
 def test_two_colors_of_three_edges_have_a_rainbow_pair(g):
     # Each end of a color-0 edge meets at most one color-1 edge, so one of
-    # the three color-1 edges avoids it.  The construction counts, without
-    # running them, the base-level peels this makes unobservable.
+    # the three color-1 edges avoids it, so an n = 2 base never fails.
     assert rainbow_pairs(g)

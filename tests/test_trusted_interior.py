@@ -199,7 +199,7 @@ def _pinned_search():
 def test_construct_validates_its_input_once(monkeypatch):
     calls = _counting_validate(monkeypatch)
     out = _pinned_search()
-    assert out.attempts == 256
+    assert out.attempts == 25
     assert calls == [seeded(4, 7, 6, 0)]
 
 
@@ -222,7 +222,7 @@ def test_construct_reduces_each_exact_input_once(monkeypatch):
 
 def _assert_pinned_outcome(out):
     # The outcome pinned in test_digest_paid_only_for_kept_failures.
-    assert out.attempts == 256
+    assert out.attempts == 25
     assert out.failure.to_dict() == {
         "depth": 1, "reason": "count_deficit", "digest": "506443fdad14f1b0",
     }
@@ -236,8 +236,9 @@ def _assert_pinned_outcome(out):
 
 def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # Below the top a level is not reduced on entry, and past the H5 witness
-    # a peel that dooms a base child only counts.  Without either rule the
-    # search makes 212, 256 and 236 calls.
+    # a peel whose head edge cannot be in the input matching is not run.
+    # Without either rule the search spends its whole budget of 256 peels
+    # and makes 212, 256 and 236 calls.
     module = importlib.import_module("rainbowmatch.construct")
     calls = dict.fromkeys(("reduce_trusted", "peel", "rainbow_pairs_trusted"), 0)
 
@@ -251,7 +252,7 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     for name in calls:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     _assert_pinned_outcome(_pinned_search())
-    assert calls == {"reduce_trusted": 37, "peel": 36, "rainbow_pairs_trusted": 16}
+    assert calls == {"reduce_trusted": 26, "peel": 25, "rainbow_pairs_trusted": 16}
 
 
 def test_instance_run_reduces_each_exact_input_once(monkeypatch):
