@@ -10,7 +10,6 @@ from .construct import (
     ConstructStatus,
     FailReason,
     PeelStrategy,
-    Reductions,
     construct,
 )
 from .generators import GenKind, GenSpec, enumerate_instances, gen_latin, gen_random, instances_for

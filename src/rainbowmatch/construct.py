@@ -8,8 +8,14 @@ break the per-color counts, which is the CountDeficit failure (hypothesis
 H3).  The search records that diagnosis but still recurses, because a
 sub-matching that avoids v lifts cleanly regardless.  Recursion bottoms out
 at n == 2, where the oracle enumerates every witness; the induction only
-needs some matching, so candidates are tried in turn.  The input and every
-residual are reduced by one policy, the reduction cache's.
+needs some matching, so candidates are tried in turn.
+
+A level is held as the reduction's parallel int lists, from the input's
+normal form down to the n == 2 base: ``reduce_peel`` cuts a level's lists
+into its residual's and normalizes them in place with the reduction's loop,
+so no graph is built per peel, only for the digest of a failure the search
+keeps.  A reduction stopped by its cap is an ``iteration_cap`` failure,
+reported over any other: the search past it is incomplete.
 
 Edges found at deeper levels live in graphs rewritten by shifting, so the
 assembled matching is only *claimed* to exist in the original input.  The
@@ -28,15 +34,14 @@ Past the witness a peel is run only while its head edge, in input
 coordinates, is an input edge on a right vertex no earlier peel used; any
 other peel dooms every candidate below it, so it is neither reduced, walked
 nor counted.  ``attempts`` is the number of peels run, and the budget caps
-those.  Below the top, a level's graph is its parent's normalized residual,
-which the reduction leaves as it is, so only the input is reduced on entry.
+those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import (
     ColoredMultigraph,
@@ -54,25 +59,17 @@ from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
+    default_max_iters,
+    reduce_lists,
     reduce_trusted,
 )
 
 DEFAULT_BUDGET = 10_000
 
-
-class Reductions(dict[ColoredMultigraph, ReductionOutcome]):
-    """Reductions keyed on the exact input graph, edge order included, all
-    under the cache's one policy and iteration cap: looking up a missing
-    graph runs ``reduce_trusted``, so each exact input is reduced once."""
-
-    def __init__(self, policy: PivotDonorPolicy = DEFAULT_POLICY, max_iters: int | None = None):
-        super().__init__()
-        self.policy = policy
-        self.max_iters = max_iters
-
-    def __missing__(self, g: ColoredMultigraph) -> ReductionOutcome:
-        red = self[g] = reduce_trusted(g, self.policy, self.max_iters)
-        return red
+# A graph as parallel lists (us, vs, cs), edge i being (us[i], vs[i], cs[i]);
+# or, as a level's coordinates, tables from its left, right and color indices
+# to the input's.
+Level = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 class PeelStrategy(str, Enum):
@@ -89,6 +86,12 @@ class FailReason(str, Enum):
     REDUCTION_STALLED = "reduction_stalled"
     COUNT_DEFICIT = "count_deficit"
     RECURSIVE_FAILURE = "recursive_failure"
+    ITERATION_CAP = "iteration_cap"
+
+
+# The failure of a reduction that stops short of normal form, by its status.
+_UNREDUCED = {ReductionStatus.STALLED: FailReason.REDUCTION_STALLED,
+              ReductionStatus.ITERATION_CAP: FailReason.ITERATION_CAP}
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,13 @@ class ConstructFailure:
 
 @dataclass(frozen=True)
 class ConstructStep:
-    """One peel: ``edge`` is the pivot's unique ``color`` edge inside
-    ``graph``, the normalized graph of that level."""
+    """One peel: ``edge`` is the pivot's unique ``color`` edge in the
+    normalized graph of that level."""
 
     depth: int
     color: int
     pivot: int
     edge: Edge
-    graph: ColoredMultigraph
 
     def to_dict(self) -> dict:
         return {
@@ -144,92 +146,103 @@ class ConstructionOutcome:
 
 
 class _SearchState:
-    def __init__(
-        self,
-        g: ColoredMultigraph,
-        strategy: PeelStrategy,
-        budget: int,
-        reductions: Reductions,
-    ):
+    def __init__(self, g: ColoredMultigraph, strategy: PeelStrategy, budget: int,
+                 policy: PivotDonorPolicy, max_iters: int | None):
+        self.g = g
         self.strategy = strategy
         self.budget = budget
+        self.policy = policy
+        self.max_iters = max_iters
         self.present = set(g.edges)
         # Set once the first candidate, the H5 witness, has been assembled;
         # from then on no peel or candidate that cannot pass is run.
         self.prune = False
         self.attempts = 0
-        self.deepest_failure: ConstructFailure | None = None
-        self.deepest_trace: tuple[ConstructStep, ...] = ()
-        self.reductions = reductions
+        self.failure: ConstructFailure | None = None
+        self.failure_trace: tuple[ConstructStep, ...] = ()
 
     def record(
-        self, depth: int, reason: FailReason, g: ColoredMultigraph, trace: list[ConstructStep]
+        self, depth: int, reason: FailReason, level: Level | None, trace: list[ConstructStep]
     ) -> None:
-        """Keep the failure if it is the deepest so far; ``g`` is the failing
-        level's entry graph, hashed only when the failure is kept."""
-        if self.deepest_failure is None or depth > self.deepest_failure.depth:
-            self.deepest_failure = ConstructFailure(depth, reason, canonical_digest(g))
-            self.deepest_trace = tuple(trace)
+        """Keep the failure if it ranks above the kept one: a capped
+        reduction first, then the deepest.  The failing level's graph (the
+        input at depth 0, else built from ``level``) is hashed only then."""
+        kept = self.failure
+        capped = reason is FailReason.ITERATION_CAP
+        if kept is None or (capped, depth) > (kept.reason is FailReason.ITERATION_CAP, kept.depth):
+            g = self.g
+            if depth:
+                n = max(level[2]) + 1
+                g = ColoredMultigraph(n, n + 1, n + 1, tuple(map(new_edge, zip(*level))))
+            self.failure = ConstructFailure(depth, reason, canonical_digest(g))
+            self.failure_trace = tuple(trace)
 
 
-def peels(h: ColoredMultigraph) -> list[tuple[int, int, Edge]]:
-    """The (color, pivot, edge) peels of the normalized graph ``h`` in search
-    order, ``edge`` being the pivot's unique ``color`` edge.  Every vertex of
-    ``h`` carries every color, so the first is color 0 at its lowest pivot."""
-    at_pivot: dict[int, dict[int, Edge]] = {}
-    for e in h.edges:
-        at_pivot.setdefault(e[2], {})[e[0]] = e
-    return [(c, u, edges[u]) for c, edges in sorted(at_pivot.items()) for u in sorted(edges)]
+def peels(level: Level) -> list[tuple[int, int, int]]:
+    """The (color, pivot, index) peels of a normal form in search order,
+    edge ``index`` being the pivot's unique ``color`` edge.  Every vertex of
+    a normal form carries every color, so the first is color 0 at its
+    lowest pivot."""
+    us, _, cs = level
+    return sorted(zip(cs, us, range(len(us))))
 
 
-def peel(h: ColoredMultigraph, edge: Edge) -> ColoredMultigraph:
-    """Peel ``edge``, a (pivot, v, color) edge of the normalized graph ``h``:
-    ``h`` without that color class and without the pivot, reindexed densely.
-    The residual is counts-valid, since every vertex of ``h`` carries every
-    color."""
-    pivot, _, color = edge
-    edges = tuple([
-        new_edge((u if u < pivot else u - 1, v, c if c < color else c - 1))
-        for u, v, c in h.edges
+def peel(level: Level, pivot: int, color: int) -> Level:
+    """The normal form ``level`` without its ``color`` class and ``pivot``,
+    reindexed densely, edge order kept.  It is counts-valid, since every
+    vertex of a normal form carries every color, but a right vertex whose
+    other edges were all the pivot's is left isolated."""
+    us, vs, cs = zip(*[
+        (u if u < pivot else u - 1, v, c if c < color else c - 1)
+        for u, v, c in zip(*level)
         if u != pivot and c != color
     ])
-    return ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
+    return list(us), list(vs), list(cs)
 
 
-# Tables from a level's left, right and color indices to the input's.
-_ToInput = tuple[Sequence[int], Sequence[int], Sequence[int]]
+def reduce_peel(
+    level: Level, n: int, pivot: int, color: int, policy: PivotDonorPolicy, max_iters: int | None
+) -> tuple[ReductionStatus, Level, tuple[int, ...], tuple[int, ...]]:
+    """``reduce_trusted`` on ``peel(level, pivot, color)``, ``level`` a
+    normal form of ``n`` colors, run on lists: the status, the residual's
+    lists and its left and right maps.  Only the right side can need
+    compacting, and the default cap counts the vertices it drops."""
+    us, vs, cs = peel(level, pivot, color)
+    rmap = tuple(sorted(set(vs)))
+    if rmap[-1] >= len(rmap):
+        index = {v: i for i, v in enumerate(rmap)}
+        vs = [index[v] for v in vs]
+    cap = default_max_iters(n - 1, n, n + 1) if max_iters is None else max_iters
+    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, tuple(range(n)), rmap, policy, cap)
+    return status, (us, vs, cs), lmap, rmap
 
 
 def _candidates(
-    g: ColoredMultigraph,
-    depth: int,
-    state: _SearchState,
-    to_input: _ToInput,
-    prefix: tuple[Edge, ...],
-    steps: tuple[ConstructStep, ...],
-    doomed: bool,
+    level: Level, n: int, depth: int, state: _SearchState, to_input: Level,
+    prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
     """Yield full-size matchings for this subtree in deterministic search
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
-    matching of ``g``.  ``doomed`` says some prefix edge is not an input edge
-    or repeats a right vertex.  ``g`` is the input at depth 0 and a
-    normalized residual below it.  Failures are recorded on the shared state;
-    the deepest one becomes the reported failure."""
-    us, vs, cs = to_input
+    matching of ``level``, which has ``n`` colors.  ``doomed`` says some
+    prefix edge is not an input edge or repeats a right vertex.  ``level``
+    is the input's normal form at depth 0, or the input itself when n == 2,
+    and a normalized residual below it.  Failures are recorded on the
+    shared state, which keeps the highest-ranked one."""
+    l_in, r_in, c_in = to_input
     rights = {e.v for e in prefix}
-    if g.n == 2:
-        pairs2 = rainbow_pairs_trusted(g)
+    if n == 2:
+        pairs2 = rainbow_pairs_trusted(list(zip(*level)))
         if not pairs2:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
-            state.record(depth, FailReason.RECURSIVE_FAILURE, g, [])
+            state.record(depth, FailReason.RECURSIVE_FAILURE, level, [])
             return
         present = state.present
         for a, b in pairs2:
             if doomed and state.prune:
                 return
-            ea = new_edge((us[a[0]], vs[a[1]], cs[a[2]]))
-            eb = new_edge((us[b[0]], vs[b[1]], cs[b[2]]))
+            ea = new_edge((l_in[a[0]], r_in[a[1]], c_in[a[2]]))
+            eb = new_edge((l_in[b[0]], r_in[b[1]], c_in[b[2]]))
             if state.prune and (
                 ea not in present
                 or eb not in present
@@ -241,59 +254,41 @@ def _candidates(
             yield prefix + (ea, eb), steps
         return
 
-    if depth:
-        # g is its parent's normalized residual, which the reduction returns
-        # unchanged.
-        h, h_us, h_vs = g, us, vs
-    else:
-        red = state.reductions[g]
-        if red.status is not ReductionStatus.NORMALIZED:
-            state.record(depth, FailReason.REDUCTION_STALLED, g, [])
-            return
-        h = red.graph
-        # h's vertices in input coordinates: undo red's compaction.
-        h_us = [us[u] for u in red.left_map]
-        h_vs = [vs[v] for v in red.right_map]
-    pairs = peels(h)
+    vs = level[1]
+    pairs = peels(level)
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
         pairs = pairs[:1]
-    for color, pivot, edge in pairs:
+    for color, pivot, i in pairs:
         if state.attempts >= state.budget:
             return
-        # edge is (pivot, v, color) in h's coordinates.
-        right = h_vs[edge.v]
-        head = new_edge((h_us[pivot], right, cs[color]))
+        right = r_in[vs[i]]
+        head = new_edge((l_in[pivot], right, c_in[color]))
         sub_doomed = doomed or head not in state.present or right in rights
         if sub_doomed and state.prune:
             continue
         state.attempts += 1
-        red2 = state.reductions[peel(h, edge)]
-        step = ConstructStep(depth, color, pivot, edge, h)
-        if red2.status is not ReductionStatus.NORMALIZED:
-            state.record(depth, FailReason.REDUCTION_STALLED, g, [step])
+        step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))
+        status, sub, lmap, rmap = reduce_peel(
+            level, n, pivot, color, state.policy, state.max_iters
+        )
+        if status is not ReductionStatus.NORMALIZED:
+            state.record(depth, _UNREDUCED[status], level, [step])
             continue
-        if edge.v in red2.right_map:
-            # The wrong right vertex was emptied, so excising v would
-            # leave some color class short of n edges.  Recurse anyway:
-            # a sub-matching that happens to avoid v still lifts cleanly,
-            # and the final verification arbitrates.
-            state.record(depth, FailReason.COUNT_DEFICIT, g, [step])
-        # The sub-level's coordinates: undo red2's compaction, then
+        if vs[i] in rmap:
+            # The wrong right vertex was emptied, so excising the peeled
+            # one would leave some color class short of n edges.  Recurse
+            # anyway: a sub-matching that happens to avoid it still lifts
+            # cleanly, and the final verification arbitrates.
+            state.record(depth, FailReason.COUNT_DEFICIT, level, [step])
+        # The sub-level's coordinates: undo the residual's compaction, then
         # re-insert the pivot and the peeled color.
         sub_to_input = (
-            [h_us[u if u < pivot else u + 1] for u in red2.left_map],
-            [h_vs[v] for v in red2.right_map],
-            [cs[c if c < color else c + 1] for c in range(h.n - 1)],
+            [l_in[u if u < pivot else u + 1] for u in lmap],
+            [r_in[v] for v in rmap],
+            [c_in[c if c < color else c + 1] for c in range(n - 1)],
         )
-        yield from _candidates(
-            red2.graph,
-            depth + 1,
-            state,
-            sub_to_input,
-            prefix + (head,),
-            steps + (step,),
-            sub_doomed,
-        )
+        yield from _candidates(sub, n - 1, depth + 1, state, sub_to_input, prefix + (head,),
+                               steps + (step,), sub_doomed)
 
 
 def construct(
@@ -315,22 +310,33 @@ def construct(
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
-    return construct_trusted(g, strategy, budget, Reductions(policy, max_iters))
+    entry = reduce_trusted(g, policy, max_iters) if g.n > 2 else None
+    return construct_trusted(g, strategy, budget, entry, policy, max_iters)
 
 
 def construct_trusted(
-    g: ColoredMultigraph, strategy: PeelStrategy, budget: int, reductions: Reductions
+    g: ColoredMultigraph, strategy: PeelStrategy, budget: int, entry: ReductionOutcome | None,
+    policy: PivotDonorPolicy, max_iters: int | None,
 ) -> ConstructionOutcome:
     """``construct`` without its guard: ``g`` is proper with n >= 2 colors
-    of n + 1 edges each, as on every instance an ``InstanceRun`` admits.
-    Every reduction of the search goes through ``reductions``, under its
-    policy and cap; it reuses what the caller reduced and keeps what the
-    search reduces."""
-    state = _SearchState(g, strategy, budget, reductions)
-    identity = (range(g.left_size), range(g.right_size), range(g.n))
+    of n + 1 edges each, as on every instance an ``InstanceRun`` admits,
+    and ``entry`` is its reduction under ``policy`` and ``max_iters``, which
+    reduce every residual too; it is None when n == 2, since the base
+    matches ``g`` as it stands."""
+    state = _SearchState(g, strategy, budget, policy, max_iters)
+    if g.n == 2:
+        h, lmap, rmap = g, range(g.left_size), range(g.right_size)
+    else:
+        h, lmap, rmap = entry.graph, entry.left_map, entry.right_map
+    search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
+    if g.n == 2 or entry.status is ReductionStatus.NORMALIZED:
+        level = tuple(zip(*h.edges))
+        search = _candidates(level, g.n, 0, state, (lmap, rmap, range(g.n)), (), (), False)
+    else:
+        state.record(0, _UNREDUCED[entry.status], None, [])
     candidate: Matching | None = None
     trace: tuple[ConstructStep, ...] = ()
-    for edges, steps in _candidates(g, 0, state, identity, (), (), False):
+    for edges, steps in search:
         m = Matching(edges)
         if is_rainbow_matching(g, m, g.n):
             return ConstructionOutcome(
@@ -339,16 +345,16 @@ def construct_trusted(
         if candidate is None:
             candidate = m
             trace = steps
-        state.record(0, FailReason.RECURSIVE_FAILURE, g, steps)
+        state.record(0, FailReason.RECURSIVE_FAILURE, None, steps)
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break
 
-    if state.deepest_failure is None:
+    if state.failure is None:
         # Budget ran out before any attempt could even fail.
-        state.record(0, FailReason.RECURSIVE_FAILURE, g, [])
-    failure = state.deepest_failure
+        state.record(0, FailReason.RECURSIVE_FAILURE, None, [])
+    failure = state.failure
     if candidate is None:
-        trace = state.deepest_trace
+        trace = state.failure_trace
     return ConstructionOutcome(
         ConstructStatus.STEP_FAILED, None, failure, trace, candidate, state.attempts
     )

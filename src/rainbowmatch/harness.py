@@ -31,11 +31,11 @@ from typing import Callable, Iterable, Iterator
 from .construct import (
     ConstructionOutcome,
     ConstructStatus,
+    FailReason,
     PeelStrategy,
-    Reductions,
     construct_trusted,
-    peel,
     peels,
+    reduce_peel,
 )
 from .generators import GenSpec, instances_for
 from .graph import (
@@ -56,6 +56,7 @@ from .reduction import (
     ReductionOutcome,
     ReductionStatus,
     compact_isolated,
+    reduce_trusted,
 )
 from .shifting import shift_trusted
 
@@ -178,12 +179,12 @@ class InstanceRun:
     Making a run is the harness's one guard: it raises ValueError unless the
     instance is proper with n >= 1 colors of n + 1 edges each, the domain of
     every hypothesis, and every stage behind it runs a trusted core.  The
-    backtracking construction and the exact oracle are each computed at most
-    once, on first use, so the evaluators are cheap projections of one run.
-    Every reduction goes through one cache, ``reductions``, under
-    ``opts.policy`` and capped at ``opts.max_iters``: the entry reduction,
-    H3's residual and each level of the construction, so no exact graph is
-    reduced twice in a run.  A run lives exactly as long as its instance is
+    reduction, the backtracking construction and the exact oracle are each
+    computed at most once, on first use, so the evaluators are cheap
+    projections of one run: H1, H2, H3 and the construction share the one
+    entry reduction.  It and each peel's residual, which H3 and the
+    construction reduce on lists, run under ``opts.policy`` and
+    ``opts.max_iters``.  A run lives exactly as long as its instance is
     being evaluated; nothing is cached beyond it.
     """
 
@@ -193,17 +194,17 @@ class InstanceRun:
             raise ValueError("the hypotheses need at least one color")
         self.g = g
         self.opts = opts
-        self.reductions = Reductions(opts.policy, opts.max_iters)
 
     @cached_property
     def reduction(self) -> ReductionOutcome:
-        return self.reductions[self.g]
+        return reduce_trusted(self.g, self.opts.policy, self.opts.max_iters)
 
     @cached_property
     def construction(self) -> ConstructionOutcome:
-        return construct_trusted(
-            self.g, PeelStrategy.BACKTRACKING, self.opts.construct_budget, self.reductions
-        )
+        g, opts = self.g, self.opts
+        entry = self.reduction if g.n > 2 else None
+        return construct_trusted(g, PeelStrategy.BACKTRACKING, opts.construct_budget, entry,
+                                 opts.policy, opts.max_iters)
 
     @cached_property
     def max_size(self) -> int:
@@ -275,14 +276,16 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     red = run.reduction
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
-    h = red.graph
+    level = tuple(zip(*red.graph.edges))
     # construct's first peel: color 0 at its lowest pivot.
-    color, pivot, edge = peels(h)[0]
-    red2 = run.reductions[peel(h, edge)]
-    if red2.status is not ReductionStatus.NORMALIZED:
-        return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=red2.status.value)
-    if edge.v in red2.right_map:
-        return Verdict.VIOLATED, run.witness(color=color, pivot=pivot, peeled_right=edge.v)
+    color, pivot, i = peels(level)[0]
+    opts = run.opts
+    status, _, _, rmap = reduce_peel(level, run.g.n, pivot, color, opts.policy, opts.max_iters)
+    if status is not ReductionStatus.NORMALIZED:
+        return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=status.value)
+    right = level[1][i]
+    if right in rmap:
+        return Verdict.VIOLATED, run.witness(color=color, pivot=pivot, peeled_right=right)
     return Verdict.HOLDS, None
 
 
@@ -290,8 +293,10 @@ def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
     outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
-    # A search stopped by its budget has not run out of peels.
-    exhausted = outcome.attempts < run.opts.construct_budget
+    # A search stopped by its budget or by a reduction's cap has not run out
+    # of peels.
+    capped = outcome.failure.reason is FailReason.ITERATION_CAP
+    exhausted = outcome.attempts < run.opts.construct_budget and not capped
     verdict = Verdict.VIOLATED if exhausted and run.max_size >= run.g.n else Verdict.INCONCLUSIVE
     return verdict, run.witness(oracle_max=run.max_size, failure=outcome.failure.to_dict())
 

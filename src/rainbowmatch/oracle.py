@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 from .graph import ColoredMultigraph, Edge, Matching, new_edge, require_valid
 from .reduction import compact_isolated
+
+E = TypeVar("E", bound=tuple[int, int, int])
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,11 @@ def rainbow_pairs(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
     if g.n != 2:
         raise ValueError(f"rainbow_pairs needs n == 2 (got {g.n})")
     require_valid(g)
-    return rainbow_pairs_trusted(g)
+    return rainbow_pairs_trusted(g.edges)
 
 
-def rainbow_pairs_trusted(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
-    """``rainbow_pairs`` without its guard: ``g`` is proper with n == 2."""
-    es = g.edges
+def rainbow_pairs_trusted(es: Sequence[E]) -> list[tuple[E, E]]:
+    """``rainbow_pairs`` on the (u, v, c) edges of a proper 2-colored graph."""
     return [
         (a, b)
         for i, a in enumerate(es)

@@ -6,10 +6,12 @@ once; each iteration then picks the side that is still too large and shifts
 one donor's edges onto a deficient pivot of that side.  A donor left without
 edges is deleted, which renumbers that side.
 
-The driver holds the working graph as three parallel int lists and applies
-``shifting.shift_arrays`` to them in place; colors never change, and a graph
-is built once, at the end, only if some step ran.  The trace is the one
-record of the steps: H1 tests the side, pivot and donor of its first.
+The loop has one definition, ``reduce_lists``, which holds the working graph
+as three parallel int lists and applies ``shifting.shift_arrays`` to them in
+place; colors never change.  ``reduce_trusted`` compacts a graph, runs the
+loop on its lists and builds a graph only if some step ran; the construction
+runs the loop directly on the lists of each peel's residual.  The trace is
+the one record of the steps: H1 tests the side, pivot and donor of its first.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -100,8 +102,8 @@ def compact_isolated(
     return out, left_keep, right_keep
 
 
-def default_max_iters(g: ColoredMultigraph) -> int:
-    return 10 * g.n * (g.left_size + g.right_size)
+def default_max_iters(n: int, left_size: int, right_size: int) -> int:
+    return 10 * n * (left_size + right_size)
 
 
 def _masks(near: list[int], cs: list[int], size: int) -> list[int]:
@@ -187,17 +189,27 @@ def reduce_trusted(
     """``reduce_to_normal_form`` without its guard: ``g`` has n >= 1 colors
     of n + 1 edges each and is proper, as on every graph the package built."""
     if max_iters is None:
-        max_iters = default_max_iters(g)
-
+        max_iters = default_max_iters(g.n, g.left_size, g.right_size)
     cur, lmap, rmap = compact_isolated(g)
-    n = g.n
-    target = n + 1
-    # The working graph as parallel lists: edge i is (us[i], vs[i], cs[i]).
-    # Colors never change, shifts rewrite the lists in place, and the graph
-    # stays compact: a shift keeps every far endpoint and gives the pivot
-    # edges, so only a donor that made no swap is left isolated.
     us, vs, cs = map(list, zip(*cur.edges))
-    lsize, rsize = cur.left_size, cur.right_size
+    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, lmap, rmap, policy, max_iters)
+    if trace:
+        cur = ColoredMultigraph(g.n, len(lmap), len(rmap), tuple(map(new_edge, zip(us, vs, cs))))
+    return ReductionOutcome(status, cur, trace, lmap, rmap)
+
+
+def reduce_lists(
+    us: list[int], vs: list[int], cs: list[int], n: int,
+    lmap: tuple[int, ...], rmap: tuple[int, ...], policy: PivotDonorPolicy, max_iters: int,
+) -> tuple[ReductionStatus, tuple[ReductionStep, ...], tuple[int, ...], tuple[int, ...]]:
+    """The loop, in place on a compact graph of ``n`` colors whose edge i is
+    (us[i], vs[i], cs[i]); ``lmap`` / ``rmap`` hold one entry per vertex.
+    Returns the status, the trace and the maps without the deleted donors.
+    Colors never change, and the graph stays compact: a shift keeps every
+    far endpoint and gives the pivot edges, so only a donor that made no
+    swap is left isolated."""
+    target = n + 1
+    lsize, rsize = len(lmap), len(rmap)
     trace: list[ReductionStep] = []
     alternate = Side.LEFT
     # Exact states: the edge set (its triples are distinct by properness)
@@ -207,16 +219,10 @@ def reduce_trusted(
     # emptied at each deletion, after which none of its keys can recur.
     seen: set[tuple[frozenset[tuple[int, int, int]], Side]] = set()
 
-    def done(status: ReductionStatus) -> ReductionOutcome:
-        graph = cur
-        if trace:
-            graph = ColoredMultigraph(n, lsize, rsize, tuple(map(new_edge, zip(us, vs, cs))))
-        return ReductionOutcome(status, graph, tuple(trace), lmap, rmap)
-
     while True:
         side = _side(lsize, rsize, target, alternate)
         if side is None:
-            return done(ReductionStatus.NORMALIZED)
+            return ReductionStatus.NORMALIZED, tuple(trace), lmap, rmap
         left = side is Side.LEFT
         near, far = (us, vs) if left else (vs, us)
         masks = _masks(near, cs, lsize if left else rsize)
@@ -225,10 +231,10 @@ def reduce_trusted(
         if masks[donor] & masks[pivot]:
             state = (frozenset(zip(us, vs, cs)), alternate)
             if state in seen:
-                return done(ReductionStatus.STALLED)
+                return ReductionStatus.STALLED, tuple(trace), lmap, rmap
             seen.add(state)
         if len(trace) >= max_iters:
-            return done(ReductionStatus.ITERATION_CAP)
+            return ReductionStatus.ITERATION_CAP, tuple(trace), lmap, rmap
 
         if lsize > target and rsize > target:
             alternate = alternate.other()

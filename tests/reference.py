@@ -58,6 +58,19 @@ def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:
     return ColoredMultigraph(g.n - 1, g.left_size, g.right_size, edges)
 
 
+def peel_ref(h: ColoredMultigraph, edge: Edge) -> ColoredMultigraph:
+    """Peel ``edge``, a (pivot, v, color) edge of the normalized graph ``h``,
+    as a graph: ``h`` without that color class and without the pivot,
+    reindexed densely, edge order kept and the right side left as it is."""
+    pivot, _, color = edge
+    edges = tuple(
+        Edge(u if u < pivot else u - 1, v, c if c < color else c - 1)
+        for u, v, c in h.edges
+        if u != pivot and c != color
+    )
+    return ColoredMultigraph(h.n - 1, h.left_size - 1, h.right_size, edges)
+
+
 def counts_valid(g: ColoredMultigraph) -> bool:
     """In the hypotheses' domain: proper, ``n >= 1`` and ``n + 1`` edges per
     color, the instances an ``InstanceRun`` admits."""
@@ -362,7 +375,7 @@ def reference_construct(
             edge = next(e for e in h.edges if e.u == pivot and e.c == color)
             residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
             red2 = reduce_to_normal_form(residual, policy)
-            step = ConstructStep(depth, color, pivot, edge, h)
+            step = ConstructStep(depth, color, pivot, edge)
             if red2.status is not ReductionStatus.NORMALIZED:
                 record(depth, FailReason.REDUCTION_STALLED, cur, [step])
                 continue

@@ -653,7 +653,7 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
          ["construct", "--strategy", "backtrack", "--max-iters", "0"], 3,
          '{"digest":"95437ec47a72c236","status":"step_failed","matching":null,"attempts":0,'
-         '"failure":{"depth":0,"reason":"reduction_stalled","digest":"95437ec47a72c236"},'
+         '"failure":{"depth":0,"reason":"iteration_cap","digest":"95437ec47a72c236"},'
          '"candidate":null,"steps":[]}'),
     ],
     ids=[

@@ -11,9 +11,10 @@ from rainbowmatch.construct import (
     ConstructStatus,
     FailReason,
     PeelStrategy,
-    Reductions,
     construct,
+    peel,
     peels,
+    reduce_peel,
 )
 from rainbowmatch.generators import GenKind, GenSpec, gen_latin
 from rainbowmatch.graph import (
@@ -26,12 +27,12 @@ from rainbowmatch.graph import (
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import (
-    DEFAULT_POLICY,
     PivotDonorPolicy,
     ReductionStatus,
+    reduce_to_normal_form,
     reduce_trusted,
 )
-from reference import delete_color, reference_construct
+from reference import delete_color, peel_ref, reference_construct
 from strategies import counts_valid_graphs
 
 
@@ -60,14 +61,19 @@ def test_latin_backtracking_succeeds():
 
 
 def test_trace_coherence():
+    # Each step's edge is an edge of its level, replayed from the input:
+    # normalize, then peel the step's edge and normalize the residual.
     g = gen_latin(GenSpec(GenKind.LATIN, 3, 4, 4, 2))
     out = construct(g, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.MATCHED
+    level = reduce_to_normal_form(g).graph
     for depth, step in enumerate(out.trace):
         assert step.depth == depth
-        assert step.edge in step.graph.edges
+        assert step.edge in level.edges
         assert step.edge.c == step.color
         assert step.edge.u == step.pivot
+        level = reduce_to_normal_form(peel_ref(level, step.edge)).graph
+    assert level.n == 2
 
 
 def test_matched_uses_peeled_colors_distinctly():
@@ -128,24 +134,36 @@ def test_stalled_instance_fails_cleanly(cycle_instance):
     assert out.candidate is None
 
 
-def test_reductions_reduce_under_their_cap(cycle_instance):
-    reductions = Reductions(PivotDonorPolicy.LAST_VERTEX, 2)
-    red = reductions[cycle_instance]
-    assert red == reduce_trusted(cycle_instance, PivotDonorPolicy.LAST_VERTEX, 2)
-    assert red.status is ReductionStatus.ITERATION_CAP
-    assert reductions[cycle_instance] is red
-    assert list(reductions) == [cycle_instance]
-    uncapped = Reductions()[cycle_instance]
-    assert uncapped == reduce_trusted(cycle_instance, DEFAULT_POLICY, None)
-    assert uncapped.status is ReductionStatus.STALLED
-
-
-def test_construct_reduces_under_the_cap_of_its_cache():
+def test_construct_reduces_under_its_cap():
+    # A reduction stopped by the cap is an iteration_cap failure, not a
+    # stall: the entry reduction here, a residual's on the second instance,
+    # whose input is already normal.
     g = seeded(3, 6, 5, 0)
     out = construct(g, PeelStrategy.BACKTRACKING, max_iters=0)
     assert out.status is ConstructStatus.STEP_FAILED
-    assert (out.failure.depth, out.failure.reason) == (0, FailReason.REDUCTION_STALLED)
+    assert (out.failure.depth, out.failure.reason, out.attempts) == (
+        0, FailReason.ITERATION_CAP, 0
+    )
     assert construct(g, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
+    normal = seeded(4, 6, 6, 108)
+    assert reduce_trusted(normal, PivotDonorPolicy.MAX_DRAIN, None).iterations == 0
+    out = construct(normal, PeelStrategy.BACKTRACKING, max_iters=0)
+    assert (out.status, out.failure.reason, out.attempts) == (
+        ConstructStatus.STEP_FAILED, FailReason.ITERATION_CAP, 20
+    )
+    assert construct(normal, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
+
+
+def test_cap_failure_outranks_a_deeper_one():
+    # The search past a capped reduction is incomplete, which the reported
+    # failure must say even when a later peel goes deeper: here a depth-0
+    # residual caps while other peels reach the base and assemble the H5
+    # witness.
+    g = seeded(4, 6, 6, 237)
+    out = construct(g, PeelStrategy.BACKTRACKING, budget=256, max_iters=2)
+    assert (out.failure.depth, out.failure.reason) == (0, FailReason.ITERATION_CAP)
+    assert out.candidate is not None and len(out.trace) == 2
+    assert construct(g, PeelStrategy.BACKTRACKING, budget=256).status is ConstructStatus.MATCHED
 
 
 def test_budget_limits_attempts(deficit_instance):
@@ -184,8 +202,46 @@ def test_normal_form_peels_start_at_color_0s_lowest_pivot(g, policy):
     h = red.graph
     assert all(sum(e.c == c for e in h.edges) == g.n + 1 for c in range(g.n))
     pivot = min(e.u for e in h.edges if e.c == 0)
-    edge = next(e for e in h.edges if e.u == pivot and e.c == 0)
-    assert peels(h)[0] == (0, pivot, edge)
+    index = next(i for i, e in enumerate(h.edges) if e.u == pivot and e.c == 0)
+    assert peels(tuple(zip(*h.edges)))[0] == (0, pivot, index)
+
+
+def _assert_list_peels_reduce_like_graph_peels(h, policy, cap):
+    # Every peel of the normal form h, on lists and through the kernel,
+    # against reduce_trusted on the graph peel: status, edges in order and
+    # both maps.
+    level = tuple(zip(*h.edges))
+    for color, pivot, i in peels(level):
+        residual = peel_ref(h, h.edges[i])
+        assert peel(level, pivot, color) == tuple(map(list, zip(*residual.edges)))
+        want = reduce_trusted(residual, policy, cap)
+        status, sub, lmap, rmap = reduce_peel(level, h.n, pivot, color, policy, cap)
+        assert (status, lmap, rmap) == (want.status, want.left_map, want.right_map)
+        assert list(zip(*sub)) == list(want.graph.edges)
+
+
+@given(counts_valid_graphs(max_n=4), st.sampled_from(PivotDonorPolicy), st.sampled_from([0, 1, None]))
+@settings(max_examples=100, deadline=None)
+def test_list_peels_reduce_like_graph_peels(g, policy, cap):
+    red = reduce_trusted(g, policy, None)
+    if red.status is ReductionStatus.NORMALIZED and g.n >= 2:
+        _assert_list_peels_reduce_like_graph_peels(red.graph, policy, cap)
+
+
+@pytest.mark.parametrize("cap", [0, 1, None])
+@pytest.mark.parametrize("policy", list(PivotDonorPolicy))
+def test_list_peels_compact_an_isolated_right_vertex(policy, cap):
+    # Seed 11's first depth-1 level under maxdrain: the pivot of its first
+    # peel holds every other edge of right vertex 1, so the peel isolates it.
+    def first_level(h):
+        level = tuple(zip(*h.edges))
+        color, pivot, i = peels(level)[0]
+        return reduce_trusted(peel_ref(h, h.edges[i]), PivotDonorPolicy.MAX_DRAIN, None).graph
+
+    h = first_level(reduce_trusted(seeded(4, 7, 6, 11), PivotDonorPolicy.MAX_DRAIN, None).graph)
+    residual = peel_ref(h, h.edges[peels(tuple(zip(*h.edges)))[0][2]])
+    assert {e.v for e in residual.edges} == set(range(residual.right_size)) - {1}
+    _assert_list_peels_reduce_like_graph_peels(h, policy, cap)
 
 
 def test_matched_on_oversized_when_possible():

@@ -56,11 +56,16 @@ def test_check_records_match_golden_digest(name, tmp_path):
 
 
 # Golden bytes at the I/O boundary: the sha256 of the stdout of `gen`, of
-# `solve` on that stream, and of `validate` on a stream that mixes valid
-# instances with every rule's violation.  A change to parsing, validation or
-# encoding that moves one output byte shows up here.
+# `solve` and `construct` on such streams, and of `validate` on a stream that
+# mixes valid instances with every rule's violation.  A change to parsing,
+# validation, the construction search or encoding that moves one output byte
+# shows up here.
 
 LATIN_GEN = ["gen", "--kind", "latin", "--order", "8", "--seed", "0", "--count", "200"]
+N4_GEN = ["gen", "--kind", "random", "--n", "4", "--left", "7", "--right", "6", "--seed", "0",
+          "--count", "100"]
+N3_GEN = ["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0",
+          "--count", "100"]
 
 
 def _instance(n, left, right, edges) -> str:
@@ -105,6 +110,20 @@ IO_CASES = {
     "solve_latin_8_0_199": (
         [LATIN_GEN, ["solve"]], None, [0, 0],
         "b88a2e5de502fb1f8dce0c51079eb2b579b0bc3e1b80f3a8c17ce355e0ac0015",
+    ),
+    # construct's lines carry what records do not: the steps, the attempts,
+    # the H5 candidate and the failure's digest.
+    "construct_backtrack_n4_maxdrain": (
+        [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "maxdrain"]], None, [0, 3],
+        "581b9d87222316b76f31bdc18ebdba65e90175cf9a78879d807586de2560b078",
+    ),
+    "construct_backtrack_n4_lastvertex": (
+        [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex"]], None, [0, 3],
+        "b79f1df7967c3915e09069bb642fc87251d9a987c03ea5163b2602988f869862",
+    ),
+    "construct_first_n3": (
+        [N3_GEN, ["construct", "--strategy", "first"]], None, [0, 3],
+        "4d5c3880dfbebd084e6e21bcf1fe82577006df93954d2b7d927f42bd29cceedb",
     ),
     "validate_json": (
         [["validate"]], VALIDATE_STREAM, [2],

@@ -221,6 +221,20 @@ def test_h4_is_inconclusive_when_its_budget_binds():
     assert stalled > 0
 
 
+def test_h4_is_inconclusive_when_a_reduction_cap_binds():
+    # A search stopped by the reduction's iteration cap has not run out of
+    # peels either, whether the entry reduction caps or a residual's does.
+    for seed in range(50):
+        verdict, witness = evaluate(Hypothesis.H4, seeded(4, 7, 6, seed), EvalOptions(max_iters=0))
+        assert verdict is Verdict.INCONCLUSIVE, seed
+        assert witness["failure"]["reason"] == "iteration_cap", seed
+    g = seeded(4, 6, 6, 237)
+    assert evaluate(Hypothesis.H4, g)[0] is Verdict.HOLDS
+    verdict, witness = evaluate(Hypothesis.H4, g, EvalOptions(max_iters=2))
+    assert verdict is Verdict.INCONCLUSIVE
+    assert witness["failure"] == {"depth": 0, "reason": "iteration_cap", "digest": canonical_digest(g)}
+
+
 def test_h4_h5_hold_on_latin():
     from rainbowmatch.generators import gen_latin
 
@@ -486,12 +500,15 @@ def test_replay_group_key_includes_opts():
     pair = [lines[i], lines[half + i]]
     assert pair[0]["witness"]["instance"] == pair[1]["witness"]["instance"]
     assert replay(pair).ok
-    # With no reduction step allowed the construction assembles no candidate,
-    # so H5 turns inconclusive while H4 (oracle still finds n) stays violated.
+    # With no reduction step allowed the search stops at the cap, so H4 and
+    # H5 both turn inconclusive under those options.  Replay groups records
+    # by instance and options, so only a record that carries them fails.
     pair[1]["witness"]["opts"]["max_iters"] = 0
     report = replay(pair)
     assert report.violated == 2
     assert report.mismatches == (1,)
+    pair[0]["witness"]["opts"]["max_iters"] = 0
+    assert replay(pair).mismatches == (0, 1)
 
 
 def test_evaluate_rejects_foreign_run(i2, g43):

@@ -130,7 +130,7 @@ def reference_reduce(g, policy):
     Returns the status, the final graph, the trace and both vertex maps."""
     cur, lmap, rmap = compact_isolated(g)
     target = g.n + 1
-    max_iters = default_max_iters(g)
+    max_iters = default_max_iters(g.n, g.left_size, g.right_size)
     trace = []
     alternate = Side.LEFT
     seen = set()
@@ -239,7 +239,7 @@ def test_iteration_cap(cycle_instance, g43):
 
 
 def test_default_max_iters(i2):
-    assert default_max_iters(i2) == 10 * 2 * 6
+    assert default_max_iters(i2.n, i2.left_size, i2.right_size) == 10 * 2 * 6
 
 
 def test_invalid_input_rejected(i2):

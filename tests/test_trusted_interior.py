@@ -204,19 +204,27 @@ def test_construct_validates_its_input_once(monkeypatch):
 
 
 def test_construct_reduces_each_exact_input_once(monkeypatch):
-    # The package re-exports the function construct, which shadows the
-    # submodule attribute of the same name.
+    # The input is reduced once, as a graph; each peel's residual once, on
+    # lists, one per attempt.  The package re-exports the function
+    # construct, which shadows the submodule attribute of the same name.
     module = importlib.import_module("rainbowmatch.construct")
-    real = module.reduce_trusted
-    inputs = []
+    inputs, residuals = [], []
 
-    def recording(g, policy, max_iters):
-        inputs.append((g, policy))
-        return real(g, policy, max_iters)
+    def reduce_trusted(g, policy, max_iters):
+        inputs.append(g)
+        return real_graph(g, policy, max_iters)
 
-    monkeypatch.setattr(module, "reduce_trusted", recording)
+    def reduce_lists(us, vs, cs, *args):
+        residuals.append(tuple(zip(us, vs, cs)))
+        return real_lists(us, vs, cs, *args)
+
+    real_graph, real_lists = module.reduce_trusted, module.reduce_lists
+    monkeypatch.setattr(module, "reduce_trusted", reduce_trusted)
+    monkeypatch.setattr(module, "reduce_lists", reduce_lists)
     out = _pinned_search()
-    assert len(inputs) == len(set(inputs))
+    assert inputs == [seeded(4, 7, 6, 0)]
+    assert len(residuals) == out.attempts == 25
+    assert len(residuals) == len(set(residuals))
     _assert_pinned_outcome(out)
 
 
@@ -238,9 +246,11 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # Below the top a level is not reduced on entry, and past the H5 witness
     # a peel whose head edge cannot be in the input matching is not run.
     # Without either rule the search spends its whole budget of 256 peels
-    # and makes 212, 256 and 236 calls.
+    # and makes 212, 256 and 236 calls.  Every reduction runs the one loop,
+    # reduce_lists: once for the input, under reduce_trusted, and once per
+    # peel.
     module = importlib.import_module("rainbowmatch.construct")
-    calls = dict.fromkeys(("reduce_trusted", "peel", "rainbow_pairs_trusted"), 0)
+    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted"), 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -251,21 +261,23 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    reduction = importlib.import_module("rainbowmatch.reduction")
+    monkeypatch.setattr(reduction, "reduce_lists", counting("reduce_lists", reduction.reduce_lists))
     _assert_pinned_outcome(_pinned_search())
-    assert calls == {"reduce_trusted": 26, "peel": 25, "rainbow_pairs_trusted": 16}
+    assert calls == {"reduce_lists": 26, "peel": 25, "rainbow_pairs_trusted": 16}
 
 
 def test_instance_run_reduces_each_exact_input_once(monkeypatch):
-    # One run shares one memo among the entry reduction, H3's residual and
-    # the construction's levels; every module that calls reduce_trusted by
-    # name is wrapped.
+    # One entry reduction per run, shared by H1, H2, H3 and the
+    # construction; every module that calls reduce_trusted by name is
+    # wrapped.
     names = ("rainbowmatch.reduction", "rainbowmatch.construct", "rainbowmatch.harness")
     modules = [m for m in map(importlib.import_module, names) if hasattr(m, "reduce_trusted")]
     inputs = []
 
     def recording(real):
         def reduce_trusted(g, policy, max_iters):
-            inputs.append((g, policy))
+            inputs.append(g)
             return real(g, policy, max_iters)
 
         return reduce_trusted
@@ -274,10 +286,7 @@ def test_instance_run_reduces_each_exact_input_once(monkeypatch):
         monkeypatch.setattr(module, "reduce_trusted", recording(module.reduce_trusted))
     hyps = tuple(Hypothesis)
     items = [(spec, g) for spec in random_spec_stream(3, 6, 5, 0, 200) for g in instances_for(spec)]
-    total = 0
     for spec, g in items:
         inputs.clear()
         _eval_instance(spec, g, hyps, EvalOptions())
-        assert len(inputs) == len(set(inputs)), canonical_digest(g)
-        total += len(inputs)
-    assert total > len(items)
+        assert inputs == [g], canonical_digest(g)
