@@ -59,7 +59,6 @@ from .reduction import (
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
-    default_max_iters,
     reduce_lists,
     reduce_trusted,
 )
@@ -205,15 +204,9 @@ def reduce_peel(
 ) -> tuple[ReductionStatus, Level, tuple[int, ...], tuple[int, ...]]:
     """``reduce_trusted`` on ``peel(level, pivot, color)``, ``level`` a
     normal form of ``n`` colors, run on lists: the status, the residual's
-    lists and its left and right maps.  Only the right side can need
-    compacting, and the default cap counts the vertices it drops."""
+    lists and its left and right maps."""
     us, vs, cs = peel(level, pivot, color)
-    rmap = tuple(sorted(set(vs)))
-    if rmap[-1] >= len(rmap):
-        index = {v: i for i, v in enumerate(rmap)}
-        vs = [index[v] for v in vs]
-    cap = default_max_iters(n - 1, n, n + 1) if max_iters is None else max_iters
-    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, tuple(range(n)), rmap, policy, cap)
+    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, n, n + 1, policy, max_iters)
     return status, (us, vs, cs), lmap, rmap
 
 

@@ -294,9 +294,10 @@ def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
     # A search stopped by its budget or by a reduction's cap has not run out
-    # of peels.
+    # of peels; one whose input stalls has none to run, whatever its budget.
     capped = outcome.failure.reason is FailReason.ITERATION_CAP
-    exhausted = outcome.attempts < run.opts.construct_budget and not capped
+    stalled = outcome.attempts == 0 and outcome.failure.reason is FailReason.REDUCTION_STALLED
+    exhausted = (outcome.attempts < run.opts.construct_budget and not capped) or stalled
     verdict = Verdict.VIOLATED if exhausted and run.max_size >= run.g.n else Verdict.INCONCLUSIVE
     return verdict, run.witness(oracle_max=run.max_size, failure=outcome.failure.to_dict())
 

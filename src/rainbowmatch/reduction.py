@@ -1,17 +1,17 @@
 """Drive repeated shifting toward normal form.
 
 Normal form: n + 1 edges of each color and exactly n + 1 non-isolated
-vertices on each side.  The input's isolated vertices are compacted away
-once; each iteration then picks the side that is still too large and shifts
+vertices on each side.  The input's isolated vertices are dropped first;
+each iteration then picks the side that is still too large and shifts
 one donor's edges onto a deficient pivot of that side.  A donor left without
 edges is deleted, which renumbers that side.
 
 The loop has one definition, ``reduce_lists``, which holds the working graph
 as three parallel int lists and applies ``shifting.shift_arrays`` to them in
-place; colors never change.  ``reduce_trusted`` compacts a graph, runs the
-loop on its lists and builds a graph only if some step ran; the construction
-runs the loop directly on the lists of each peel's residual.  The trace is
-the one record of the steps: H1 tests the side, pivot and donor of its first.
+place; colors never change.  The input and each peel's residual enter it
+alike, as lists with their declared side sizes: ``reduce_trusted`` builds a
+graph only if a vertex went or a step ran.  The trace is the one record of
+the steps: H1 tests the side, pivot and donor of its first.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -83,6 +83,15 @@ class ReductionOutcome:
         return len(self.trace)
 
 
+def _compact(xs: list[int]) -> tuple[int, ...]:
+    """Renumber the vertices in ``xs`` densely, in place; the new -> old map."""
+    keep = tuple(sorted(set(xs)))
+    if keep and keep[-1] >= len(keep):
+        index = {old: new for new, old in enumerate(keep)}
+        xs[:] = [index[x] for x in xs]
+    return keep
+
+
 def compact_isolated(
     g: ColoredMultigraph,
 ) -> tuple[ColoredMultigraph, tuple[int, ...], tuple[int, ...]]:
@@ -90,14 +99,11 @@ def compact_isolated(
 
     Returns the compacted graph plus new-index -> old-index maps per side.
     """
-    us, vs, _ = zip(*g.edges) if g.edges else ((), (), ())
-    left_keep = tuple(sorted(set(us)))
-    right_keep = tuple(sorted(set(vs)))
+    us, vs, cs = map(list, zip(*g.edges)) if g.edges else ([], [], [])
+    left_keep, right_keep = _compact(us), _compact(vs)
     if len(left_keep) == g.left_size and len(right_keep) == g.right_size:
         return g, left_keep, right_keep
-    left_new = {old: new for new, old in enumerate(left_keep)}
-    right_new = {old: new for new, old in enumerate(right_keep)}
-    edges = tuple([new_edge((left_new[u], right_new[v], c)) for u, v, c in g.edges])
+    edges = tuple(map(new_edge, zip(us, vs, cs)))
     out = ColoredMultigraph(g.n, len(left_keep), len(right_keep), edges)
     return out, left_keep, right_keep
 
@@ -187,27 +193,28 @@ def reduce_trusted(
     g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None
 ) -> ReductionOutcome:
     """``reduce_to_normal_form`` without its guard: ``g`` has n >= 1 colors
-    of n + 1 edges each and is proper, as on every graph the package built."""
-    if max_iters is None:
-        max_iters = default_max_iters(g.n, g.left_size, g.right_size)
-    cur, lmap, rmap = compact_isolated(g)
-    us, vs, cs = map(list, zip(*cur.edges))
-    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, lmap, rmap, policy, max_iters)
-    if trace:
-        cur = ColoredMultigraph(g.n, len(lmap), len(rmap), tuple(map(new_edge, zip(us, vs, cs))))
-    return ReductionOutcome(status, cur, trace, lmap, rmap)
+    of n + 1 edges each and is proper, as on every graph the package built;
+    the outcome's graph is ``g`` itself if the loop dropped and moved nothing."""
+    us, vs, cs = map(list, zip(*g.edges))
+    sizes = g.left_size, g.right_size
+    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, *sizes, policy, max_iters)
+    if trace or (len(lmap), len(rmap)) != sizes:
+        g = ColoredMultigraph(g.n, len(lmap), len(rmap), tuple(map(new_edge, zip(us, vs, cs))))
+    return ReductionOutcome(status, g, trace, lmap, rmap)
 
 
 def reduce_lists(
-    us: list[int], vs: list[int], cs: list[int], n: int,
-    lmap: tuple[int, ...], rmap: tuple[int, ...], policy: PivotDonorPolicy, max_iters: int,
+    us: list[int], vs: list[int], cs: list[int], n: int, left_size: int, right_size: int,
+    policy: PivotDonorPolicy, max_iters: int | None,
 ) -> tuple[ReductionStatus, tuple[ReductionStep, ...], tuple[int, ...], tuple[int, ...]]:
-    """The loop, in place on a compact graph of ``n`` colors whose edge i is
-    (us[i], vs[i], cs[i]); ``lmap`` / ``rmap`` hold one entry per vertex.
-    Returns the status, the trace and the maps without the deleted donors.
-    Colors never change, and the graph stays compact: a shift keeps every
-    far endpoint and gives the pivot edges, so only a donor that made no
-    swap is left isolated."""
+    """The loop, in place on a graph of ``n`` colors whose edge i is
+    (us[i], vs[i], cs[i]).  It first drops the isolated vertices of the
+    declared sides, whose sizes give the default cap.  Returns the status,
+    the trace and the new -> old maps of the vertices left.  Colors never
+    change, and the graph stays compact: a shift keeps every far endpoint
+    and gives the pivot edges, so only a donor that made no swap is isolated."""
+    max_iters = default_max_iters(n, left_size, right_size) if max_iters is None else max_iters
+    lmap, rmap = _compact(us), _compact(vs)
     target = n + 1
     lsize, rsize = len(lmap), len(rmap)
     trace: list[ReductionStep] = []

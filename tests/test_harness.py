@@ -36,7 +36,7 @@ from rainbowmatch.harness import (
     write_records,
 )
 from rainbowmatch.oracle import max_rainbow
-from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
+from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
 from reference import counts_valid, delete_color, reference_h1_all
 from strategies import counts_valid_graphs
 
@@ -202,18 +202,21 @@ def test_h4_h5_on_pinned(deficit_instance):
     assert len(w5["candidate"]) == 3
 
 
-def test_h4_is_inconclusive_when_its_budget_binds():
+@pytest.mark.parametrize("budget", [0, 1])
+def test_h4_is_inconclusive_when_its_budget_binds(budget):
     # A search stopped by its cap has not run out of peels; one whose input
-    # does not normalize has no peel to run, so no cap can bind.
+    # does not normalize has no peel to run, so no cap can bind, not even 0.
     g = seeded(4, 7, 6, 0)
+    opts = EvalOptions(construct_budget=budget)
     assert evaluate(Hypothesis.H4, g)[0] is Verdict.VIOLATED
-    assert evaluate(Hypothesis.H4, g, EvalOptions(construct_budget=1))[0] is Verdict.INCONCLUSIVE
+    assert evaluate(Hypothesis.H4, g, opts)[0] is Verdict.INCONCLUSIVE
     stalled = 0
     for seed in range(50):
-        run = InstanceRun(seeded(4, 7, 6, seed), EvalOptions(construct_budget=1))
+        run = InstanceRun(seeded(4, 7, 6, seed), opts)
         verdict, witness = evaluate(Hypothesis.H4, run.g, run.opts, run)
         assert verdict is not Verdict.HOLDS, seed
-        if run.construction.attempts == 0:
+        if run.reduction.status is ReductionStatus.STALLED:
+            assert run.construction.attempts == 0, seed
             assert witness["failure"]["reason"] == "reduction_stalled", seed
             stalled += verdict is Verdict.VIOLATED
         else:

@@ -22,7 +22,9 @@ from rainbowmatch.reduction import (
     compact_isolated,
     default_max_iters,
     pick_donor,
+    reduce_lists,
     reduce_to_normal_form,
+    reduce_trusted,
 )
 from rainbowmatch.shifting import shift
 from reference import colors_at, is_normal_form, mirror, pick_pivot, reference_shift
@@ -204,7 +206,20 @@ def test_reduction_noop_on_normal(i2):
     out = reduce_to_normal_form(i2)
     assert out.status is ReductionStatus.NORMALIZED
     assert out.iterations == 0
-    assert out.graph.edges == i2.edges
+    assert out.graph is i2
+
+
+def test_reduction_compacts_a_huge_declared_side():
+    # The console-script check's Latin square of order 4 with right vertex 3
+    # relabeled 10^11: already normal once compacted, and nothing may be
+    # built per declared vertex.
+    huge = 10**11
+    edges = [(0, huge, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0), (0, 2, 1), (1, 0, 1),
+             (2, huge, 1), (3, 1, 1), (0, 1, 2), (1, huge, 2), (2, 0, 2), (3, 2, 2)]
+    out = reduce_to_normal_form(ColoredMultigraph.of(3, 4, huge + 1, edges))
+    assert (out.status, out.iterations) == (ReductionStatus.NORMALIZED, 0)
+    assert (out.left_map, out.right_map) == ((0, 1, 2, 3), (0, 1, 2, huge))
+    assert is_normal_form(out.graph)
 
 
 def test_swap_trap_stalls_lastvertex(swap_trap):
@@ -233,6 +248,7 @@ def test_iteration_cap(cycle_instance, g43):
     out = reduce_to_normal_form(g43, max_iters=0)
     assert out.status is ReductionStatus.ITERATION_CAP
     assert out.iterations == 0
+    assert out.graph is g43
     # A finite cap below the cycle length reports the cap, not a stall.
     capped = reduce_to_normal_form(cycle_instance, max_iters=2)
     assert capped.status is ReductionStatus.ITERATION_CAP
@@ -240,6 +256,42 @@ def test_iteration_cap(cycle_instance, g43):
 
 def test_default_max_iters(i2):
     assert default_max_iters(i2.n, i2.left_size, i2.right_size) == 10 * 2 * 6
+
+
+@st.composite
+def padded_graphs(draw):
+    """A counts-valid graph with up to three isolated vertices inserted on
+    each side, order kept, and the new index of each old vertex per side."""
+    g = draw(counts_valid_graphs())
+
+    def spread(size):
+        total = size + draw(st.integers(0, 3))
+        return total, sorted(draw(st.permutations(range(total)))[:size])
+
+    left, lpos = spread(g.left_size)
+    right, rpos = spread(g.right_size)
+    padded = ColoredMultigraph.of(g.n, left, right, [(lpos[u], rpos[v], c) for u, v, c in g.edges])
+    return g, padded, lpos, rpos
+
+
+@given(padded_graphs(), st.sampled_from(PivotDonorPolicy), st.sampled_from([0, 1, None]))
+@settings(max_examples=150, deadline=None)
+def test_the_loop_drops_isolated_vertices_itself(case, policy, cap):
+    # reduce_lists on the raw lists and declared sizes of a graph is
+    # reduce_trusted on it, and both reduce it as the graph without its
+    # padding under the same cap, renumbered.
+    g, padded, lpos, rpos = case
+    us, vs, cs = map(list, zip(*padded.edges))
+    sizes = padded.left_size, padded.right_size
+    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, *sizes, policy, cap)
+    want = reduce_trusted(padded, policy, cap)
+    assert (status, trace, lmap, rmap) == (want.status, want.trace, want.left_map, want.right_map)
+    assert list(zip(us, vs, cs)) == list(want.graph.edges)
+    base = reduce_trusted(g, policy, default_max_iters(g.n, *sizes) if cap is None else cap)
+    assert (status, trace) == (base.status, base.trace)
+    assert want.graph.edges == base.graph.edges
+    assert lmap == tuple(lpos[u] for u in base.left_map)
+    assert rmap == tuple(rpos[v] for v in base.right_map)
 
 
 def test_invalid_input_rejected(i2):
