@@ -72,12 +72,10 @@ def phase_conj(out_dir: Path) -> dict:
     return d
 
 
-def phase_random(
-    out_dir: Path, trials: int, seed: int, workers: int, opts: EvalOptions
-) -> dict:
+def phase_random(out_dir: Path, trials: int, seed: int, workers: int) -> dict:
     results = {}
     specs = random_spec_stream(3, 6, 5, seed, trials)
-    summaries, records = run_campaign(RANDOM_HYPS, specs, opts=opts, workers=workers)
+    summaries, records = run_campaign(RANDOM_HYPS, specs, workers=workers)
     for h, (hyp, summary) in enumerate(zip(RANDOM_HYPS, summaries)):
         column = records[h * summary.trials:(h + 1) * summary.trials]
         write_records(column, out_dir / f"{hyp.value.lower()}.jsonl")
@@ -89,11 +87,11 @@ def phase_random(
     return results
 
 
-def phase_latin(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dict:
+def phase_latin(out_dir: Path, trials: int, seed: int) -> dict:
     """H4 on the Latin stream: construction and oracle agree unless H4 is
     violated, and a held H4 is a matched construction."""
     specs = latin_spec_stream(4, 3, seed, trials)
-    (summary,), records = run_campaign((Hypothesis.H4,), specs, opts=opts)
+    (summary,), records = run_campaign((Hypothesis.H4,), specs)
     write_records(records, out_dir / "latin_h4.jsonl")
     d = summary.to_dict()
     agree = d["trials"] - d["violated"]
@@ -102,11 +100,12 @@ def phase_latin(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dic
     return {"trials": d["trials"], "agree": agree, "matched": d["holds"], "ms": d["ms"]}
 
 
-def phase_shrink(out_dir: Path, trials: int, seed: int, opts: EvalOptions) -> dict:
+def phase_shrink(out_dir: Path, trials: int, seed: int) -> dict:
     """Minimize the first violated instance found for each hypothesis.
 
     One pass over the seed stream: each instance is generated once and the
     hypotheses not yet violated share one run of it."""
+    opts = EvalOptions()
     found: dict[Hypothesis, tuple[GenSpec, ColoredMultigraph]] = {}
     for spec in random_spec_stream(3, 6, 5, seed, trials):
         pending = [hyp for hyp in RANDOM_HYPS if hyp not in found]
@@ -148,27 +147,22 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=_positive, default=1,
                     help="processes for the random phase")
-    ap.add_argument("--construct-budget", type=_non_negative,
-                    default=EvalOptions.construct_budget)
     ap.add_argument("--phase", action="append", choices=PHASES,
                     help="run only these phases (repeatable; default all)")
     args = ap.parse_args(argv)
 
     phases = tuple(args.phase) if args.phase else PHASES
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    opts = EvalOptions(construct_budget=args.construct_budget)
 
     summary: dict = {"seed": args.seed, "trials": args.trials}
     if "conj" in phases:
         summary["conj"] = phase_conj(args.out_dir)
     if "random" in phases:
-        summary["random"] = phase_random(
-            args.out_dir, args.trials, args.seed, args.workers, opts
-        )
+        summary["random"] = phase_random(args.out_dir, args.trials, args.seed, args.workers)
     if "latin" in phases:
-        summary["latin"] = phase_latin(args.out_dir, args.latin_trials, args.seed, opts)
+        summary["latin"] = phase_latin(args.out_dir, args.latin_trials, args.seed)
     if "shrink" in phases:
-        summary["shrink"] = phase_shrink(args.out_dir, args.trials, args.seed, opts)
+        summary["shrink"] = phase_shrink(args.out_dir, args.trials, args.seed)
 
     (args.out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n"

@@ -20,7 +20,7 @@ from contextlib import contextmanager, nullcontext
 from itertools import islice
 from typing import Callable, Iterable
 
-from .construct import DEFAULT_BUDGET, ConstructStatus, PeelStrategy, construct
+from .construct import ConstructStatus, PeelStrategy, construct
 from .generators import GenKind, GenSpec, instances_for, latin_spec_stream, random_spec_stream
 from .graph import (
     ColoredMultigraph,
@@ -123,7 +123,8 @@ def _specs_from_args(args) -> list[GenSpec]:
         order = args.order if args.order is not None else args.left
         if order is None:
             raise ValueError("--kind latin needs --order")
-        for flag, value, want in (("--n", args.n, order - 1), ("--right", args.right, order)):
+        for flag, value, want in (("--n", args.n, order - 1), ("--left", args.left, order),
+                                  ("--right", args.right, order)):
             if value is not None and value != want:
                 raise ValueError(f"--kind latin of order {order} needs {flag} {want}, got {value}")
         return list(latin_spec_stream(order, args.drop, args.seed, args.count))
@@ -138,7 +139,6 @@ def _eval_options(args) -> EvalOptions:
     return EvalOptions(
         h1_mode=H1Mode(args.h1_mode),
         policy=PivotDonorPolicy(args.policy),
-        construct_budget=args.construct_budget,
         max_iters=args.max_iters,
     )
 
@@ -246,7 +246,6 @@ def _cmd_construct(args) -> int:
         outcome = construct(
             g,
             PeelStrategy(args.strategy),
-            budget=args.budget,
             policy=PivotDonorPolicy(args.policy),
             max_iters=args.max_iters,
         )
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     hyp_flags = argparse.ArgumentParser(add_help=False, parents=[reduction_flags])
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode],
                            default=EvalOptions.h1_mode.value)
-    hyp_flags.add_argument("--construct-budget", type=_non_negative,
-                           default=EvalOptions.construct_budget)
 
     p = sub.add_parser("gen", parents=[io_flags, gen_flags],
                        help="generate instances as canonical JSON lines")
@@ -389,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inductive rainbow matching construction")
     p.add_argument("--strategy", choices=[s.value for s in PeelStrategy],
                    default=PeelStrategy.FIRST_FEASIBLE.value)
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check", parents=[io_flags, fmt_flags, gen_flags, hyp_flags],

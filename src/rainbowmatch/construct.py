@@ -33,8 +33,9 @@ colors never clash, because each level removes its pivot and its color.
 Past the witness a peel is run only while its head edge, in input
 coordinates, is an input edge on a right vertex no earlier peel used; any
 other peel dooms every candidate below it, so it is neither reduced, walked
-nor counted.  ``attempts`` is the number of peels run, and the budget caps
-those.
+nor counted.  ``attempts`` is the number of peels run.  The search has no
+budget: unless a reduction's cap stops it, a search that ends unmatched has
+run out of peels, so no peel sequence lifts.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from .reduction import (
     reduce_lists,
     reduce_trusted,
 )
-
-DEFAULT_BUDGET = 10_000
 
 # A graph as parallel lists (us, vs, cs), edge i being (us[i], vs[i], cs[i]);
 # or, as a level's coordinates, tables from its left, right and color indices
@@ -145,11 +144,10 @@ class ConstructionOutcome:
 
 
 class _SearchState:
-    def __init__(self, g: ColoredMultigraph, strategy: PeelStrategy, budget: int,
+    def __init__(self, g: ColoredMultigraph, strategy: PeelStrategy,
                  policy: PivotDonorPolicy, max_iters: int | None):
         self.g = g
         self.strategy = strategy
-        self.budget = budget
         self.policy = policy
         self.max_iters = max_iters
         self.present = set(g.edges)
@@ -252,8 +250,6 @@ def _candidates(
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
         pairs = pairs[:1]
     for color, pivot, i in pairs:
-        if state.attempts >= state.budget:
-            return
         right = r_in[vs[i]]
         head = new_edge((l_in[pivot], right, c_in[color]))
         sub_doomed = doomed or head not in state.present or right in rights
@@ -288,15 +284,14 @@ def construct(
     g: ColoredMultigraph,
     strategy: PeelStrategy = PeelStrategy.FIRST_FEASIBLE,
     *,
-    budget: int = DEFAULT_BUDGET,
     policy: PivotDonorPolicy = DEFAULT_POLICY,
     max_iters: int | None = None,
 ) -> ConstructionOutcome:
     """Run the induction on ``g``; never returns an unverified matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
-    level; Backtracking iterates all (color, pivot) pairs, running at most
-    ``budget`` peels.  The input and every residual are reduced by
+    level; Backtracking iterates all (color, pivot) pairs until a matching
+    lifts or none is left.  The input and every residual are reduced by
     ``policy`` under the iteration cap ``max_iters``, as
     ``reduce_to_normal_form`` takes them.
     """
@@ -304,11 +299,11 @@ def construct(
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
     entry = reduce_trusted(g, policy, max_iters) if g.n > 2 else None
-    return construct_trusted(g, strategy, budget, entry, policy, max_iters)
+    return construct_trusted(g, strategy, entry, policy, max_iters)
 
 
 def construct_trusted(
-    g: ColoredMultigraph, strategy: PeelStrategy, budget: int, entry: ReductionOutcome | None,
+    g: ColoredMultigraph, strategy: PeelStrategy, entry: ReductionOutcome | None,
     policy: PivotDonorPolicy, max_iters: int | None,
 ) -> ConstructionOutcome:
     """``construct`` without its guard: ``g`` is proper with n >= 2 colors
@@ -316,7 +311,7 @@ def construct_trusted(
     and ``entry`` is its reduction under ``policy`` and ``max_iters``, which
     reduce every residual too; it is None when n == 2, since the base
     matches ``g`` as it stands."""
-    state = _SearchState(g, strategy, budget, policy, max_iters)
+    state = _SearchState(g, strategy, policy, max_iters)
     if g.n == 2:
         h, lmap, rmap = g, range(g.left_size), range(g.right_size)
     else:
@@ -342,12 +337,8 @@ def construct_trusted(
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break
 
-    if state.failure is None:
-        # Budget ran out before any attempt could even fail.
-        state.record(0, FailReason.RECURSIVE_FAILURE, None, [])
-    failure = state.failure
     if candidate is None:
         trace = state.failure_trace
     return ConstructionOutcome(
-        ConstructStatus.STEP_FAILED, None, failure, trace, candidate, state.attempts
+        ConstructStatus.STEP_FAILED, None, state.failure, trace, candidate, state.attempts
     )

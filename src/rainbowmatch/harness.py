@@ -88,23 +88,21 @@ class H1Mode(str, Enum):
 class EvalOptions:
     h1_mode: H1Mode = H1Mode.POLICY
     policy: PivotDonorPolicy = DEFAULT_POLICY
-    construct_budget: int = 256
     max_iters: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "h1_mode": self.h1_mode.value,
             "policy": self.policy.value,
-            "construct_budget": self.construct_budget,
             "max_iters": self.max_iters,
         }
 
     def __post_init__(self) -> None:
-        budget, max_iters = self.construct_budget, self.max_iters
-        if type(budget) is not int or not (max_iters is None or type(max_iters) is int):
-            raise ValueError("options construct_budget/max_iters must be integers")
-        if budget < 0 or (max_iters is not None and max_iters < 0):
-            raise ValueError("options construct_budget/max_iters must be non-negative")
+        max_iters = self.max_iters
+        if not (max_iters is None or type(max_iters) is int):
+            raise ValueError("options max_iters must be integers")
+        if max_iters is not None and max_iters < 0:
+            raise ValueError("options max_iters must be non-negative")
 
     @staticmethod
     def from_dict(d: dict) -> "EvalOptions":
@@ -114,7 +112,6 @@ class EvalOptions:
         return EvalOptions(
             h1_mode=H1Mode(d.get("h1_mode", EvalOptions.h1_mode)),
             policy=PivotDonorPolicy(d.get("policy", EvalOptions.policy)),
-            construct_budget=d.get("construct_budget", EvalOptions.construct_budget),
             max_iters=d.get("max_iters", EvalOptions.max_iters),
         )
 
@@ -203,8 +200,7 @@ class InstanceRun:
     def construction(self) -> ConstructionOutcome:
         g, opts = self.g, self.opts
         entry = self.reduction if g.n > 2 else None
-        return construct_trusted(g, PeelStrategy.BACKTRACKING, opts.construct_budget, entry,
-                                 opts.policy, opts.max_iters)
+        return construct_trusted(g, PeelStrategy.BACKTRACKING, entry, opts.policy, opts.max_iters)
 
     @cached_property
     def max_size(self) -> int:
@@ -293,11 +289,9 @@ def _eval_h4(run: InstanceRun) -> tuple[Verdict, dict | None]:
     outcome = run.construction
     if outcome.status is ConstructStatus.MATCHED:
         return Verdict.HOLDS, None
-    # A search stopped by its budget or by a reduction's cap has not run out
-    # of peels; one whose input stalls has none to run, whatever its budget.
-    capped = outcome.failure.reason is FailReason.ITERATION_CAP
-    stalled = outcome.attempts == 0 and outcome.failure.reason is FailReason.REDUCTION_STALLED
-    exhausted = (outcome.attempts < run.opts.construct_budget and not capped) or stalled
+    # An unmatched search has run out of peels unless a reduction's cap
+    # stopped it; a capped failure ranks above every other.
+    exhausted = outcome.failure.reason is not FailReason.ITERATION_CAP
     verdict = Verdict.VIOLATED if exhausted and run.max_size >= run.g.n else Verdict.INCONCLUSIVE
     return verdict, run.witness(oracle_max=run.max_size, failure=outcome.failure.to_dict())
 

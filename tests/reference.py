@@ -326,7 +326,6 @@ def max_rainbow_naive(g: ColoredMultigraph) -> OracleResult:
 def reference_construct(
     g: ColoredMultigraph,
     strategy: PeelStrategy,
-    budget: int,
     policy: PivotDonorPolicy,
 ) -> ConstructionOutcome:
     """The construction search lifting every candidate bottom-up through
@@ -369,8 +368,6 @@ def reference_construct(
         # A normal form carries every color at every vertex.
         assert pairs
         for color, pivot in pairs:
-            if attempts >= budget:
-                return
             attempts += 1
             edge = next(e for e in h.edges if e.u == pivot and e.c == color)
             residual = delete_vertex(delete_color(h, color), Side.LEFT, pivot)
@@ -405,8 +402,6 @@ def reference_construct(
         record(0, FailReason.RECURSIVE_FAILURE, g, steps)
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break
-    if failure is None:
-        record(0, FailReason.RECURSIVE_FAILURE, g, [])
     if candidate is None:
         trace = failure_trace
     return ConstructionOutcome(

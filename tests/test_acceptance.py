@@ -174,7 +174,7 @@ def test_criterion_5_constructor_soundness(latin_outcomes):
                 violations += 1
     for seed in range(500):
         g = _fresh((3, 6, 5), 700_000 + seed)
-        out = construct(g, PeelStrategy.BACKTRACKING, budget=128)
+        out = construct(g, PeelStrategy.BACKTRACKING)
         if out.status is ConstructStatus.MATCHED:
             matched += 1
             if not is_rainbow_matching(g, out.matching, g.n):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from rainbowmatch.cli import _eval_options, build_parser, main
-from rainbowmatch.construct import DEFAULT_BUDGET, PeelStrategy, construct
+from rainbowmatch.construct import PeelStrategy, construct
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
 from rainbowmatch.harness import EvalOptions
 from rainbowmatch.reduction import DEFAULT_POLICY, PivotDonorPolicy
@@ -337,7 +337,28 @@ def test_replay_tampered_exit(tmp_path, capsys):
     assert main(["replay", "--in", str(records)]) == 4
 
 
-@pytest.mark.parametrize("key", ["construct_budget", "max_iters"])
+# An H4 record written while the construction search had a budget, whose
+# options still carry it.
+BUDGETED_H4_RECORD = (
+    '{"hyp":"H4","digest":"2114ed8bc95ecb18","verdict":"violated",'
+    '"spec":{"kind":"random","n":3,"left":6,"right":5,"seed":1},'
+    '"witness":{"instance":{"n":3,"left":6,"right":5,"edges":[[0,0,0],[1,3,0],[4,1,0],'
+    '[5,2,0],[0,3,1],[1,0,1],[3,1,1],[5,2,1],[0,1,2],[1,0,2],[3,4,2],[4,3,2]]},'
+    '"oracle_max":3,"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
+    '"opts":{"h1_mode":"policy","policy":"maxdrain","construct_budget":256,"max_iters":null}},'
+    '"ms":4.445}'
+)
+
+
+def test_replay_reads_a_record_whose_options_carry_a_budget(monkeypatch, capsys):
+    # The options parser ignores keys it does not know; the budget never
+    # bound on this instance, so the record still reproduces.
+    assert run(["replay"], BUDGETED_H4_RECORD + "\n", monkeypatch) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["violated"], rep["reproduced"], rep["mismatches"]) == (1, 1, [])
+
+
+@pytest.mark.parametrize("key", ["max_iters"])
 def test_replay_negative_option_is_invalid_input(tmp_path, capsys, key):
     # Seed 17 stalls for real, so the record is a genuine H2 violation.
     records = tmp_path / "rec.jsonl"
@@ -459,20 +480,17 @@ CHECK = ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5"]
         CHECK + ["--budget", "-1"],
         CHECK + ["--count", "-2"],
         CHECK + ["--max-iters", "-1"],
-        CHECK + ["--construct-budget", "-1"],
         CHECK + ["--workers", "two"],
         ["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--count", "-2"],
         ["reduce", "--max-iters", "-1"],
-        ["construct", "--budget", "-1"],
         ["construct", "--max-iters", "-1"],
         ["minimize", "--hyp", "H2", "--max-iters", "-1"],
         ["solve", "--target", "-1"],
     ],
     ids=[
         "check-workers-0", "check-workers-neg", "check-budget", "check-count",
-        "check-max-iters", "check-construct-budget", "check-workers-text", "gen-count",
-        "reduce-max-iters", "construct-budget", "construct-max-iters", "minimize-max-iters",
-        "solve-target",
+        "check-max-iters", "check-workers-text", "gen-count", "reduce-max-iters",
+        "construct-max-iters", "minimize-max-iters", "solve-target",
     ],
 )
 def test_nonsensical_numeric_argument_is_usage_error(capsys, argv):
@@ -484,10 +502,25 @@ def test_nonsensical_numeric_argument_is_usage_error(capsys, argv):
     assert "error: argument --" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CHECK + ["--construct-budget", "5"],
+        ["construct", "--budget", "5"],
+        ["minimize", "--hyp", "H4", "--construct-budget", "5"],
+    ],
+    ids=["check-construct-budget", "construct-budget", "minimize-construct-budget"],
+)
+def test_the_construction_search_takes_no_budget(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+
 def test_flag_defaults_are_the_library_defaults():
     parser = build_parser()
     assert _eval_options(parser.parse_args(CHECK)) == EvalOptions()
-    assert parser.parse_args(["construct"]).budget == DEFAULT_BUDGET
     # The README findings and acceptance criterion 6 are maxdrain's.
     assert DEFAULT_POLICY is PivotDonorPolicy.MAX_DRAIN
 
@@ -594,10 +627,12 @@ def test_failed_gen_leaves_an_existing_output_untouched(tmp_path, capsys, spec):
         (["--n", "2", "--order", "5", "--right", "3"], "of order 5 needs --n 4, got 2"),
         (["--order", "5", "--right", "3"], "of order 5 needs --right 5, got 3"),
         (["--left", "4", "--n", "4"], "of order 4 needs --n 3, got 4"),
+        (["--order", "5", "--left", "7"], "of order 5 needs --left 5, got 7"),
     ],
 )
 def test_gen_latin_refuses_flags_that_contradict_the_order(tmp_path, capsys, flags, message):
-    # Not a square of the --order beside an --n or --right that says otherwise.
+    # Not a square of the --order beside an --n, --left or --right that says
+    # otherwise.
     out = tmp_path / "out.jsonl"
     out.write_text("kept\n")
     assert main(["gen", "--kind", "latin", *flags, "--out", str(out)]) == 2
@@ -674,9 +709,8 @@ CAMPAIGNS = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.
         ["--workers", "-3", "--latin-trials", "-5"],
         ["--workers", "0"],
         ["--trials", "-1"],
-        ["--construct-budget", "-1"],
     ],
-    ids=["workers-and-latin-trials", "workers-0", "trials", "construct-budget"],
+    ids=["workers-and-latin-trials", "workers-0", "trials"],
 )
 def test_run_campaigns_rejects_nonsensical_numbers(tmp_path, args):
     out_dir = tmp_path / "results"

@@ -63,7 +63,6 @@ instances = (
 options = st.fixed_dictionaries({}, optional={
     "h1_mode": st.sampled_from(["policy", "all", "bogus"]),
     "policy": st.sampled_from(["maxdrain", "lastvertex", "bogus"]),
-    "construct_budget": SMALL | json_values,
     "max_iters": SMALL | st.none() | json_values,
 })
 
@@ -99,7 +98,7 @@ def commands(draw):
         ["shift", "--side", "right", "--pivot", str(pivot), "--donor", str(donor)],
         ["reduce", "--emit", "record"],
         ["reduce", "--policy", "lastvertex", "--max-iters", "3"],
-        ["construct", "--strategy", "backtrack", "--budget", "20"],
+        ["construct", "--strategy", "backtrack"],
         ["construct", "--policy", "lastvertex", "--policy", "maxdrain"],
         ["minimize", "--hyp", "H3"],
         ["replay"],

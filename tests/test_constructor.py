@@ -110,7 +110,7 @@ def test_digest_paid_only_for_kept_failures(monkeypatch):
 
     monkeypatch.setattr(module, "canonical_digest", counting)
     g = seeded(4, 7, 6, 0)
-    out = construct(g, PeelStrategy.BACKTRACKING, budget=256)
+    out = construct(g, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.STEP_FAILED
     assert out.attempts == 25
     # A kept failure is strictly deeper than the one it replaces, so at most
@@ -160,16 +160,10 @@ def test_cap_failure_outranks_a_deeper_one():
     # residual caps while other peels reach the base and assemble the H5
     # witness.
     g = seeded(4, 6, 6, 237)
-    out = construct(g, PeelStrategy.BACKTRACKING, budget=256, max_iters=2)
+    out = construct(g, PeelStrategy.BACKTRACKING, max_iters=2)
     assert (out.failure.depth, out.failure.reason) == (0, FailReason.ITERATION_CAP)
     assert out.candidate is not None and len(out.trace) == 2
-    assert construct(g, PeelStrategy.BACKTRACKING, budget=256).status is ConstructStatus.MATCHED
-
-
-def test_budget_limits_attempts(deficit_instance):
-    out = construct(deficit_instance, PeelStrategy.BACKTRACKING, budget=3)
-    assert out.attempts <= 3
-    assert out.status is ConstructStatus.STEP_FAILED
+    assert construct(g, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
 
 
 def test_invalid_inputs(i2):
@@ -184,7 +178,7 @@ def test_invalid_inputs(i2):
 def test_soundness_never_lies(g):
     if g.n < 2:
         return
-    out = construct(g, PeelStrategy.BACKTRACKING, budget=64)
+    out = construct(g, PeelStrategy.BACKTRACKING)
     if out.status is ConstructStatus.MATCHED:
         assert is_rainbow_matching(g, out.matching, g.n)
     else:
@@ -255,12 +249,6 @@ def test_matched_on_oversized_when_possible():
     assert hits > 0  # some oversized instances do lift cleanly
 
 
-# Far above any search below: the reference walks every peel, 7830 of them
-# on n=5 8x7.
-NO_CAP = 10**6
-BUDGETS = (0, 1, 7, 256)
-
-
 @pytest.mark.parametrize("size, seeds", [((3, 6, 5), 100), ((4, 7, 6), 30), ((5, 8, 7), 10)])
 def test_construct_matches_reference(size, seeds):
     # The reference runs every peel; construct skips those whose head edge
@@ -271,8 +259,8 @@ def test_construct_matches_reference(size, seeds):
         g = seeded(*size, seed)
         for strategy in PeelStrategy:
             for policy in PivotDonorPolicy:
-                got = construct(g, strategy, budget=NO_CAP, policy=policy)
-                want = reference_construct(g, strategy, NO_CAP, policy)
+                got = construct(g, strategy, policy=policy)
+                want = reference_construct(g, strategy, policy)
                 key = (size, seed, strategy, policy)
                 assert (got.status, got.matching, got.candidate) == (
                     want.status, want.matching, want.candidate
@@ -283,15 +271,6 @@ def test_construct_matches_reference(size, seeds):
                 if got.matching is not None or got.candidate is not None:
                     assert got.trace == want.trace, key
                 statuses.add((got.status, got.candidate is not None))
-                # A cap the search stays within changes nothing; one it
-                # reaches stops the same search after exactly that many.
-                for budget in BUDGETS:
-                    capped = construct(g, strategy, budget=budget, policy=policy)
-                    if budget >= got.attempts:
-                        assert capped == got, (key, budget)
-                    else:
-                        assert capped.status is ConstructStatus.STEP_FAILED, (key, budget)
-                        assert capped.attempts == budget, (key, budget)
     # Failures with and without an H5 witness occur, and matches: on n=5
     # 8x7 only seed 9 under lastvertex, after 115 of the reference's 3446.
     assert (ConstructStatus.STEP_FAILED, True) in statuses
@@ -316,12 +295,12 @@ def _count_final_checks(monkeypatch) -> list[bool]:
 
 def test_only_the_witness_and_the_match_reach_the_final_check(monkeypatch):
     results = _count_final_checks(monkeypatch)
-    out = construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
+    out = construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING)
     assert out.attempts == 25 and out.candidate is not None
     assert results == [False]
     for seed in range(1, 30):
         results.clear()
-        out = construct(seeded(4, 7, 6, seed), PeelStrategy.BACKTRACKING, budget=256)
+        out = construct(seeded(4, 7, 6, seed), PeelStrategy.BACKTRACKING)
         # The first candidate is checked whatever it holds; any later one
         # reaches the check only when it passes.
         assert len(results) <= 2 and all(results[1:]), seed

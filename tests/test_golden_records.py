@@ -20,17 +20,17 @@ from rainbowmatch.cli import main
 CASES = {
     "all_n3_6x5_0_299": (
         ["--n", "3", "--left", "6", "--right", "5", "--seed", "0", "--count", "300"],
-        "2177e614aed62c5a5e852e07c16cb68f7fe77bb5c90e3579f4bef0ea164bf5c7",
+        "8036cb967a197cf8aee743f0798f67e177d860b09448221609be23babe53c777",
     ),
     "h4_n4_7x6_0_99_maxdrain": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "maxdrain"],
-        "17a75954f5752680dc6dd7ffe9e66be1792ba6eb88bab6664bf7b0c13369906b",
+        "b9f82e87e776afe5b0981bd9a61926502a6475915c145810cfc885e171ea5fa5",
     ),
     "h4_n4_7x6_0_99_lastvertex": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "lastvertex"],
-        "f30d4610bed65d55acd189fc08b2f3da3c559d913285ee6636f0dbc8ed5f3082",
+        "ec647cdefb20981ef80288e5557a5833cecef0096ea8a139a45931d05d0c8095",
     ),
 }
 

@@ -36,7 +36,7 @@ from rainbowmatch.harness import (
     write_records,
 )
 from rainbowmatch.oracle import max_rainbow
-from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
+from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
 from reference import counts_valid, delete_color, reference_h1_all
 from strategies import counts_valid_graphs
 
@@ -202,26 +202,19 @@ def test_h4_h5_on_pinned(deficit_instance):
     assert len(w5["candidate"]) == 3
 
 
-@pytest.mark.parametrize("budget", [0, 1])
-def test_h4_is_inconclusive_when_its_budget_binds(budget):
-    # A search stopped by its cap has not run out of peels; one whose input
-    # does not normalize has no peel to run, so no cap can bind, not even 0.
-    g = seeded(4, 7, 6, 0)
-    opts = EvalOptions(construct_budget=budget)
-    assert evaluate(Hypothesis.H4, g)[0] is Verdict.VIOLATED
-    assert evaluate(Hypothesis.H4, g, opts)[0] is Verdict.INCONCLUSIVE
-    stalled = 0
-    for seed in range(50):
-        run = InstanceRun(seeded(4, 7, 6, seed), opts)
-        verdict, witness = evaluate(Hypothesis.H4, run.g, run.opts, run)
-        assert verdict is not Verdict.HOLDS, seed
-        if run.reduction.status is ReductionStatus.STALLED:
-            assert run.construction.attempts == 0, seed
-            assert witness["failure"]["reason"] == "reduction_stalled", seed
-            stalled += verdict is Verdict.VIOLATED
-        else:
-            assert verdict is Verdict.INCONCLUSIVE, seed
-    assert stalled > 0
+@pytest.mark.parametrize(
+    "seed, verdicts, attempts",
+    [(20, (Verdict.VIOLATED, Verdict.VIOLATED), 304), (62, (Verdict.HOLDS, Verdict.HOLDS), 429)],
+    ids=["violated-20", "holds-62"],
+)
+def test_h4_is_exact_past_the_old_cap(seed, verdicts, attempts):
+    # The search has no budget: H4 is violated only once no peel sequence
+    # lifts.  A cap of 256 peels left H4 inconclusive on both instances, and
+    # H5 violated on the second.
+    run = InstanceRun(seeded(5, 8, 7, seed), EvalOptions())
+    got = tuple(evaluate(hyp, run.g, run.opts, run)[0] for hyp in (Hypothesis.H4, Hypothesis.H5))
+    assert got == verdicts
+    assert run.construction.attempts == attempts
 
 
 def test_h4_is_inconclusive_when_a_reduction_cap_binds():
@@ -452,7 +445,7 @@ def test_minimize_rejects_non_violating(i2):
         minimize(i2, pred)
 
 
-@pytest.mark.parametrize("key", ["construct_budget", "max_iters"])
+@pytest.mark.parametrize("key", ["max_iters"])
 def test_eval_options_reject_negative_numbers(key):
     # Made from the library as well as parsed: a negative cap would
     # otherwise read as an inconclusive H2.
@@ -468,7 +461,6 @@ def test_eval_options_round_trip():
     opts = EvalOptions(
         h1_mode=H1Mode.ALL,
         policy=PivotDonorPolicy.LAST_VERTEX,
-        construct_budget=77,
         max_iters=13,
     )
     assert EvalOptions.from_dict(opts.to_dict()) == opts

@@ -193,7 +193,7 @@ def test_replay_validates_each_group_once(monkeypatch):
 
 
 def _pinned_search():
-    return construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING, budget=256)
+    return construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING)
 
 
 def test_construct_validates_its_input_once(monkeypatch):
@@ -245,10 +245,10 @@ def _assert_pinned_outcome(out):
 def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # Below the top a level is not reduced on entry, and past the H5 witness
     # a peel whose head edge cannot be in the input matching is not run.
-    # Without either rule the search spends its whole budget of 256 peels
-    # and makes 212, 256 and 236 calls.  Every reduction runs the one loop,
-    # reduce_lists: once for the input, under reduce_trusted, and once per
-    # peel.
+    # Without the second rule the search runs all 260 of the reference's
+    # peels and makes 261, 260 and 240 calls.  Every reduction runs the one
+    # loop, reduce_lists: once for the input, under reduce_trusted, and once
+    # per peel.
     module = importlib.import_module("rainbowmatch.construct")
     calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted"), 0)
 
