@@ -166,6 +166,20 @@ def test_cap_failure_outranks_a_deeper_one():
     assert construct(g, PeelStrategy.BACKTRACKING).status is ConstructStatus.MATCHED
 
 
+def test_search_runs_every_peel_before_it_fails(deficit_instance):
+    # No cap stops the search: Backtracking fails only after every peel the
+    # reference runs that is not doomed, FirstFeasible after its one pair.
+    out = construct(deficit_instance, PeelStrategy.BACKTRACKING)
+    assert out.status is ConstructStatus.STEP_FAILED
+    assert out.failure.reason is FailReason.COUNT_DEFICIT
+    assert out.attempts == 8
+    want = reference_construct(
+        deficit_instance, PeelStrategy.BACKTRACKING, PivotDonorPolicy.MAX_DRAIN
+    )
+    assert want.status is ConstructStatus.STEP_FAILED and want.attempts == 12
+    assert construct(deficit_instance, PeelStrategy.FIRST_FEASIBLE).attempts == 1
+
+
 def test_invalid_inputs(i2):
     with pytest.raises(ValueError):
         construct(delete_vertex(i2, Side.LEFT, 0))

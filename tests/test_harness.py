@@ -36,7 +36,7 @@ from rainbowmatch.harness import (
     write_records,
 )
 from rainbowmatch.oracle import max_rainbow
-from rainbowmatch.reduction import PivotDonorPolicy, compact_isolated
+from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
 from reference import counts_valid, delete_color, reference_h1_all
 from strategies import counts_valid_graphs
 
@@ -215,6 +215,23 @@ def test_h4_is_exact_past_the_old_cap(seed, verdicts, attempts):
     got = tuple(evaluate(hyp, run.g, run.opts, run)[0] for hyp in (Hypothesis.H4, Hypothesis.H5))
     assert got == verdicts
     assert run.construction.attempts == attempts
+
+
+def test_h4_is_violated_when_the_input_does_not_normalize():
+    # An input whose reduction stalls has no peel to run: the search fails
+    # before any attempt, and that failure is exhaustive.
+    stalled = 0
+    for seed in range(50):
+        run = InstanceRun(seeded(4, 7, 6, seed), EvalOptions())
+        verdict, witness = evaluate(Hypothesis.H4, run.g, run.opts, run)
+        if run.reduction.status is ReductionStatus.STALLED:
+            assert run.construction.attempts == 0, seed
+            assert witness["failure"]["reason"] == "reduction_stalled", seed
+            assert verdict is Verdict.VIOLATED, seed
+            stalled += 1
+        else:
+            assert run.construction.attempts > 0, seed
+    assert stalled > 0
 
 
 def test_h4_is_inconclusive_when_a_reduction_cap_binds():
