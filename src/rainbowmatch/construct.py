@@ -204,7 +204,7 @@ def reduce_peel(
     normal form of ``n`` colors, run on lists: the status, the residual's
     lists and its left and right maps."""
     us, vs, cs = peel(level, pivot, color)
-    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, n, n + 1, policy, max_iters)
+    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, policy, max_iters)
     return status, (us, vs, cs), lmap, rmap
 
 

@@ -69,17 +69,6 @@ class GenSpec:
             d["drop"] = self.drop
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "GenSpec":
-        return GenSpec(
-            kind=GenKind(d["kind"]),
-            n=d["n"],
-            left_size=d["left"],
-            right_size=d["right"],
-            seed=d.get("seed", 0),
-            drop=d.get("drop"),
-        )
-
 
 def gen_random(spec: GenSpec) -> ColoredMultigraph:
     """Independently sample a uniform random partial matching of size n + 1

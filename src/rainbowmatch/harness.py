@@ -43,7 +43,6 @@ from .graph import (
     Side,
     canonical_digest,
     compact_json,
-    delete_vertex,
     edge_lists,
     from_dict,
     require_valid,
@@ -520,47 +519,16 @@ def violation_predicate(
 def minimize(
     g: ColoredMultigraph, predicate: Callable[[ColoredMultigraph], bool]
 ) -> ColoredMultigraph:
-    """Greedy shrink: repeatedly drop isolated vertices while the predicate
-    still holds.  The predicate is the one judge of the domain, as
-    ``violation_predicate`` is by making an ``InstanceRun``.
+    """Shrink a violating instance: its compaction if the predicate still
+    holds there, else ``g``.  The predicate is the one judge of the domain,
+    as ``violation_predicate`` is by making an ``InstanceRun``.
 
-    Dropping an isolated vertex keeps a counts-valid instance counts-valid,
-    and nothing else can go: deleting a color or a vertex that carries an
-    edge breaks the counts.  Each pass first tries the compaction, which
-    drops every isolated vertex at once, then one vertex of each run of
-    isolated vertices (deleting any vertex of a run gives the same graph),
-    so the work grows with the edges, not with the declared sides.
+    Only isolated vertices can go: deleting a color or a vertex that
+    carries an edge breaks the counts.  Every verdict reads only the edges,
+    so a violation predicate holds on the compaction whenever it holds on
+    ``g``.
     """
     if not predicate(g):
         raise ValueError("predicate does not hold on the input instance")
-
-    def candidates(cur: ColoredMultigraph) -> Iterator[ColoredMultigraph]:
-        compact, _, _ = compact_isolated(cur)
-        if compact is not cur:
-            yield compact
-        for side in Side:
-            carried = {e.u if side is Side.LEFT else e.v for e in cur.edges}
-            for v in _isolated_runs(carried, cur.side_size(side)):
-                yield delete_vertex(cur, side, v)
-
-    changed = True
-    while changed:
-        changed = False
-        for cand in candidates(g):
-            if predicate(cand):
-                g = cand
-                changed = True
-                break
-    return g
-
-
-def _isolated_runs(carried: set[int], size: int) -> list[int]:
-    """The lowest vertex of each maximal run of ``range(size)`` that avoids
-    ``carried``, in ascending order."""
-    starts = []
-    prev = -1
-    for x in sorted(x for x in carried if 0 <= x < size) + [size]:
-        if x > prev + 1:
-            starts.append(prev + 1)
-        prev = x
-    return starts
+    compact, _, _ = compact_isolated(g)
+    return compact if compact is not g and predicate(compact) else g

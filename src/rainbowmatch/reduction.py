@@ -9,9 +9,11 @@ edges is deleted, which renumbers that side.
 The loop has one definition, ``reduce_lists``, which holds the working graph
 as three parallel int lists and applies ``shifting.shift_arrays`` to them in
 place; colors never change.  The input and each peel's residual enter it
-alike, as lists with their declared side sizes: ``reduce_trusted`` builds a
-graph only if a vertex went or a step ran.  The trace is the one record of
-the steps: H1 tests the side, pivot and donor of its first.
+alike, as lists: ``reduce_trusted`` builds a graph only if a vertex went or
+a step ran.  The loop reads only the edges, so a declared vertex that
+carries none never reaches a verdict: it is dropped before the first step,
+and the default cap counts only the vertices left.  The trace is the one
+record of the steps: H1 tests the side, pivot and donor of its first.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -196,27 +198,26 @@ def reduce_trusted(
     of n + 1 edges each and is proper, as on every graph the package built;
     the outcome's graph is ``g`` itself if the loop dropped and moved nothing."""
     us, vs, cs = map(list, zip(*g.edges))
-    sizes = g.left_size, g.right_size
-    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, *sizes, policy, max_iters)
-    if trace or (len(lmap), len(rmap)) != sizes:
+    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, policy, max_iters)
+    if trace or (len(lmap), len(rmap)) != (g.left_size, g.right_size):
         g = ColoredMultigraph(g.n, len(lmap), len(rmap), tuple(map(new_edge, zip(us, vs, cs))))
     return ReductionOutcome(status, g, trace, lmap, rmap)
 
 
 def reduce_lists(
-    us: list[int], vs: list[int], cs: list[int], n: int, left_size: int, right_size: int,
+    us: list[int], vs: list[int], cs: list[int], n: int,
     policy: PivotDonorPolicy, max_iters: int | None,
 ) -> tuple[ReductionStatus, tuple[ReductionStep, ...], tuple[int, ...], tuple[int, ...]]:
     """The loop, in place on a graph of ``n`` colors whose edge i is
-    (us[i], vs[i], cs[i]).  It first drops the isolated vertices of the
-    declared sides, whose sizes give the default cap.  Returns the status,
+    (us[i], vs[i], cs[i]).  It first renumbers the vertices that carry an
+    edge densely; their counts give the default cap.  Returns the status,
     the trace and the new -> old maps of the vertices left.  Colors never
     change, and the graph stays compact: a shift keeps every far endpoint
     and gives the pivot edges, so only a donor that made no swap is isolated."""
-    max_iters = default_max_iters(n, left_size, right_size) if max_iters is None else max_iters
     lmap, rmap = _compact(us), _compact(vs)
     target = n + 1
     lsize, rsize = len(lmap), len(rmap)
+    max_iters = default_max_iters(n, lsize, rsize) if max_iters is None else max_iters
     trace: list[ReductionStep] = []
     alternate = Side.LEFT
     # Exact states: the edge set (its triples are distinct by properness)

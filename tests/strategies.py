@@ -35,6 +35,22 @@ def counts_valid_graphs(draw, max_n: int = 3, max_extra: int = 3):
 
 
 @st.composite
+def padded_graphs(draw):
+    """A counts-valid graph with up to three isolated vertices inserted on
+    each side, order kept, and the new index of each old vertex per side."""
+    g = draw(counts_valid_graphs())
+
+    def spread(size):
+        total = size + draw(st.integers(0, 3))
+        return total, sorted(draw(st.permutations(range(total)))[:size])
+
+    left, lpos = spread(g.left_size)
+    right, rpos = spread(g.right_size)
+    padded = ColoredMultigraph.of(g.n, left, right, [(lpos[u], rpos[v], c) for u, v, c in g.edges])
+    return g, padded, lpos, rpos
+
+
+@st.composite
 def shift_cases(draw, max_n: int = 4, side: Side = Side.LEFT):
     """A counts-valid graph plus a (pivot, donor) pair on ``side``."""
     g = draw(counts_valid_graphs(max_n=max_n))

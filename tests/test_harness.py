@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import seeded
 from rainbowmatch import harness
@@ -38,7 +38,7 @@ from rainbowmatch.harness import (
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
 from reference import counts_valid, delete_color, reference_h1_all
-from strategies import counts_valid_graphs
+from strategies import counts_valid_graphs, padded_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.
 SHORT = ColoredMultigraph.of(2, 3, 3, [(0, 0, 0), (0, 0, 1)])
@@ -436,6 +436,23 @@ def test_minimize_can_only_drop_isolated_vertices(g):
         for v in range(g.side_size(side)):
             assert counts_valid(delete_vertex(g, side, v)) == (v not in carried)
     assert minimize(g, lambda h: True) == compact_isolated(g)[0]
+
+
+@given(padded_graphs())
+@settings(max_examples=150, deadline=None)
+def test_every_verdict_ignores_isolated_vertices(case):
+    # The invariant minimize relies on: a verdict reads only the edges, so
+    # padding an instance with isolated vertices moves none, under any
+    # policy, H1 mode or cap.
+    g, padded, _, _ = case
+    for policy in PivotDonorPolicy:
+        for h1_mode in H1Mode:
+            for cap in (None, 0, 1, 2):
+                opts = EvalOptions(h1_mode, policy, cap)
+                run, padded_run = InstanceRun(g, opts), InstanceRun(padded, opts)
+                for hyp in Hypothesis:
+                    verdict = evaluate(hyp, g, opts, run)[0]
+                    assert evaluate(hyp, padded, opts, padded_run)[0] is verdict, (hyp, opts)
 
 
 OUT_OF_DOMAIN = {

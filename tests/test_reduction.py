@@ -7,6 +7,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from conftest import seeded
+from rainbowmatch import reduction
+from rainbowmatch.construct import peel, peels, reduce_peel
 from rainbowmatch.graph import (
     ColoredMultigraph,
     Edge,
@@ -28,7 +30,7 @@ from rainbowmatch.reduction import (
 )
 from rainbowmatch.shifting import shift
 from reference import colors_at, is_normal_form, mirror, pick_pivot, reference_shift
-from strategies import counts_valid_graphs, proper_graphs
+from strategies import counts_valid_graphs, padded_graphs, proper_graphs
 
 
 def replay_trace(g, outcome):
@@ -132,7 +134,7 @@ def reference_reduce(g, policy):
     Returns the status, the final graph, the trace and both vertex maps."""
     cur, lmap, rmap = compact_isolated(g)
     target = g.n + 1
-    max_iters = default_max_iters(g.n, g.left_size, g.right_size)
+    max_iters = default_max_iters(g.n, cur.left_size, cur.right_size)
     trace = []
     alternate = Side.LEFT
     seen = set()
@@ -258,36 +260,43 @@ def test_default_max_iters(i2):
     assert default_max_iters(i2.n, i2.left_size, i2.right_size) == 10 * 2 * 6
 
 
-@st.composite
-def padded_graphs(draw):
-    """A counts-valid graph with up to three isolated vertices inserted on
-    each side, order kept, and the new index of each old vertex per side."""
-    g = draw(counts_valid_graphs())
+def test_the_default_cap_counts_only_carried_vertices(monkeypatch, g43):
+    # The input padded with an isolated vertex at each end of each side,
+    # and seed 11's first depth-1 level under maxdrain, whose first peel
+    # isolates right vertex 1: each default cap is taken from the vertices
+    # that carry edges, not from the declared sides.
+    padded = ColoredMultigraph.of(2, 6, 5, [(u + 1, v + 1, c) for u, v, c in g43.edges])
+    policy = PivotDonorPolicy.MAX_DRAIN
+    top = tuple(zip(*reduce_trusted(seeded(4, 7, 6, 11), policy, None).graph.edges))
+    color, pivot, _ = peels(top)[0]
+    _, level, _, _ = reduce_peel(top, 4, pivot, color, policy, None)
+    color, pivot, _ = peels(level)[0]
+    assert set(peel(level, pivot, color)[1]) == {0, 2, 3}
+    sizes = []
 
-    def spread(size):
-        total = size + draw(st.integers(0, 3))
-        return total, sorted(draw(st.permutations(range(total)))[:size])
+    def recording(n, left_size, right_size):
+        sizes.append((n, left_size, right_size))
+        return default_max_iters(n, left_size, right_size)
 
-    left, lpos = spread(g.left_size)
-    right, rpos = spread(g.right_size)
-    padded = ColoredMultigraph.of(g.n, left, right, [(lpos[u], rpos[v], c) for u, v, c in g.edges])
-    return g, padded, lpos, rpos
+    monkeypatch.setattr(reduction, "default_max_iters", recording)
+    reduce_trusted(padded, policy, None)
+    reduce_peel(level, 3, pivot, color, policy, None)
+    assert sizes == [(2, 4, 3), (2, 3, 3)]
 
 
 @given(padded_graphs(), st.sampled_from(PivotDonorPolicy), st.sampled_from([0, 1, None]))
 @settings(max_examples=150, deadline=None)
 def test_the_loop_drops_isolated_vertices_itself(case, policy, cap):
-    # reduce_lists on the raw lists and declared sizes of a graph is
-    # reduce_trusted on it, and both reduce it as the graph without its
-    # padding under the same cap, renumbered.
+    # reduce_lists on the raw lists of a graph is reduce_trusted on it, and
+    # both reduce it as the graph without its padding under the same cap,
+    # renumbered: the default cap counts only the vertices that carry edges.
     g, padded, lpos, rpos = case
     us, vs, cs = map(list, zip(*padded.edges))
-    sizes = padded.left_size, padded.right_size
-    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, *sizes, policy, cap)
+    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, policy, cap)
     want = reduce_trusted(padded, policy, cap)
     assert (status, trace, lmap, rmap) == (want.status, want.trace, want.left_map, want.right_map)
     assert list(zip(us, vs, cs)) == list(want.graph.edges)
-    base = reduce_trusted(g, policy, default_max_iters(g.n, *sizes) if cap is None else cap)
+    base = reduce_trusted(g, policy, cap)
     assert (status, trace) == (base.status, base.trace)
     assert want.graph.edges == base.graph.edges
     assert lmap == tuple(lpos[u] for u in base.left_map)
