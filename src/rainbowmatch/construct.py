@@ -13,8 +13,8 @@ needs some matching, so candidates are tried in turn.
 A level is held as the reduction's parallel int lists, from the input's
 normal form down to the n == 2 base: ``reduce_peel`` cuts a level's lists
 into its residual's and normalizes them in place with the reduction's loop,
-so no graph is built per peel, only for the digest of a failure the search
-keeps.  A reduction stopped by its cap is an ``iteration_cap`` failure,
+so no graph is built per peel, only one per unmatched search, for the digest
+of the failure it reports.  A reduction stopped by its cap is an ``iteration_cap`` failure,
 reported over any other: the search past it is incomplete.
 
 Edges found at deeper levels live in graphs rewritten by shifting, so the
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     ColoredMultigraph,
@@ -102,8 +102,7 @@ class ConstructFailure:
         return {"depth": self.depth, "reason": self.reason.value, "digest": self.digest}
 
 
-@dataclass(frozen=True)
-class ConstructStep:
+class ConstructStep(NamedTuple):
     """One peel: ``edge`` is the pivot's unique ``color`` edge in the
     normalized graph of that level."""
 
@@ -155,24 +154,29 @@ class _SearchState:
         # from then on no peel or candidate that cannot pass is run.
         self.prune = False
         self.attempts = 0
-        self.failure: ConstructFailure | None = None
-        self.failure_trace: tuple[ConstructStep, ...] = ()
+        # The kept failure: (depth, reason, level, trace).
+        self.kept: tuple[int, FailReason, Level | None, Sequence[ConstructStep]] | None = None
 
     def record(
-        self, depth: int, reason: FailReason, level: Level | None, trace: list[ConstructStep]
+        self, depth: int, reason: FailReason, level: Level | None, trace: Sequence[ConstructStep]
     ) -> None:
         """Keep the failure if it ranks above the kept one: a capped
-        reduction first, then the deepest.  The failing level's graph (the
-        input at depth 0, else built from ``level``) is hashed only then."""
-        kept = self.failure
+        reduction first, then the deepest."""
+        kept = self.kept
         capped = reason is FailReason.ITERATION_CAP
-        if kept is None or (capped, depth) > (kept.reason is FailReason.ITERATION_CAP, kept.depth):
-            g = self.g
-            if depth:
-                n = max(level[2]) + 1
-                g = ColoredMultigraph(n, n + 1, n + 1, tuple(map(new_edge, zip(*level))))
-            self.failure = ConstructFailure(depth, reason, canonical_digest(g))
-            self.failure_trace = tuple(trace)
+        if kept is None or (capped, depth) > (kept[1] is FailReason.ITERATION_CAP, kept[0]):
+            self.kept = depth, reason, level, trace
+
+    def failure(self) -> tuple[ConstructFailure, tuple[ConstructStep, ...]]:
+        """The kept failure and its trace.  Its level's graph (the input at
+        depth 0, else built from the kept lists, which nothing changes once
+        a level is reduced) is hashed here, once per search."""
+        depth, reason, level, trace = self.kept
+        g = self.g
+        if depth:
+            n = max(level[2]) + 1
+            g = ColoredMultigraph(n, n + 1, n + 1, tuple(map(new_edge, zip(*level))))
+        return ConstructFailure(depth, reason, canonical_digest(g)), tuple(trace)
 
 
 def peels(level: Level) -> list[tuple[int, int, int]]:
@@ -189,17 +193,24 @@ def peel(level: Level, pivot: int, color: int) -> Level:
     reindexed densely, edge order kept.  It is counts-valid, since every
     vertex of a normal form carries every color, but a right vertex whose
     other edges were all the pivot's is left isolated."""
-    us, vs, cs = zip(*[
-        (u if u < pivot else u - 1, v, c if c < color else c - 1)
-        for u, v, c in zip(*level)
-        if u != pivot and c != color
-    ])
-    return list(us), list(vs), list(cs)
+    us: list[int] = []
+    vs: list[int] = []
+    cs: list[int] = []
+    for u, v, c in zip(*level):
+        if u != pivot and c != color:
+            us.append(u if u < pivot else u - 1)
+            vs.append(v)
+            cs.append(c if c < color else c - 1)
+    return us, vs, cs
+
+
+# A residual's reduction: its status, its lists and its left and right maps.
+PeelReduction = tuple[ReductionStatus, Level, tuple[int, ...], tuple[int, ...]]
 
 
 def reduce_peel(
     level: Level, n: int, pivot: int, color: int, policy: PivotDonorPolicy, max_iters: int | None
-) -> tuple[ReductionStatus, Level, tuple[int, ...], tuple[int, ...]]:
+) -> PeelReduction:
     """``reduce_trusted`` on ``peel(level, pivot, color)``, ``level`` a
     normal form of ``n`` colors, run on lists: the status, the residual's
     lists and its left and right maps."""
@@ -211,41 +222,44 @@ def reduce_peel(
 def _candidates(
     level: Level, n: int, depth: int, state: _SearchState, to_input: Level,
     prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
+    first: PeelReduction | None = None,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
     """Yield full-size matchings for this subtree in deterministic search
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
     matching of ``level``, which has ``n`` colors.  ``doomed`` says some
     prefix edge is not an input edge or repeats a right vertex.  ``level``
     is the input's normal form at depth 0, or the input itself when n == 2,
-    and a normalized residual below it.  Failures are recorded on the
-    shared state, which keeps the highest-ranked one."""
+    and a normalized residual below it.  ``first``, when given, is the
+    reduction of the first peel, which always runs.  Failures are recorded
+    on the shared state, which keeps the highest-ranked one."""
     l_in, r_in, c_in = to_input
-    rights = {e.v for e in prefix}
     if n == 2:
-        pairs2 = rainbow_pairs_trusted(list(zip(*level)))
+        # The maps are injective, so the pairs of the edges in input
+        # coordinates are the level's, in the same order.
+        es = [new_edge((l_in[u], r_in[v], c_in[c])) for u, v, c in zip(*level)]
+        pairs2 = rainbow_pairs_trusted(es)
         if not pairs2:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
             state.record(depth, FailReason.RECURSIVE_FAILURE, level, [])
             return
-        present = state.present
+        live = None
         for a, b in pairs2:
-            if doomed and state.prune:
-                return
-            ea = new_edge((l_in[a[0]], r_in[a[1]], c_in[a[2]]))
-            eb = new_edge((l_in[b[0]], r_in[b[1]], c_in[b[2]]))
-            if state.prune and (
-                ea not in present
-                or eb not in present
-                or ea.v in rights
-                or eb.v in rights
-            ):
-                continue
+            if state.prune:
+                if doomed:
+                    return
+                if live is None:
+                    # Input edges on right vertices no peel has used.
+                    rights = {e.v for e in prefix}
+                    live = {e for e in es if e in state.present and e.v not in rights}
+                if a not in live or b not in live:
+                    continue
             state.prune = True
-            yield prefix + (ea, eb), steps
+            yield prefix + (a, b), steps
         return
 
     vs = level[1]
+    rights = {e.v for e in prefix}
     pairs = peels(level)
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
         pairs = pairs[:1]
@@ -257,9 +271,12 @@ def _candidates(
             continue
         state.attempts += 1
         step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))
-        status, sub, lmap, rmap = reduce_peel(
-            level, n, pivot, color, state.policy, state.max_iters
-        )
+        if first is None:
+            status, sub, lmap, rmap = reduce_peel(
+                level, n, pivot, color, state.policy, state.max_iters
+            )
+        else:
+            (status, sub, lmap, rmap), first = first, None
         if status is not ReductionStatus.NORMALIZED:
             state.record(depth, _UNREDUCED[status], level, [step])
             continue
@@ -299,18 +316,20 @@ def construct(
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
     entry = reduce_trusted(g, policy, max_iters) if g.n > 2 else None
-    return construct_trusted(g, strategy, entry, policy, max_iters)
+    return construct_trusted(g, strategy, entry, None, policy, max_iters)
 
 
 def construct_trusted(
     g: ColoredMultigraph, strategy: PeelStrategy, entry: ReductionOutcome | None,
-    policy: PivotDonorPolicy, max_iters: int | None,
+    first: PeelReduction | None, policy: PivotDonorPolicy, max_iters: int | None,
 ) -> ConstructionOutcome:
     """``construct`` without its guard: ``g`` is proper with n >= 2 colors
     of n + 1 edges each, as on every instance an ``InstanceRun`` admits,
     and ``entry`` is its reduction under ``policy`` and ``max_iters``, which
     reduce every residual too; it is None when n == 2, since the base
-    matches ``g`` as it stands."""
+    matches ``g`` as it stands.  ``first`` is ``reduce_peel`` of the entry's
+    normal form at its first peel, ``peels(level)[0]``, or None to have the
+    search reduce it."""
     state = _SearchState(g, strategy, policy, max_iters)
     if g.n == 2:
         h, lmap, rmap = g, range(g.left_size), range(g.right_size)
@@ -319,7 +338,9 @@ def construct_trusted(
     search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
     if g.n == 2 or entry.status is ReductionStatus.NORMALIZED:
         level = tuple(zip(*h.edges))
-        search = _candidates(level, g.n, 0, state, (lmap, rmap, range(g.n)), (), (), False)
+        search = _candidates(
+            level, g.n, 0, state, (lmap, rmap, range(g.n)), (), (), False, first
+        )
     else:
         state.record(0, _UNREDUCED[entry.status], None, [])
     candidate: Matching | None = None
@@ -337,8 +358,9 @@ def construct_trusted(
         if strategy is PeelStrategy.FIRST_FEASIBLE:
             break
 
+    failure, failure_trace = state.failure()
     if candidate is None:
-        trace = state.failure_trace
+        trace = failure_trace
     return ConstructionOutcome(
-        ConstructStatus.STEP_FAILED, None, state.failure, trace, candidate, state.attempts
+        ConstructStatus.STEP_FAILED, None, failure, trace, candidate, state.attempts
     )

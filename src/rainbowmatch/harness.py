@@ -32,6 +32,7 @@ from .construct import (
     ConstructionOutcome,
     ConstructStatus,
     FailReason,
+    PeelReduction,
     PeelStrategy,
     construct_trusted,
     peels,
@@ -178,8 +179,9 @@ class InstanceRun:
     reduction, the backtracking construction and the exact oracle are each
     computed at most once, on first use, so the evaluators are cheap
     projections of one run: H1, H2, H3 and the construction share the one
-    entry reduction.  It and each peel's residual, which H3 and the
-    construction reduce on lists, run under ``opts.policy`` and
+    entry reduction, and H3 and the construction share the reduction of its
+    first peel's residual.  The entry and each residual, which the
+    construction reduces on lists, run under ``opts.policy`` and
     ``opts.max_iters``.  A run lives exactly as long as its instance is
     being evaluated; nothing is cached beyond it.
     """
@@ -196,10 +198,27 @@ class InstanceRun:
         return reduce_trusted(self.g, self.opts.policy, self.opts.max_iters)
 
     @cached_property
+    def first_peel(self) -> tuple[tuple[int, int, int], PeelReduction]:
+        """The construction's first peel of the normalized entry reduction,
+        as ``(color, pivot, peeled right vertex)``, and its residual's
+        reduction: H3 tests it and the construction starts from it."""
+        level = tuple(zip(*self.reduction.graph.edges))
+        color, pivot, i = peels(level)[0]
+        opts = self.opts
+        reduced = reduce_peel(level, self.g.n, pivot, color, opts.policy, opts.max_iters)
+        return (color, pivot, level[1][i]), reduced
+
+    @cached_property
     def construction(self) -> ConstructionOutcome:
         g, opts = self.g, self.opts
-        entry = self.reduction if g.n > 2 else None
-        return construct_trusted(g, PeelStrategy.BACKTRACKING, entry, opts.policy, opts.max_iters)
+        entry = first = None
+        if g.n > 2:
+            entry = self.reduction
+            if entry.status is ReductionStatus.NORMALIZED:
+                first = self.first_peel[1]
+        return construct_trusted(
+            g, PeelStrategy.BACKTRACKING, entry, first, opts.policy, opts.max_iters
+        )
 
     @cached_property
     def max_size(self) -> int:
@@ -271,14 +290,10 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     red = run.reduction
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
-    level = tuple(zip(*red.graph.edges))
     # construct's first peel: color 0 at its lowest pivot.
-    color, pivot, i = peels(level)[0]
-    opts = run.opts
-    status, _, _, rmap = reduce_peel(level, run.g.n, pivot, color, opts.policy, opts.max_iters)
+    (color, pivot, right), (status, _, _, rmap) = run.first_peel
     if status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=status.value)
-    right = level[1][i]
     if right in rmap:
         return Verdict.VIOLATED, run.witness(color=color, pivot=pivot, peeled_right=right)
     return Verdict.HOLDS, None

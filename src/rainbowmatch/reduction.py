@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import ColoredMultigraph, Side, new_edge, require_valid
 from .shifting import shift_arrays
@@ -47,8 +48,7 @@ class PivotDonorPolicy(str, Enum):
 DEFAULT_POLICY = PivotDonorPolicy.MAX_DRAIN
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     side: Side
     pivot: int
     donor: int

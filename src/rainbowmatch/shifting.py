@@ -122,8 +122,13 @@ def shift_arrays(
     ``log``, appends ``(i, None)`` per Move and ``(i, j)`` per Swap, ``i``
     the donor edge and ``j`` the pivot's, in ascending color order.
     """
-    at_pivot = {cs[i]: i for i, x in enumerate(near) if x == pivot}
-    donor_edges = [i for i, x in enumerate(near) if x == donor]
+    at_pivot: dict[int, int] = {}
+    donor_edges: list[int] = []
+    for i, x in enumerate(near):
+        if x == pivot:
+            at_pivot[cs[i]] = i
+        elif x == donor:
+            donor_edges.append(i)
     if log is not None:
         donor_edges.sort(key=cs.__getitem__)
     moves = 0

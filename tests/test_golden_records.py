@@ -66,6 +66,10 @@ N4_GEN = ["gen", "--kind", "random", "--n", "4", "--left", "7", "--right", "6", 
           "--count", "100"]
 N3_GEN = ["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0",
           "--count", "100"]
+N4_6X5_GEN = ["gen", "--kind", "random", "--n", "4", "--left", "6", "--right", "5", "--seed", "0",
+              "--count", "50"]
+N5_GEN = ["gen", "--kind", "random", "--n", "5", "--left", "8", "--right", "7", "--seed", "0",
+          "--count", "20"]
 
 
 def _instance(n, left, right, edges) -> str:
@@ -120,6 +124,32 @@ IO_CASES = {
     "construct_backtrack_n4_lastvertex": (
         [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex"]], None, [0, 3],
         "b79f1df7967c3915e09069bb642fc87251d9a987c03ea5163b2602988f869862",
+    ),
+    # Three peel levels above the n == 2 base, and the base's filter of
+    # pairs once the H5 witness exists.
+    "construct_backtrack_n5": (
+        [N5_GEN, ["construct", "--strategy", "backtrack"]], None, [0, 3],
+        "6a91525fdd7db3dff5dbe08e8cd3e41ed9c8d968c8cc55c797ce3c1f07ef281b",
+    ),
+    # Every entry reduction stops at the cap: the failure's digest is the
+    # input's.
+    "construct_backtrack_n4_lastvertex_capped": (
+        [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex",
+                  "--max-iters", "2"]], None, [0, 3],
+        "72bfb55cf66bf4b4919ff6cff3b50face12576d4f006b6e02f707439cc96996d",
+    ),
+    # Entries that normalize within the cap, where a residual stopped by it
+    # outranks a deeper failure kept before it (seeds 4, 8 and 10 among
+    # others), so the level the failure's digest hashes is pinned.
+    "construct_backtrack_n4_6x5_capped": (
+        [N4_6X5_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex",
+                      "--max-iters", "2"]], None, [0, 3],
+        "4ea3d000d77cb6757b8c77b0856bf4ce255f02e9f6e10956409e9fbc6b06ed3d",
+    ),
+    # The reduction's trace, step by step.
+    "reduce_record_n4": (
+        [N4_GEN, ["reduce", "--emit", "record"]], None, [0, 3],
+        "619571b6694be2db0f0f8bb19e99babc5e9a41a43985a2cd8090ca8848e5a8b2",
     ),
     "construct_first_n3": (
         [N3_GEN, ["construct", "--strategy", "first"]], None, [0, 3],

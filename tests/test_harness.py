@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -190,6 +191,29 @@ def test_h3_verdicts():
         elif verdict is Verdict.HOLDS:
             holds += 1
     assert violated > 0 and holds > 0
+
+
+def test_h3_and_the_construction_reduce_the_first_peel_once(monkeypatch):
+    # H3 tests the construction's first peel, so whatever the order of the
+    # hypotheses, all six reduce exactly the residuals H4 alone reduces.
+    # The package's `construct` attribute is the function, not the module.
+    module = importlib.import_module("rainbowmatch.construct")
+    real = module.reduce_lists
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "reduce_lists", counting)
+    specs = list(random_spec_stream(3, 6, 5, 0, 100))
+    run_campaign((Hypothesis.H4,), specs)
+    alone = len(calls)
+    assert alone > 100
+    for hyps in (tuple(Hypothesis), tuple(Hypothesis)[::-1]):
+        calls.clear()
+        run_campaign(hyps, specs)
+        assert len(calls) == alone, hyps
 
 
 def test_h4_h5_on_pinned(deficit_instance):
