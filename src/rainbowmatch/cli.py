@@ -115,6 +115,10 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
 
 def _specs_from_args(args) -> list[GenSpec]:
     kind = GenKind(args.kind)
+    if kind is not GenKind.LATIN:
+        for flag, value in (("--order", args.order), ("--drop", args.drop)):
+            if value is not None:
+                raise ValueError(f"--kind {kind.value} takes no {flag}")
     if kind is GenKind.RANDOM:
         if args.n is None or args.left is None or args.right is None:
             raise ValueError("--kind random needs --n, --left and --right")

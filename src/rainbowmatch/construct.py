@@ -10,12 +10,13 @@ sub-matching that avoids v lifts cleanly regardless.  Recursion bottoms out
 at n == 2, where the oracle enumerates every witness; the induction only
 needs some matching, so candidates are tried in turn.
 
-A level is held as the reduction's parallel int lists, from the input's
-normal form down to the n == 2 base: ``reduce_peel`` cuts a level's lists
-into its residual's and normalizes them in place with the reduction's loop,
-so no graph is built per peel, only one per unmatched search, for the digest
-of the failure it reports.  A reduction stopped by its cap is an ``iteration_cap`` failure,
-reported over any other: the search past it is incomplete.
+A level is a reduction outcome's three int lists, from the input's normal
+form down to the n == 2 base: ``peel`` cuts a level's lists into its
+residual's, which ``reduce_lists``, the loop the input entered, normalizes in
+place.  No graph is built per level, only one per unmatched search, for the
+digest of the failure it reports.  A reduction stopped by its cap is an
+``iteration_cap`` failure, reported over any other: the search past it is
+incomplete.
 
 Edges found at deeper levels live in graphs rewritten by shifting, so the
 assembled matching is only *claimed* to exist in the original input.  The
@@ -57,17 +58,13 @@ from .graph import (
 from .oracle import rainbow_pairs_trusted
 from .reduction import (
     DEFAULT_POLICY,
+    Level,
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
     reduce_lists,
     reduce_trusted,
 )
-
-# A graph as parallel lists (us, vs, cs), edge i being (us[i], vs[i], cs[i]);
-# or, as a level's coordinates, tables from its left, right and color indices
-# to the input's.
-Level = tuple[Sequence[int], Sequence[int], Sequence[int]]
 
 
 class PeelStrategy(str, Enum):
@@ -154,11 +151,12 @@ class _SearchState:
         # from then on no peel or candidate that cannot pass is run.
         self.prune = False
         self.attempts = 0
-        # The kept failure: (depth, reason, level, trace).
-        self.kept: tuple[int, FailReason, Level | None, Sequence[ConstructStep]] | None = None
+        # The kept failure: (depth, reason, the level's reduction, trace).
+        self.kept: tuple[int, FailReason, ReductionOutcome | None, Sequence[ConstructStep]] | None = None
 
     def record(
-        self, depth: int, reason: FailReason, level: Level | None, trace: Sequence[ConstructStep]
+        self, depth: int, reason: FailReason, level: ReductionOutcome | None,
+        trace: Sequence[ConstructStep],
     ) -> None:
         """Keep the failure if it ranks above the kept one: a capped
         reduction first, then the deepest."""
@@ -169,13 +167,10 @@ class _SearchState:
 
     def failure(self) -> tuple[ConstructFailure, tuple[ConstructStep, ...]]:
         """The kept failure and its trace.  Its level's graph (the input at
-        depth 0, else built from the kept lists, which nothing changes once
-        a level is reduced) is hashed here, once per search."""
+        depth 0, else the kept reduction's, whose lists nothing changes once
+        the level is reduced) is built and hashed here, once per search."""
         depth, reason, level, trace = self.kept
-        g = self.g
-        if depth:
-            n = max(level[2]) + 1
-            g = ColoredMultigraph(n, n + 1, n + 1, tuple(map(new_edge, zip(*level))))
+        g = level.graph if depth else self.g
         return ConstructFailure(depth, reason, canonical_digest(g)), tuple(trace)
 
 
@@ -204,34 +199,21 @@ def peel(level: Level, pivot: int, color: int) -> Level:
     return us, vs, cs
 
 
-# A residual's reduction: its status, its lists and its left and right maps.
-PeelReduction = tuple[ReductionStatus, Level, tuple[int, ...], tuple[int, ...]]
-
-
-def reduce_peel(
-    level: Level, n: int, pivot: int, color: int, policy: PivotDonorPolicy, max_iters: int | None
-) -> PeelReduction:
-    """``reduce_trusted`` on ``peel(level, pivot, color)``, ``level`` a
-    normal form of ``n`` colors, run on lists: the status, the residual's
-    lists and its left and right maps."""
-    us, vs, cs = peel(level, pivot, color)
-    status, _, lmap, rmap = reduce_lists(us, vs, cs, n - 1, policy, max_iters)
-    return status, (us, vs, cs), lmap, rmap
-
-
 def _candidates(
-    level: Level, n: int, depth: int, state: _SearchState, to_input: Level,
+    reduced: ReductionOutcome, depth: int, state: _SearchState, to_input: Level,
     prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
-    first: PeelReduction | None = None,
+    first: ReductionOutcome | None = None,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
     """Yield full-size matchings for this subtree in deterministic search
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
-    matching of ``level``, which has ``n`` colors.  ``doomed`` says some
-    prefix edge is not an input edge or repeats a right vertex.  ``level``
-    is the input's normal form at depth 0, or the input itself when n == 2,
-    and a normalized residual below it.  ``first``, when given, is the
-    reduction of the first peel, which always runs.  Failures are recorded
-    on the shared state, which keeps the highest-ranked one."""
+    matching of the level ``reduced`` holds, which has ``reduced.n``
+    colors.  ``doomed`` says some prefix edge is not an input edge or
+    repeats a right vertex.  The level is the input's normal form at depth
+    0, or the input itself when n == 2, and a normalized residual below it.
+    ``first``, when given, is the reduction of the first peel, which always
+    runs.  Failures are recorded on the shared state, which keeps the
+    highest-ranked one."""
+    level, n = reduced.level, reduced.n
     l_in, r_in, c_in = to_input
     if n == 2:
         # The maps are injective, so the pairs of the edges in input
@@ -241,7 +223,7 @@ def _candidates(
         if not pairs2:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
-            state.record(depth, FailReason.RECURSIVE_FAILURE, level, [])
+            state.record(depth, FailReason.RECURSIVE_FAILURE, reduced, [])
             return
         live = None
         for a, b in pairs2:
@@ -272,20 +254,19 @@ def _candidates(
         state.attempts += 1
         step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))
         if first is None:
-            status, sub, lmap, rmap = reduce_peel(
-                level, n, pivot, color, state.policy, state.max_iters
-            )
+            sub = reduce_lists(*peel(level, pivot, color), n - 1, state.policy, state.max_iters)
         else:
-            (status, sub, lmap, rmap), first = first, None
+            sub, first = first, None
+        status, _, _, _, lmap, rmap = sub
         if status is not ReductionStatus.NORMALIZED:
-            state.record(depth, _UNREDUCED[status], level, [step])
+            state.record(depth, _UNREDUCED[status], reduced, [step])
             continue
         if vs[i] in rmap:
             # The wrong right vertex was emptied, so excising the peeled
             # one would leave some color class short of n edges.  Recurse
             # anyway: a sub-matching that happens to avoid it still lifts
             # cleanly, and the final verification arbitrates.
-            state.record(depth, FailReason.COUNT_DEFICIT, level, [step])
+            state.record(depth, FailReason.COUNT_DEFICIT, reduced, [step])
         # The sub-level's coordinates: undo the residual's compaction, then
         # re-insert the pivot and the peeled color.
         sub_to_input = (
@@ -293,7 +274,7 @@ def _candidates(
             [r_in[v] for v in rmap],
             [c_in[c if c < color else c + 1] for c in range(n - 1)],
         )
-        yield from _candidates(sub, n - 1, depth + 1, state, sub_to_input, prefix + (head,),
+        yield from _candidates(sub, depth + 1, state, sub_to_input, prefix + (head,),
                                steps + (step,), sub_doomed)
 
 
@@ -321,26 +302,24 @@ def construct(
 
 def construct_trusted(
     g: ColoredMultigraph, strategy: PeelStrategy, entry: ReductionOutcome | None,
-    first: PeelReduction | None, policy: PivotDonorPolicy, max_iters: int | None,
+    first: ReductionOutcome | None, policy: PivotDonorPolicy, max_iters: int | None,
 ) -> ConstructionOutcome:
     """``construct`` without its guard: ``g`` is proper with n >= 2 colors
     of n + 1 edges each, as on every instance an ``InstanceRun`` admits,
     and ``entry`` is its reduction under ``policy`` and ``max_iters``, which
     reduce every residual too; it is None when n == 2, since the base
-    matches ``g`` as it stands.  ``first`` is ``reduce_peel`` of the entry's
-    normal form at its first peel, ``peels(level)[0]``, or None to have the
-    search reduce it."""
+    matches ``g`` as it stands.  ``first`` is the reduction of the residual
+    of the entry's first peel, ``peels(entry.level)[0]``, or None to have
+    the search reduce it."""
     state = _SearchState(g, strategy, policy, max_iters)
     if g.n == 2:
-        h, lmap, rmap = g, range(g.left_size), range(g.right_size)
-    else:
-        h, lmap, rmap = entry.graph, entry.left_map, entry.right_map
+        # The base pairs g's own edges, as if reduced in no steps.
+        entry = ReductionOutcome(ReductionStatus.NORMALIZED, 2, tuple(zip(*g.edges)), (),
+                                 range(g.left_size), range(g.right_size))
     search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
-    if g.n == 2 or entry.status is ReductionStatus.NORMALIZED:
-        level = tuple(zip(*h.edges))
-        search = _candidates(
-            level, g.n, 0, state, (lmap, rmap, range(g.n)), (), (), False, first
-        )
+    if entry.status is ReductionStatus.NORMALIZED:
+        to_input = (entry.left_map, entry.right_map, range(g.n))
+        search = _candidates(entry, 0, state, to_input, (), (), False, first)
     else:
         state.record(0, _UNREDUCED[entry.status], None, [])
     candidate: Matching | None = None

@@ -32,11 +32,10 @@ from .construct import (
     ConstructionOutcome,
     ConstructStatus,
     FailReason,
-    PeelReduction,
     PeelStrategy,
     construct_trusted,
+    peel,
     peels,
-    reduce_peel,
 )
 from .generators import GenSpec, instances_for
 from .graph import (
@@ -56,6 +55,7 @@ from .reduction import (
     ReductionOutcome,
     ReductionStatus,
     compact_isolated,
+    reduce_lists,
     reduce_trusted,
 )
 from .shifting import shift_trusted
@@ -180,8 +180,8 @@ class InstanceRun:
     computed at most once, on first use, so the evaluators are cheap
     projections of one run: H1, H2, H3 and the construction share the one
     entry reduction, and H3 and the construction share the reduction of its
-    first peel's residual.  The entry and each residual, which the
-    construction reduces on lists, run under ``opts.policy`` and
+    first peel's residual.  The entry and each residual are reduced on
+    lists, to outcomes that hold no graph, under ``opts.policy`` and
     ``opts.max_iters``.  A run lives exactly as long as its instance is
     being evaluated; nothing is cached beyond it.
     """
@@ -198,14 +198,14 @@ class InstanceRun:
         return reduce_trusted(self.g, self.opts.policy, self.opts.max_iters)
 
     @cached_property
-    def first_peel(self) -> tuple[tuple[int, int, int], PeelReduction]:
+    def first_peel(self) -> tuple[tuple[int, int, int], ReductionOutcome]:
         """The construction's first peel of the normalized entry reduction,
         as ``(color, pivot, peeled right vertex)``, and its residual's
         reduction: H3 tests it and the construction starts from it."""
-        level = tuple(zip(*self.reduction.graph.edges))
+        level = self.reduction.level
         color, pivot, i = peels(level)[0]
         opts = self.opts
-        reduced = reduce_peel(level, self.g.n, pivot, color, opts.policy, opts.max_iters)
+        reduced = reduce_lists(*peel(level, pivot, color), self.g.n - 1, opts.policy, opts.max_iters)
         return (color, pivot, level[1][i]), reduced
 
     @cached_property
@@ -291,10 +291,10 @@ def _eval_h3(run: InstanceRun) -> tuple[Verdict, dict | None]:
     if red.status is not ReductionStatus.NORMALIZED:
         return Verdict.INCONCLUSIVE, run.witness(stage="normalize", status=red.status.value)
     # construct's first peel: color 0 at its lowest pivot.
-    (color, pivot, right), (status, _, _, rmap) = run.first_peel
-    if status is not ReductionStatus.NORMALIZED:
-        return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=status.value)
-    if right in rmap:
+    (color, pivot, right), residual = run.first_peel
+    if residual.status is not ReductionStatus.NORMALIZED:
+        return Verdict.INCONCLUSIVE, run.witness(stage="residual", status=residual.status.value)
+    if right in residual.right_map:
         return Verdict.VIOLATED, run.witness(color=color, pivot=pivot, peeled_right=right)
     return Verdict.HOLDS, None
 

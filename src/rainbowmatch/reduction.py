@@ -9,11 +9,12 @@ edges is deleted, which renumbers that side.
 The loop has one definition, ``reduce_lists``, which holds the working graph
 as three parallel int lists and applies ``shifting.shift_arrays`` to them in
 place; colors never change.  The input and each peel's residual enter it
-alike, as lists: ``reduce_trusted`` builds a graph only if a vertex went or
-a step ran.  The loop reads only the edges, so a declared vertex that
-carries none never reaches a verdict: it is dropped before the first step,
-and the default cap counts only the vertices left.  The trace is the one
-record of the steps: H1 tests the side, pivot and donor of its first.
+alike, as lists, and it returns one ``ReductionOutcome`` for both, holding
+the lists: no reduction builds a graph, only a caller reading ``graph`` does.
+The loop reads only the edges, so a declared vertex that carries none never
+reaches a verdict: it is dropped before the first step, and the default cap
+counts only the vertices left.  The trace is the one record of the steps:
+H1 tests the side, pivot and donor of its first.
 
 Whether this process always terminates in normal form is an open question the
 harness measures (hypothesis H2); the driver therefore detects stalls and
@@ -24,9 +25,8 @@ side sizes, can repeat, and only those are keyed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import ColoredMultigraph, Side, new_edge, require_valid
 from .shifting import shift_arrays
@@ -47,6 +47,11 @@ class PivotDonorPolicy(str, Enum):
 
 DEFAULT_POLICY = PivotDonorPolicy.MAX_DRAIN
 
+# A graph as parallel lists (us, vs, cs), edge i being (us[i], vs[i], cs[i]);
+# or, as a level's coordinates, tables from its left, right and color indices
+# to the input's.
+Level = tuple[Sequence[int], Sequence[int], Sequence[int]]
+
 
 class ReductionStep(NamedTuple):
     side: Side
@@ -65,20 +70,25 @@ class ReductionStep(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ReductionOutcome:
-    """Result of a reduction run.
-
-    ``left_map`` / ``right_map`` translate vertex indices of ``graph`` back to
-    indices of the input graph (compactions only ever delete vertices, so the
-    translation is a plain lookup).
+class ReductionOutcome(NamedTuple):
+    """Result of a reduction run on a graph of ``n`` colors: ``level``, the
+    loop's lists as it left them, and ``left_map`` / ``right_map``, which
+    translate their vertex indices back to the input's (compactions only
+    ever delete vertices, so the translation is a plain lookup).
     """
 
     status: ReductionStatus
-    graph: ColoredMultigraph
+    n: int
+    level: Level
     trace: tuple[ReductionStep, ...]
     left_map: tuple[int, ...]
     right_map: tuple[int, ...]
+
+    @property
+    def graph(self) -> ColoredMultigraph:
+        """Built afresh from ``level`` on each read."""
+        edges = tuple(map(new_edge, zip(*self.level)))
+        return ColoredMultigraph(self.n, len(self.left_map), len(self.right_map), edges)
 
     @property
     def iterations(self) -> int:
@@ -195,23 +205,18 @@ def reduce_trusted(
     g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None
 ) -> ReductionOutcome:
     """``reduce_to_normal_form`` without its guard: ``g`` has n >= 1 colors
-    of n + 1 edges each and is proper, as on every graph the package built;
-    the outcome's graph is ``g`` itself if the loop dropped and moved nothing."""
-    us, vs, cs = map(list, zip(*g.edges))
-    status, trace, lmap, rmap = reduce_lists(us, vs, cs, g.n, policy, max_iters)
-    if trace or (len(lmap), len(rmap)) != (g.left_size, g.right_size):
-        g = ColoredMultigraph(g.n, len(lmap), len(rmap), tuple(map(new_edge, zip(us, vs, cs))))
-    return ReductionOutcome(status, g, trace, lmap, rmap)
+    of n + 1 edges each and is proper, as on every graph the package built."""
+    return reduce_lists(*map(list, zip(*g.edges)), g.n, policy, max_iters)
 
 
 def reduce_lists(
     us: list[int], vs: list[int], cs: list[int], n: int,
     policy: PivotDonorPolicy, max_iters: int | None,
-) -> tuple[ReductionStatus, tuple[ReductionStep, ...], tuple[int, ...], tuple[int, ...]]:
+) -> ReductionOutcome:
     """The loop, in place on a graph of ``n`` colors whose edge i is
     (us[i], vs[i], cs[i]).  It first renumbers the vertices that carry an
-    edge densely; their counts give the default cap.  Returns the status,
-    the trace and the new -> old maps of the vertices left.  Colors never
+    edge densely; their counts give the default cap.  The outcome holds the
+    three lists and the new -> old maps of the vertices left.  Colors never
     change, and the graph stays compact: a shift keeps every far endpoint
     and gives the pivot edges, so only a donor that made no swap is isolated."""
     lmap, rmap = _compact(us), _compact(vs)
@@ -230,7 +235,8 @@ def reduce_lists(
     while True:
         side = _side(lsize, rsize, target, alternate)
         if side is None:
-            return ReductionStatus.NORMALIZED, tuple(trace), lmap, rmap
+            status = ReductionStatus.NORMALIZED
+            break
         left = side is Side.LEFT
         near, far = (us, vs) if left else (vs, us)
         masks = _masks(near, cs, lsize if left else rsize)
@@ -239,10 +245,12 @@ def reduce_lists(
         if masks[donor] & masks[pivot]:
             state = (frozenset(zip(us, vs, cs)), alternate)
             if state in seen:
-                return ReductionStatus.STALLED, tuple(trace), lmap, rmap
+                status = ReductionStatus.STALLED
+                break
             seen.add(state)
         if len(trace) >= max_iters:
-            return ReductionStatus.ITERATION_CAP, tuple(trace), lmap, rmap
+            status = ReductionStatus.ITERATION_CAP
+            break
 
         if lsize > target and rsize > target:
             alternate = alternate.other()
@@ -257,3 +265,4 @@ def reduce_lists(
                 rsize -= 1
                 rmap = rmap[:donor] + rmap[donor + 1 :]
         trace.append(ReductionStep(side, pivot, donor, moves, swaps))
+    return ReductionOutcome(status, n, (us, vs, cs), tuple(trace), lmap, rmap)

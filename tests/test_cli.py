@@ -640,6 +640,31 @@ def test_gen_latin_refuses_flags_that_contradict_the_order(tmp_path, capsys, fla
     assert capsys.readouterr().err == f"error: --kind latin {message}\n"
 
 
+RANDOM_3X3 = ["--kind", "random", "--n", "2", "--left", "3", "--right", "3"]
+
+
+@pytest.mark.parametrize("command", ["gen", "check"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([*RANDOM_3X3, "--drop", "7", "--order", "9"], "--kind random takes no --order"),
+        ([*RANDOM_3X3, "--drop", "0"], "--kind random takes no --drop"),
+        (["--kind", "enumerate", "--n", "1", "--order", "2"], "--kind enumerate takes no --order"),
+        (["--kind", "enumerate", "--n", "1", "--drop", "0"], "--kind enumerate takes no --drop"),
+    ],
+)
+def test_gen_and_check_refuse_latin_flags_for_other_kinds(
+    tmp_path, capsys, command, flags, message
+):
+    # Random and enumerated instances have no square to take an --order or
+    # a --drop from, so neither flag may pass unread.
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _piped(capsys, gen_argv, argv, monkeypatch):
     assert main(["gen"] + gen_argv) == 0
     instance = capsys.readouterr().out

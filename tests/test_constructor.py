@@ -14,7 +14,6 @@ from rainbowmatch.construct import (
     construct,
     peel,
     peels,
-    reduce_peel,
 )
 from rainbowmatch.generators import GenKind, GenSpec, gen_latin
 from rainbowmatch.graph import (
@@ -29,6 +28,7 @@ from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import (
     PivotDonorPolicy,
     ReductionStatus,
+    reduce_lists,
     reduce_to_normal_form,
     reduce_trusted,
 )
@@ -223,9 +223,10 @@ def _assert_list_peels_reduce_like_graph_peels(h, policy, cap):
         residual = peel_ref(h, h.edges[i])
         assert peel(level, pivot, color) == tuple(map(list, zip(*residual.edges)))
         want = reduce_trusted(residual, policy, cap)
-        status, sub, lmap, rmap = reduce_peel(level, h.n, pivot, color, policy, cap)
-        assert (status, lmap, rmap) == (want.status, want.left_map, want.right_map)
-        assert list(zip(*sub)) == list(want.graph.edges)
+        got = reduce_lists(*peel(level, pivot, color), h.n - 1, policy, cap)
+        assert got.status is want.status
+        assert (got.left_map, got.right_map) == (want.left_map, want.right_map)
+        assert list(zip(*got.level)) == list(want.graph.edges)
 
 
 @given(counts_valid_graphs(max_n=4), st.sampled_from(PivotDonorPolicy), st.sampled_from([0, 1, None]))

@@ -196,16 +196,18 @@ def test_h3_verdicts():
 def test_h3_and_the_construction_reduce_the_first_peel_once(monkeypatch):
     # H3 tests the construction's first peel, so whatever the order of the
     # hypotheses, all six reduce exactly the residuals H4 alone reduces.
-    # The package's `construct` attribute is the function, not the module.
-    module = importlib.import_module("rainbowmatch.construct")
-    real = module.reduce_lists
+    # The run reduces the first peel's residual and the search the rest,
+    # so both modules' names are wrapped.  The package's `construct`
+    # attribute is the function, not the module.
+    real = harness.reduce_lists
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "reduce_lists", counting)
+    for module in (importlib.import_module("rainbowmatch.construct"), harness):
+        monkeypatch.setattr(module, "reduce_lists", counting)
     specs = list(random_spec_stream(3, 6, 5, 0, 100))
     run_campaign((Hypothesis.H4,), specs)
     alone = len(calls)

@@ -204,7 +204,7 @@ def test_construct_validates_its_input_once(monkeypatch):
 
 
 def test_construct_reduces_each_exact_input_once(monkeypatch):
-    # The input is reduced once, as a graph; each peel's residual once, on
+    # The input is reduced once, from its graph; each peel's residual once, on
     # lists, one per attempt.  The package re-exports the function
     # construct, which shadows the submodule attribute of the same name.
     module = importlib.import_module("rainbowmatch.construct")
@@ -290,3 +290,34 @@ def test_instance_run_reduces_each_exact_input_once(monkeypatch):
         inputs.clear()
         _eval_instance(spec, g, hyps, EvalOptions())
         assert inputs == [g], canonical_digest(g)
+
+
+def test_no_reduction_builds_a_graph(monkeypatch):
+    # Every reduction, of the input or of a residual, returns the loop's
+    # lists; a graph is built only when a caller reads an outcome's graph,
+    # which no evaluator does and a search does only for the digest of a
+    # failure below its top level.  H1 is left out: its policy mode shifts
+    # the input's compaction, which is a graph by design.
+    module = importlib.import_module("rainbowmatch.reduction")
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ColoredMultigraph(*args)
+
+    monkeypatch.setattr(module, "ColoredMultigraph", counting)
+    opts = EvalOptions()
+    hyps = tuple(h for h in Hypothesis if h is not Hypothesis.H1)
+    stepped = 0
+    for spec in random_spec_stream(3, 6, 5, 0, 50):
+        for g in instances_for(spec):
+            run = InstanceRun(g, opts)
+            for hyp in hyps:
+                evaluate(hyp, g, opts, run)
+            stepped += run.reduction.iterations > 0
+    out = construct(seeded(4, 7, 6, 1), PeelStrategy.BACKTRACKING)
+    assert out.status is ConstructStatus.MATCHED and out.attempts == 7
+    assert stepped > 0 and built == []
+    # Reading the graph builds it, once per read.
+    run.reduction.graph
+    assert len(built) == 1
