@@ -31,12 +31,19 @@ is the H5 witness.  After it, a candidate reaches the final check only if
 every edge is an input edge and no two share a right vertex; lefts and
 colors never clash, because each level removes its pivot and its color.
 
-Past the witness a peel is run only while its head edge, in input
-coordinates, is an input edge on a right vertex no earlier peel used; any
-other peel dooms every candidate below it, so it is neither reduced, walked
-nor counted.  ``attempts`` is the number of peels run.  The search has no
-budget: unless a reduction's cap stops it, a search that ends unmatched has
-run out of peels, so no peel sequence lifts.
+Past the witness a peel is run only while its child can still lift: its
+head edge, in input coordinates, must be an input edge on a right vertex no
+earlier peel used, and the input edges left to the child must hold a
+rainbow matching of the child's n - 1 colors.  Those are the edges on the
+level's lefts but the pivot, its colors but the peeled one, and its right
+vertices but the peeled one and every earlier peel's; every edge the child
+could add to a passing candidate is one of them.  The level's input edges
+are gathered once, in its own dense coordinates, and the oracle's exact
+search decides each peel.  A peel that fails either test dooms every
+candidate below it, so it is neither reduced, walked nor counted.
+``attempts`` is the number of peels run.  The search has no budget: unless
+a reduction's cap stops it, a search that ends unmatched has run out of
+peels, so no peel sequence lifts.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .graph import (
     new_edge,
     require_valid,
 )
-from .oracle import rainbow_pairs_trusted
+from .oracle import max_rainbow_edges, rainbow_pairs_trusted
 from .reduction import (
     DEFAULT_POLICY,
     Level,
@@ -199,6 +206,19 @@ def peel(level: Level, pivot: int, color: int) -> Level:
     return us, vs, cs
 
 
+def _live_edges(
+    edges: Sequence[Edge], to_input: Level, rights: set[int],
+) -> list[tuple[int, int, int]]:
+    """The input ``edges`` a level's matching could still use, in the level's
+    coordinates: those on its lefts, its colors and its right vertices that
+    no prefix edge holds."""
+    l_in, r_in, c_in = to_input
+    lix = {x: k for k, x in enumerate(l_in)}
+    rix = {x: k for k, x in enumerate(r_in) if x not in rights}
+    cix = {x: k for k, x in enumerate(c_in)}
+    return [(lix[u], rix[v], cix[c]) for u, v, c in edges if u in lix and v in rix and c in cix]
+
+
 def _candidates(
     reduced: ReductionOutcome, depth: int, state: _SearchState, to_input: Level,
     prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
@@ -245,12 +265,22 @@ def _candidates(
     pairs = peels(level)
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
         pairs = pairs[:1]
+    live = None
     for color, pivot, i in pairs:
         right = r_in[vs[i]]
         head = new_edge((l_in[pivot], right, c_in[color]))
         sub_doomed = doomed or head not in state.present or right in rights
-        if sub_doomed and state.prune:
-            continue
+        if state.prune:
+            if sub_doomed:
+                continue
+            # The completion check: the input edges left to the child must
+            # hold a matching of its n - 1 colors.
+            if live is None:
+                live = _live_edges(state.g.edges, to_input, rights)
+            v = vs[i]
+            rest = [e for e in live if e[0] != pivot and e[1] != v and e[2] != color]
+            if len(max_rainbow_edges(rest, n - 1)[0]) < n - 1:
+                continue
         state.attempts += 1
         step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))
         if first is None:

@@ -45,24 +45,32 @@ def max_rainbow(g: ColoredMultigraph, target: int | None = None) -> OracleResult
 def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> OracleResult:
     """``max_rainbow`` without its guard: ``g`` is proper and ``target`` is
     None or non-negative, as on every graph the package built."""
-    if target == 0:
-        return OracleResult(0, Matching(()), 0)
     if max(g.left_size, g.right_size) > len(g.edges):
         # Used vertices are bits of an int: search a sparse graph relabeled densely.
         h, lmap, rmap = compact_isolated(g)
         r = max_rainbow_trusted(h, target)
         m = Matching(tuple([new_edge((lmap[u], rmap[v], c)) for u, v, c in r.witness.edges]))
         return OracleResult(r.max_size, m, r.nodes_explored)
-    by_color: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        by_color.setdefault(e.c, []).append(e)
+    pick, nodes = max_rainbow_edges(g.edges, target)
+    return OracleResult(len(pick), Matching(pick), nodes)
+
+
+def max_rainbow_edges(es: Sequence[E], target: int | None = None) -> tuple[tuple[E, ...], int]:
+    """The search of ``max_rainbow`` on the (u, v, c) edges ``es`` of a proper
+    graph, as its witness edges and the nodes explored.  Each vertex index
+    is a bit position, so the indices must be dense, as in a compact graph."""
+    if target == 0:
+        return (), 0
+    by_color: dict[int, list[E]] = {}
+    for e in es:
+        by_color.setdefault(e[2], []).append(e)
     classes = [by_color[c] for c in sorted(by_color)]
     k = len(classes)
 
     best = 0
-    best_pick: tuple[Edge, ...] = ()
+    best_pick: tuple[E, ...] = ()
     nodes = 0
-    picked: list[Edge] = []
+    picked: list[E] = []
 
     def search(ci: int, used_l: int, used_r: int) -> None:
         nonlocal best, best_pick, nodes
@@ -75,9 +83,9 @@ def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> Orac
         if ci == k or len(picked) + (k - ci) <= best:
             return
         for e in classes[ci]:
-            if not (used_l >> e.u) & 1 and not (used_r >> e.v) & 1:
+            if not (used_l >> e[0]) & 1 and not (used_r >> e[1]) & 1:
                 picked.append(e)
-                search(ci + 1, used_l | (1 << e.u), used_r | (1 << e.v))
+                search(ci + 1, used_l | (1 << e[0]), used_r | (1 << e[1]))
                 picked.pop()
         search(ci + 1, used_l, used_r)
 
@@ -90,7 +98,7 @@ def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> Orac
         pass
     finally:
         sys.setrecursionlimit(limit)
-    return OracleResult(best, Matching(best_pick), nodes)
+    return best_pick, nodes
 
 
 def rainbow_pairs(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:

@@ -705,7 +705,7 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          '{"side":"right","pivot":3,"donor":4,"moves":1,"swaps":0}]}'),
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "1"],
          ["construct", "--strategy", "backtrack"], 3,
-         '{"digest":"2114ed8bc95ecb18","status":"step_failed","matching":null,"attempts":8,'
+         '{"digest":"2114ed8bc95ecb18","status":"step_failed","matching":null,"attempts":5,'
          '"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
          '"candidate":[[0,0,0],[1,0,1],[3,2,2]],'
          '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),

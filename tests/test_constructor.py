@@ -17,6 +17,7 @@ from rainbowmatch.construct import (
 )
 from rainbowmatch.generators import GenKind, GenSpec, gen_latin
 from rainbowmatch.graph import (
+    ColoredMultigraph,
     Edge,
     Matching,
     Side,
@@ -112,7 +113,7 @@ def test_digest_paid_only_for_kept_failures(monkeypatch):
     g = seeded(4, 7, 6, 0)
     out = construct(g, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.STEP_FAILED
-    assert out.attempts == 25
+    assert out.attempts == 9
     # The failing level is hashed once, when the outcome is built, however
     # many failures the search ranked before it.
     assert len(hashed) == 1
@@ -168,11 +169,12 @@ def test_cap_failure_outranks_a_deeper_one():
 
 def test_search_runs_every_peel_before_it_fails(deficit_instance):
     # No cap stops the search: Backtracking fails only after every peel the
-    # reference runs that is not doomed, FirstFeasible after its one pair.
+    # reference runs that is not doomed and whose child can still lift,
+    # FirstFeasible after its one pair.
     out = construct(deficit_instance, PeelStrategy.BACKTRACKING)
     assert out.status is ConstructStatus.STEP_FAILED
     assert out.failure.reason is FailReason.COUNT_DEFICIT
-    assert out.attempts == 8
+    assert out.attempts == 5
     want = reference_construct(
         deficit_instance, PeelStrategy.BACKTRACKING, PivotDonorPolicy.MAX_DRAIN
     )
@@ -253,6 +255,27 @@ def test_list_peels_compact_an_isolated_right_vertex(policy, cap):
     _assert_list_peels_reduce_like_graph_peels(h, policy, cap)
 
 
+@pytest.mark.parametrize("policy", list(PivotDonorPolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("seed", [205, 816])
+def test_completion_check_reads_level_coordinates(seed, policy):
+    # Right vertex 5 survives the entry reduction of both instances, and past
+    # the H5 witness their searches reject peels whose child has no matching
+    # left to lift; seed 816 matches on vertex 5, seed 205 fails at depth 1.
+    # Relabeled 10^12, the search must run as before: the check gathers a
+    # level's edges in the level's own indices, where a bit per input index
+    # would need 10^12 bits.
+    huge = 10**12
+    g = seeded(4, 7, 6, seed)
+    relabel = lambda v: huge if v == 5 else v
+    edges = [(u, relabel(v), c) for u, v, c in g.edges]
+    wide = ColoredMultigraph.of(g.n, g.left_size, huge + 1, edges)
+    want = construct(g, PeelStrategy.BACKTRACKING, policy=policy).to_dict()
+    for key in ("matching", "candidate"):
+        if want[key] is not None:
+            want[key] = [[u, relabel(v), c] for u, v, c in want[key]]
+    assert construct(wide, PeelStrategy.BACKTRACKING, policy=policy).to_dict() == want
+
+
 def test_matched_on_oversized_when_possible():
     hits = 0
     for seed in range(40):
@@ -266,9 +289,10 @@ def test_matched_on_oversized_when_possible():
 
 @pytest.mark.parametrize("size, seeds", [((3, 6, 5), 100), ((4, 7, 6), 30), ((5, 8, 7), 10)])
 def test_construct_matches_reference(size, seeds):
-    # The reference runs every peel; construct skips those whose head edge
-    # cannot be in the input matching, so it finds the same match or witness
-    # in no more attempts, its kept failure no deeper.
+    # The reference runs every peel; past the witness construct skips those
+    # whose head edge cannot be in the input matching or whose child has no
+    # matching of the input left to lift, so it finds the same match or
+    # witness in no more attempts, its kept failure no deeper.
     statuses = set()
     for seed in range(seeds):
         g = seeded(*size, seed)
@@ -311,7 +335,7 @@ def _count_final_checks(monkeypatch) -> list[bool]:
 def test_only_the_witness_and_the_match_reach_the_final_check(monkeypatch):
     results = _count_final_checks(monkeypatch)
     out = construct(seeded(4, 7, 6, 0), PeelStrategy.BACKTRACKING)
-    assert out.attempts == 25 and out.candidate is not None
+    assert out.attempts == 9 and out.candidate is not None
     assert results == [False]
     for seed in range(1, 30):
         results.clear()

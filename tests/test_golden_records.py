@@ -25,12 +25,12 @@ CASES = {
     "h4_n4_7x6_0_99_maxdrain": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "maxdrain"],
-        "b9f82e87e776afe5b0981bd9a61926502a6475915c145810cfc885e171ea5fa5",
+        "db402d5e997b062e814befdf16edf76e1905b0abedf6358f710086897ba5dc9c",
     ),
     "h4_n4_7x6_0_99_lastvertex": (
         ["--n", "4", "--left", "7", "--right", "6", "--seed", "0", "--count", "100",
          "--hyp", "H4", "--policy", "lastvertex"],
-        "ec647cdefb20981ef80288e5557a5833cecef0096ea8a139a45931d05d0c8095",
+        "92606ad4ac189619ebbdcd13e2f86306416e37a58f7eaed76dc333075e11e207",
     ),
 }
 
@@ -119,17 +119,17 @@ IO_CASES = {
     # the H5 candidate and the failure's digest.
     "construct_backtrack_n4_maxdrain": (
         [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "maxdrain"]], None, [0, 3],
-        "581b9d87222316b76f31bdc18ebdba65e90175cf9a78879d807586de2560b078",
+        "a58a801adea0510cadc5509662580b0a4d1422f22e8370115e294c1570cef0d5",
     ),
     "construct_backtrack_n4_lastvertex": (
         [N4_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex"]], None, [0, 3],
-        "b79f1df7967c3915e09069bb642fc87251d9a987c03ea5163b2602988f869862",
+        "63cd908b7c725761219490ca7f87cb4667c9e988cbd0a54cce88366c58edc7f8",
     ),
     # Three peel levels above the n == 2 base, and the base's filter of
     # pairs once the H5 witness exists.
     "construct_backtrack_n5": (
         [N5_GEN, ["construct", "--strategy", "backtrack"]], None, [0, 3],
-        "6a91525fdd7db3dff5dbe08e8cd3e41ed9c8d968c8cc55c797ce3c1f07ef281b",
+        "e9f61ba4d7553ec0ec1f9e67e5c624cd4d5d5a1a95f9d01173e1f47cd8ca787c",
     ),
     # Every entry reduction stops at the cap: the failure's digest is the
     # input's.
@@ -144,7 +144,7 @@ IO_CASES = {
     "construct_backtrack_n4_6x5_capped": (
         [N4_6X5_GEN, ["construct", "--strategy", "backtrack", "--policy", "lastvertex",
                       "--max-iters", "2"]], None, [0, 3],
-        "4ea3d000d77cb6757b8c77b0856bf4ce255f02e9f6e10956409e9fbc6b06ed3d",
+        "d3985740706e13f887901ac0aee68f3ca7bea28d7a89fab333d403805eecf96e",
     ),
     # The reduction's trace, step by step.
     "reduce_record_n4": (

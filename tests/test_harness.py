@@ -230,7 +230,7 @@ def test_h4_h5_on_pinned(deficit_instance):
 
 @pytest.mark.parametrize(
     "seed, verdicts, attempts",
-    [(20, (Verdict.VIOLATED, Verdict.VIOLATED), 304), (62, (Verdict.HOLDS, Verdict.HOLDS), 429)],
+    [(20, (Verdict.VIOLATED, Verdict.VIOLATED), 52), (62, (Verdict.HOLDS, Verdict.HOLDS), 124)],
     ids=["violated-20", "holds-62"],
 )
 def test_h4_is_exact_past_the_old_cap(seed, verdicts, attempts):
@@ -596,3 +596,27 @@ def test_n4_verdict_counts(policy):
     )
     got = {s.hypothesis.value: (s.holds, s.violated, s.inconclusive) for s in summaries}
     assert got == N4_VERDICTS[policy]
+
+
+# (holds, violated, inconclusive) for H4 and H5 on n=5 8x7 seeds 0-49 and
+# n=6 9x8 seeds 0-19, the sizes where past the H5 witness most peels have no
+# matching left to lift and are not run.
+DEEP_VERDICTS = {
+    ((5, 8, 7), 50, PivotDonorPolicy.MAX_DRAIN): {"H4": (3, 47, 0), "H5": (3, 23, 24)},
+    ((5, 8, 7), 50, PivotDonorPolicy.LAST_VERTEX): {"H4": (2, 48, 0), "H5": (2, 14, 34)},
+    ((6, 9, 8), 20, PivotDonorPolicy.MAX_DRAIN): {"H4": (4, 16, 0), "H5": (4, 6, 10)},
+    ((6, 9, 8), 20, PivotDonorPolicy.LAST_VERTEX): {"H4": (2, 18, 0), "H5": (2, 2, 16)},
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(DEEP_VERDICTS), ids=lambda k: f"n{k[0][0]}-{k[2].value}"
+)
+def test_deep_h4_h5_verdict_counts(key):
+    size, count, policy = key
+    summaries, _ = run_campaign(
+        (Hypothesis.H4, Hypothesis.H5), random_spec_stream(*size, 0, count),
+        opts=EvalOptions(policy=policy),
+    )
+    got = {s.hypothesis.value: (s.holds, s.violated, s.inconclusive) for s in summaries}
+    assert got == DEEP_VERDICTS[key]

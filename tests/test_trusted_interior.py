@@ -199,7 +199,7 @@ def _pinned_search():
 def test_construct_validates_its_input_once(monkeypatch):
     calls = _counting_validate(monkeypatch)
     out = _pinned_search()
-    assert out.attempts == 25
+    assert out.attempts == 9
     assert calls == [seeded(4, 7, 6, 0)]
 
 
@@ -223,14 +223,14 @@ def test_construct_reduces_each_exact_input_once(monkeypatch):
     monkeypatch.setattr(module, "reduce_lists", reduce_lists)
     out = _pinned_search()
     assert inputs == [seeded(4, 7, 6, 0)]
-    assert len(residuals) == out.attempts == 25
+    assert len(residuals) == out.attempts == 9
     assert len(residuals) == len(set(residuals))
     _assert_pinned_outcome(out)
 
 
 def _assert_pinned_outcome(out):
     # The outcome pinned in test_digest_paid_only_for_kept_failures.
-    assert out.attempts == 25
+    assert out.attempts == 9
     assert out.failure.to_dict() == {
         "depth": 1, "reason": "count_deficit", "digest": "506443fdad14f1b0",
     }
@@ -244,13 +244,16 @@ def _assert_pinned_outcome(out):
 
 def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # Below the top a level is not reduced on entry, and past the H5 witness
-    # a peel whose head edge cannot be in the input matching is not run.
-    # Without the second rule the search runs all 260 of the reference's
-    # peels and makes 261, 260 and 240 calls.  Every reduction runs the one
+    # a peel is not run unless its head edge can be in the input matching
+    # and the input edges left to its child hold a matching of the child's
+    # size, which the oracle decides for each of the 21 peels that pass the
+    # first rule.  Without the two rules the search runs all 260 of the
+    # reference's peels and makes 261, 260 and 240 calls; with the first
+    # alone 25 peels, and 26, 25 and 16 calls.  Every reduction runs the one
     # loop, reduce_lists: once for the input, under reduce_trusted, and once
     # per peel.
     module = importlib.import_module("rainbowmatch.construct")
-    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted"), 0)
+    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted", "max_rainbow_edges"), 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -264,7 +267,9 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     reduction = importlib.import_module("rainbowmatch.reduction")
     monkeypatch.setattr(reduction, "reduce_lists", counting("reduce_lists", reduction.reduce_lists))
     _assert_pinned_outcome(_pinned_search())
-    assert calls == {"reduce_lists": 26, "peel": 25, "rainbow_pairs_trusted": 16}
+    assert calls == {
+        "reduce_lists": 10, "peel": 9, "rainbow_pairs_trusted": 1, "max_rainbow_edges": 21,
+    }
 
 
 def test_instance_run_reduces_each_exact_input_once(monkeypatch):
@@ -316,7 +321,7 @@ def test_no_reduction_builds_a_graph(monkeypatch):
                 evaluate(hyp, g, opts, run)
             stepped += run.reduction.iterations > 0
     out = construct(seeded(4, 7, 6, 1), PeelStrategy.BACKTRACKING)
-    assert out.status is ConstructStatus.MATCHED and out.attempts == 7
+    assert out.status is ConstructStatus.MATCHED and out.attempts == 4
     assert stepped > 0 and built == []
     # Reading the graph builds it, once per read.
     run.reduction.graph
