@@ -14,6 +14,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -313,7 +314,11 @@ def _cmd_replay(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use: parsing fills a
+    fresh namespace and leaves the parser as it was, so every ``main`` call
+    reuses it."""
     parser = argparse.ArgumentParser(
         prog="rainbowmatch",
         description="Shifting, normal-form reduction and rainbow matching experiments.",

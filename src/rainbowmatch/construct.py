@@ -37,10 +37,14 @@ earlier peel used, and the input edges left to the child must hold a
 rainbow matching of the child's n - 1 colors.  Those are the edges on the
 level's lefts but the pivot, its colors but the peeled one, and its right
 vertices but the peeled one and every earlier peel's; every edge the child
-could add to a passing candidate is one of them.  The level's input edges
-are gathered once, in its own dense coordinates, and the oracle's exact
-search decides each peel.  A peel that fails either test dooms every
-candidate below it, so it is neither reduced, walked nor counted.
+could add to a passing candidate is one of them.  The level's live input
+edges are grouped by color once, in its own dense coordinates.  A peel
+whose child would keep fewer than n - 1 non-empty classes fails at once;
+otherwise the oracle's one exact search decides it, on the classes but the
+peeled color, with the pivot and the peeled right vertex marked as already
+used.  At the n == 2 base only live edges are paired past the witness.  A
+peel that fails either test dooms every candidate below it, so it is neither
+reduced, walked nor counted.
 ``attempts`` is the number of peels run.  The search has no budget: unless
 a reduction's cap stops it, a search that ends unmatched has run out of
 peels, so no peel sequence lifts.
@@ -62,7 +66,7 @@ from .graph import (
     new_edge,
     require_valid,
 )
-from .oracle import max_rainbow_edges, rainbow_pairs_trusted
+from .oracle import max_rainbow_classes, rainbow_pairs_trusted
 from .reduction import (
     DEFAULT_POLICY,
     Level,
@@ -206,17 +210,22 @@ def peel(level: Level, pivot: int, color: int) -> Level:
     return us, vs, cs
 
 
-def _live_edges(
+def _live_classes(
     edges: Sequence[Edge], to_input: Level, rights: set[int],
-) -> list[tuple[int, int, int]]:
+) -> list[list[tuple[int, int, int]]]:
     """The input ``edges`` a level's matching could still use, in the level's
-    coordinates: those on its lefts, its colors and its right vertices that
-    no prefix edge holds."""
+    coordinates and grouped by its colors: those on its lefts, its colors
+    and its right vertices that no prefix edge holds."""
     l_in, r_in, c_in = to_input
     lix = {x: k for k, x in enumerate(l_in)}
     rix = {x: k for k, x in enumerate(r_in) if x not in rights}
     cix = {x: k for k, x in enumerate(c_in)}
-    return [(lix[u], rix[v], cix[c]) for u, v, c in edges if u in lix and v in rix and c in cix]
+    classes: list[list[tuple[int, int, int]]] = [[] for _ in c_in]
+    for u, v, c in edges:
+        if u in lix and v in rix and c in cix:
+            k = cix[c]
+            classes[k].append((lix[u], rix[v], k))
+    return classes
 
 
 def _candidates(
@@ -239,25 +248,27 @@ def _candidates(
         # The maps are injective, so the pairs of the edges in input
         # coordinates are the level's, in the same order.
         es = [new_edge((l_in[u], r_in[v], c_in[c])) for u, v, c in zip(*level)]
-        pairs2 = rainbow_pairs_trusted(es)
-        if not pairs2:
+        witness = None
+        if not state.prune:
+            witness = next(rainbow_pairs_trusted(es), None)
+            if witness is not None:
+                # The first candidate is the H5 witness, whatever it holds.
+                state.prune = True
+                yield prefix + witness, steps
+                if doomed:
+                    return
+        # Past the witness (where no level below a doomed peel is entered)
+        # only a pair of input edges on right vertices no peel has used can
+        # pass, so only those are paired.
+        rights = {e.v for e in prefix}
+        paired = False
+        for pair in rainbow_pairs_trusted([e for e in es if e in state.present and e.v not in rights]):
+            paired = True
+            yield prefix + pair, steps
+        if not paired and witness is None and next(rainbow_pairs_trusted(es), None) is None:
             # No size-2 matching at the base would refute the conjecture
             # itself; surfaced under the recursive-failure reason.
             state.record(depth, FailReason.RECURSIVE_FAILURE, reduced, [])
-            return
-        live = None
-        for a, b in pairs2:
-            if state.prune:
-                if doomed:
-                    return
-                if live is None:
-                    # Input edges on right vertices no peel has used.
-                    rights = {e.v for e in prefix}
-                    live = {e for e in es if e in state.present and e.v not in rights}
-                if a not in live or b not in live:
-                    continue
-            state.prune = True
-            yield prefix + (a, b), steps
         return
 
     vs = level[1]
@@ -273,13 +284,15 @@ def _candidates(
         if state.prune:
             if sub_doomed:
                 continue
-            # The completion check: the input edges left to the child must
-            # hold a matching of its n - 1 colors.
+            # The completion check: the input edges left to the child, off
+            # the pivot, the peeled right vertex and color, must hold a
+            # matching of its n - 1 colors.  Fewer classes cannot.
             if live is None:
-                live = _live_edges(state.g.edges, to_input, rights)
-            v = vs[i]
-            rest = [e for e in live if e[0] != pivot and e[1] != v and e[2] != color]
-            if len(max_rainbow_edges(rest, n - 1)[0]) < n - 1:
+                live = _live_classes(state.g.edges, to_input, rights)
+            rest = [cl for c, cl in enumerate(live) if cl and c != color]
+            if len(rest) < n - 1 or len(
+                max_rainbow_classes(rest, n - 1, 1 << pivot, 1 << vs[i])[0]
+            ) < n - 1:
                 continue
         state.attempts += 1
         step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))

@@ -48,17 +48,18 @@ from .graph import (
     require_valid,
     to_dict,
 )
-from .oracle import max_rainbow_trusted
+from .oracle import max_rainbow_edges, max_rainbow_trusted
 from .reduction import (
     DEFAULT_POLICY,
     PivotDonorPolicy,
     ReductionOutcome,
     ReductionStatus,
     compact_isolated,
+    compact_lists,
     reduce_lists,
     reduce_trusted,
 )
-from .shifting import shift_trusted
+from .shifting import shift_arrays
 
 
 class Hypothesis(str, Enum):
@@ -224,8 +225,13 @@ class InstanceRun:
     def max_size(self) -> int:
         return max_rainbow_trusted(self.g).max_size
 
+    @cached_property
+    def instance(self) -> dict:
+        """The instance's dict, made once and shared by every witness."""
+        return to_dict(self.g)
+
     def witness(self, **extra) -> dict:
-        w: dict = {"instance": to_dict(self.g)}
+        w: dict = {"instance": self.instance}
         w.update(extra)
         w["opts"] = self.opts.to_dict()
         return w
@@ -239,19 +245,19 @@ def _eval_conj(run: InstanceRun) -> tuple[Verdict, dict | None]:
 
 def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
     g, opts = run.g, run.opts
+    # g's compaction, as lists: the same maximum at any vertex labels.
+    (us, vs, cs), lmap, _ = compact_lists(g)
     if opts.h1_mode is H1Mode.POLICY:
         # The reduction's first step, taken on g's compaction; there is none
         # when g is already normal or the cap allows no step.
         if not run.reduction.trace:
             return Verdict.INCONCLUSIVE, None
         first = run.reduction.trace[0]
-        work, _, _ = compact_isolated(g)
         pairs = [(first.side, first.pivot, first.donor)]
     else:
         # A shift onto an isolated pivot only relabels its donor, which
         # keeps the maximum, so only left vertices with edges are paired.
-        work = g
-        carriers = sorted({e.u for e in g.edges})
+        carriers = range(len(lmap))
         pairs = [
             (Side.LEFT, pivot, donor)
             for pivot in carriers
@@ -259,12 +265,21 @@ def _eval_h1(run: InstanceRun) -> tuple[Verdict, dict | None]:
             if donor != pivot
         ]
 
-    # The working graph is g itself or its compaction: the same maximum.
     before = run.max_size
     for side, pivot, donor in pairs:
-        after = max_rainbow_trusted(shift_trusted(work, pivot, donor, side).graph).max_size
+        shifted_us, shifted_vs = us[:], vs[:]
+        if side is Side.LEFT:
+            shift_arrays(shifted_us, shifted_vs, cs, pivot, donor)
+        else:
+            shift_arrays(shifted_vs, shifted_us, cs, pivot, donor)
+        # No matching has more edges than the n colors, so the target n
+        # ends the search early and still reads the maximum.
+        after = len(max_rainbow_edges(list(zip(shifted_us, shifted_vs, cs)), g.n)[0])
         if (before >= g.n) != (after >= g.n):
             direction = "forward" if before >= g.n else "reverse"
+            if opts.h1_mode is H1Mode.ALL:
+                # Named by g's own labels.
+                pivot, donor = lmap[pivot], lmap[donor]
             return Verdict.VIOLATED, run.witness(
                 side=side.value,
                 pivot=pivot,

@@ -1,10 +1,18 @@
-"""Exact maximum rainbow matching search."""
+"""Exact maximum rainbow matching search.
+
+The search has one definition, ``max_rainbow_classes``: color-major
+backtracking over a graph's color classes, with vertices as bits of two
+used masks.  It may start from masks with bits already set, so a caller
+that asks for a matching avoiding some vertices marks them used rather than
+filtering the edges.  ``max_rainbow_edges`` groups an edge list by color for
+it, and ``max_rainbow`` runs it on a graph.
+"""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .graph import ColoredMultigraph, Edge, Matching, new_edge, require_valid
 from .reduction import compact_isolated
@@ -57,16 +65,26 @@ def max_rainbow_trusted(g: ColoredMultigraph, target: int | None = None) -> Orac
 
 def max_rainbow_edges(es: Sequence[E], target: int | None = None) -> tuple[tuple[E, ...], int]:
     """The search of ``max_rainbow`` on the (u, v, c) edges ``es`` of a proper
-    graph, as its witness edges and the nodes explored.  Each vertex index
-    is a bit position, so the indices must be dense, as in a compact graph."""
-    if target == 0:
-        return (), 0
+    graph, as its witness edges and the nodes explored: ``es`` grouped by
+    color for ``max_rainbow_classes``."""
     by_color: dict[int, list[E]] = {}
     for e in es:
         by_color.setdefault(e[2], []).append(e)
-    classes = [by_color[c] for c in sorted(by_color)]
-    k = len(classes)
+    return max_rainbow_classes([by_color[c] for c in sorted(by_color)], target)
 
+
+def max_rainbow_classes(
+    classes: Sequence[Sequence[E]], target: int | None = None, used_l: int = 0, used_r: int = 0,
+) -> tuple[tuple[E, ...], int]:
+    """The oracle's one search, over the color ``classes`` in the order
+    given, each a list of (u, v, c) edges: its witness edges and the nodes
+    explored.  Each vertex index is a bit position, so the indices must be
+    dense, as in a compact graph.  Bits set in ``used_l`` and ``used_r``
+    mark left and right vertices as already used, so no edge on them is
+    picked: the search on the edges that avoid them, with no list filtered."""
+    if target == 0:
+        return (), 0
+    k = len(classes)
     best = 0
     best_pick: tuple[E, ...] = ()
     nodes = 0
@@ -89,11 +107,11 @@ def max_rainbow_edges(es: Sequence[E], target: int | None = None) -> tuple[tuple
                 picked.pop()
         search(ci + 1, used_l, used_r)
 
-    # The search nests one call per non-empty color class.
+    # The search nests one call per color class.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(limit + k)
     try:
-        search(0, 0, 0)
+        search(0, used_l, used_r)
     except _TargetReached:
         pass
     finally:
@@ -110,14 +128,15 @@ def rainbow_pairs(g: ColoredMultigraph) -> list[tuple[Edge, Edge]]:
     if g.n != 2:
         raise ValueError(f"rainbow_pairs needs n == 2 (got {g.n})")
     require_valid(g)
-    return rainbow_pairs_trusted(g.edges)
+    return list(rainbow_pairs_trusted(g.edges))
 
 
-def rainbow_pairs_trusted(es: Sequence[E]) -> list[tuple[E, E]]:
-    """``rainbow_pairs`` on the (u, v, c) edges of a proper 2-colored graph."""
-    return [
+def rainbow_pairs_trusted(es: Sequence[E]) -> Iterator[tuple[E, E]]:
+    """``rainbow_pairs`` on the (u, v, c) edges of a proper 2-colored graph,
+    lazily: a caller that needs only the first pairs makes only those."""
+    return (
         (a, b)
         for i, a in enumerate(es)
         for b in es[i + 1 :]
         if a[2] != b[2] and a[0] != b[0] and a[1] != b[1]
-    ]
+    )

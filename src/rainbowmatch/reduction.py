@@ -4,7 +4,11 @@ Normal form: n + 1 edges of each color and exactly n + 1 non-isolated
 vertices on each side.  The input's isolated vertices are dropped first;
 each iteration then picks the side that is still too large and shifts
 one donor's edges onto a deficient pivot of that side.  A donor left without
-edges is deleted, which renumbers that side.
+edges is deleted, which renumbers that side.  Pivot and donor are read from
+the side's color masks, which the loop carries across steps: a shift gives
+the pivot the moved colors and takes them from the donor, and leaves the far
+side's masks as they were, since a Move keeps each far endpoint's color and
+a Swap exchanges far endpoints within one color.
 
 The loop has one definition, ``reduce_lists``, which holds the working graph
 as three parallel int lists and applies ``shifting.shift_arrays`` to them in
@@ -104,6 +108,13 @@ def _compact(xs: list[int]) -> tuple[int, ...]:
     return keep
 
 
+def compact_lists(g: ColoredMultigraph) -> tuple[Level, tuple[int, ...], tuple[int, ...]]:
+    """``g``'s edges as three lists, with the vertices that carry an edge
+    renumbered densely, and the new -> old map of each side."""
+    us, vs, cs = map(list, zip(*g.edges)) if g.edges else ([], [], [])
+    return (us, vs, cs), _compact(us), _compact(vs)
+
+
 def compact_isolated(
     g: ColoredMultigraph,
 ) -> tuple[ColoredMultigraph, tuple[int, ...], tuple[int, ...]]:
@@ -111,8 +122,7 @@ def compact_isolated(
 
     Returns the compacted graph plus new-index -> old-index maps per side.
     """
-    us, vs, cs = map(list, zip(*g.edges)) if g.edges else ([], [], [])
-    left_keep, right_keep = _compact(us), _compact(vs)
+    (us, vs, cs), left_keep, right_keep = compact_lists(g)
     if len(left_keep) == g.left_size and len(right_keep) == g.right_size:
         return g, left_keep, right_keep
     edges = tuple(map(new_edge, zip(us, vs, cs)))
@@ -221,8 +231,11 @@ def reduce_lists(
     and gives the pivot edges, so only a donor that made no swap is isolated."""
     lmap, rmap = _compact(us), _compact(vs)
     target = n + 1
-    lsize, rsize = len(lmap), len(rmap)
-    max_iters = default_max_iters(n, lsize, rsize) if max_iters is None else max_iters
+    # Each side's color masks, carried across steps: a shift changes only
+    # its pivot's and its donor's, and never the far side's.
+    lmasks, rmasks = _masks(us, cs, len(lmap)), _masks(vs, cs, len(rmap))
+    if max_iters is None:
+        max_iters = default_max_iters(n, len(lmasks), len(rmasks))
     trace: list[ReductionStep] = []
     alternate = Side.LEFT
     # Exact states: the edge set (its triples are distinct by properness)
@@ -233,16 +246,17 @@ def reduce_lists(
     seen: set[tuple[frozenset[tuple[int, int, int]], Side]] = set()
 
     while True:
+        lsize, rsize = len(lmasks), len(rmasks)
         side = _side(lsize, rsize, target, alternate)
         if side is None:
             status = ReductionStatus.NORMALIZED
             break
         left = side is Side.LEFT
-        near, far = (us, vs) if left else (vs, us)
-        masks = _masks(near, cs, lsize if left else rsize)
+        near, far, masks = (us, vs, lmasks) if left else (vs, us, rmasks)
         pivot = _pivot(masks, n)
         donor = _donor(masks, pivot, policy)
-        if masks[donor] & masks[pivot]:
+        kept = masks[donor] & masks[pivot]
+        if kept:
             state = (frozenset(zip(us, vs, cs)), alternate)
             if state in seen:
                 status = ReductionStatus.STALLED
@@ -255,14 +269,17 @@ def reduce_lists(
         if lsize > target and rsize > target:
             alternate = alternate.other()
         moves, swaps = shift_arrays(near, far, cs, pivot, donor)
+        # The pivot gains the moved colors and the donor keeps only the
+        # swapped ones; a far endpoint keeps each color it had.
+        masks[pivot] |= masks[donor]
+        masks[donor] = kept
         if not swaps:
             near[:] = [x - 1 if x > donor else x for x in near]
+            del masks[donor]
             seen.clear()
             if left:
-                lsize -= 1
                 lmap = lmap[:donor] + lmap[donor + 1 :]
             else:
-                rsize -= 1
                 rmap = rmap[:donor] + rmap[donor + 1 :]
         trace.append(ReductionStep(side, pivot, donor, moves, swaps))
     return ReductionOutcome(status, n, (us, vs, cs), tuple(trace), lmap, rmap)

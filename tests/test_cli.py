@@ -11,7 +11,7 @@ import pytest
 from rainbowmatch.cli import _eval_options, build_parser, main
 from rainbowmatch.construct import PeelStrategy, construct
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
-from rainbowmatch.harness import EvalOptions
+from rainbowmatch.harness import EvalOptions, Hypothesis
 from rainbowmatch.reduction import DEFAULT_POLICY, PivotDonorPolicy
 
 
@@ -523,6 +523,36 @@ def test_flag_defaults_are_the_library_defaults():
     assert _eval_options(parser.parse_args(CHECK)) == EvalOptions()
     # The README findings and acceptance criterion 6 are maxdrain's.
     assert DEFAULT_POLICY is PivotDonorPolicy.MAX_DRAIN
+
+
+def _check_output(tmp_path, argv):
+    """A check's summary and record lines, without their timings."""
+    out, records = tmp_path / "out.jsonl", tmp_path / "records.jsonl"
+    assert main(argv + ["--out", str(out), "--records", str(records)]) == 0
+    lines = out.read_text().splitlines() + records.read_text().splitlines()
+    return [{k: v for k, v in json.loads(line).items() if k != "ms"} for line in lines]
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        (["--hyp", "H4"], []),
+        (["--policy", "lastvertex", "--max-iters", "3"], []),
+    ],
+    ids=["hyp-then-all", "policy-then-default"],
+)
+def test_a_reused_parser_keeps_no_state(tmp_path, first, then):
+    # main builds its parser once per process; a call after another parses
+    # exactly as a call to a fresh parser does.
+    argv = CHECK + ["--count", "5"]
+    build_parser.cache_clear()
+    fresh = _check_output(tmp_path, argv + then)
+    _check_output(tmp_path, argv + first)
+    assert build_parser() is build_parser()
+    again = _check_output(tmp_path, argv + then)
+    assert again == fresh
+    assert [d["hyp"] for d in again if "trials" in d] == [h.value for h in Hypothesis]
+    assert {d["witness"]["opts"]["policy"] for d in again if d.get("witness")} == {"maxdrain"}
 
 
 # The subcommands that reduce, with the arguments each needs besides.

@@ -134,6 +134,12 @@ def _full_degree_count(g: ColoredMultigraph) -> SimpleNamespace:
     return SimpleNamespace(max_size=sum(d == g.n for d in degrees.values()))
 
 
+def _full_degree_count_edges(es, target):
+    """The same stand-in on H1's shifted edge lists, searched to target n."""
+    degrees = Counter(e[0] for e in es)
+    return (None,) * sum(d == target for d in degrees.values()), 0
+
+
 @pytest.mark.parametrize("stand_in", [False, True], ids=["oracle", "full-degree-count"])
 def test_h1_all_mode_matches_the_loop_over_every_declared_pivot(monkeypatch, stand_in):
     # Pairing only left vertices with edges skips the shifts onto isolated
@@ -141,6 +147,7 @@ def test_h1_all_mode_matches_the_loop_over_every_declared_pivot(monkeypatch, sta
     maximum = lambda g: max_rainbow(g).max_size
     if stand_in:
         monkeypatch.setattr(harness, "max_rainbow_trusted", _full_degree_count)
+        monkeypatch.setattr(harness, "max_rainbow_edges", _full_degree_count_edges)
         maximum = lambda g: _full_degree_count(g).max_size
     opts = EvalOptions(h1_mode=H1Mode.ALL)
     violated = isolated = 0

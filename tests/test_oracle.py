@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rainbowmatch.generators import GenKind, GenSpec, enumerate_instances
 from rainbowmatch.graph import ColoredMultigraph, is_rainbow_matching
-from rainbowmatch.oracle import max_rainbow, rainbow_pairs
+from rainbowmatch.oracle import max_rainbow, max_rainbow_classes, max_rainbow_edges, rainbow_pairs
 from reference import NAIVE_EDGE_LIMIT, delete_color, max_rainbow_naive
 from strategies import counts_valid_graphs, proper_graphs
 
@@ -76,6 +76,28 @@ def test_witness_is_always_valid(g):
 def test_oracles_agree(g):
     if len(g.edges) <= NAIVE_EDGE_LIMIT:
         assert max_rainbow(g).max_size == max_rainbow_naive(g).max_size
+
+
+@given(proper_graphs(max_n=4), st.data())
+@settings(max_examples=200)
+def test_used_masks_are_the_filtered_search(g, data):
+    # The construction's completion check: one color class dropped, one
+    # left and one right vertex marked used, on the classes grouped once.
+    # It finds what the search finds on the edge list filtered of them, and
+    # fewer non-empty classes than the target can never reach it.
+    color = data.draw(st.integers(0, g.n - 1))
+    u = data.draw(st.integers(0, g.left_size - 1))
+    v = data.draw(st.integers(0, g.right_size - 1))
+    classes = [[e for e in g.edges if e.c == c] for c in range(g.n)]
+    rest = [cl for c, cl in enumerate(classes) if cl and c != color]
+    filtered = [e for e in g.edges if e.u != u and e.v != v and e.c != color]
+    for target in (None, g.n - 1):
+        want = len(max_rainbow_edges(filtered, target)[0])
+        pick, _ = max_rainbow_classes(rest, target, 1 << u, 1 << v)
+        assert len(pick) == want
+        assert all(e in filtered for e in pick)
+        if len(rest) < g.n - 1:
+            assert want < g.n - 1
 
 
 def test_oracles_agree_on_enumeration_sample():

@@ -305,6 +305,19 @@ def test_the_loop_drops_isolated_vertices_itself(case, policy, cap):
     assert got.right_map == tuple(rpos[v] for v in base.right_map)
 
 
+@given(counts_valid_graphs(max_n=4), st.sampled_from(PivotDonorPolicy))
+@settings(max_examples=150, deadline=None)
+def test_carried_masks_match_the_reference(g, policy):
+    # reduce_lists keeps both sides' color masks across steps; the reference
+    # rebuilds every vertex's colors from the edges after each shift.
+    status, final, trace, lmap, rmap = reference_reduce(g, policy)
+    out = reduce_lists(*map(list, zip(*g.edges)), g.n, policy, None)
+    assert out.status is status
+    assert list(out.trace) == trace
+    assert out.graph == final
+    assert (out.left_map, out.right_map) == (lmap, rmap)
+
+
 def test_invalid_input_rejected(i2):
     from rainbowmatch.graph import delete_vertex
 

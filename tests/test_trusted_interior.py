@@ -246,14 +246,14 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # Below the top a level is not reduced on entry, and past the H5 witness
     # a peel is not run unless its head edge can be in the input matching
     # and the input edges left to its child hold a matching of the child's
-    # size, which the oracle decides for each of the 21 peels that pass the
-    # first rule.  Without the two rules the search runs all 260 of the
-    # reference's peels and makes 261, 260 and 240 calls; with the first
-    # alone 25 peels, and 26, 25 and 16 calls.  Every reduction runs the one
-    # loop, reduce_lists: once for the input, under reduce_trusted, and once
-    # per peel.
+    # size.  Of the 21 peels that pass the first rule, 7 leave the child
+    # fewer than n - 1 colors, and the oracle searches for the other 14.
+    # Without the two rules the search runs all 260 of the reference's peels
+    # and makes 261, 260 and 240 calls; with the first alone 25 peels, and
+    # 26, 25 and 16 calls.  Every reduction runs the one loop, reduce_lists:
+    # once for the input, under reduce_trusted, and once per peel.
     module = importlib.import_module("rainbowmatch.construct")
-    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted", "max_rainbow_edges"), 0)
+    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted", "max_rainbow_classes"), 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -268,7 +268,7 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     monkeypatch.setattr(reduction, "reduce_lists", counting("reduce_lists", reduction.reduce_lists))
     _assert_pinned_outcome(_pinned_search())
     assert calls == {
-        "reduce_lists": 10, "peel": 9, "rainbow_pairs_trusted": 1, "max_rainbow_edges": 21,
+        "reduce_lists": 10, "peel": 9, "rainbow_pairs_trusted": 1, "max_rainbow_classes": 14,
     }
 
 
