@@ -244,6 +244,7 @@ def _candidates(
     highest-ranked one."""
     level, n = reduced.level, reduced.n
     l_in, r_in, c_in = to_input
+    rights = {e.v for e in prefix}
     if n == 2:
         # The maps are injective, so the pairs of the edges in input
         # coordinates are the level's, in the same order.
@@ -260,9 +261,9 @@ def _candidates(
         # Past the witness (where no level below a doomed peel is entered)
         # only a pair of input edges on right vertices no peel has used can
         # pass, so only those are paired.
-        rights = {e.v for e in prefix}
+        live = [e for e in es if e in state.present and e.v not in rights]
         paired = False
-        for pair in rainbow_pairs_trusted([e for e in es if e in state.present and e.v not in rights]):
+        for pair in rainbow_pairs_trusted(live):
             paired = True
             yield prefix + pair, steps
         if not paired and witness is None and next(rainbow_pairs_trusted(es), None) is None:
@@ -272,7 +273,6 @@ def _candidates(
         return
 
     vs = level[1]
-    rights = {e.v for e in prefix}
     pairs = peels(level)
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
         pairs = pairs[:1]

@@ -253,7 +253,9 @@ def test_construct_runs_no_work_nothing_observes(monkeypatch):
     # 26, 25 and 16 calls.  Every reduction runs the one loop, reduce_lists:
     # once for the input, under reduce_trusted, and once per peel.
     module = importlib.import_module("rainbowmatch.construct")
-    calls = dict.fromkeys(("reduce_lists", "peel", "rainbow_pairs_trusted", "max_rainbow_classes"), 0)
+    calls = dict.fromkeys(
+        ("reduce_lists", "peel", "rainbow_pairs_trusted", "max_rainbow_classes"), 0
+    )
 
     def counting(name, real):
         def wrapper(*args):
