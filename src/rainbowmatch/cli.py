@@ -268,6 +268,9 @@ def _cmd_construct(args) -> int:
 
 def _cmd_check(args) -> int:
     hyps = tuple(Hypothesis(h) for h in args.hyp) if args.hyp else tuple(Hypothesis)
+    for i, h in enumerate(hyps):
+        if h in hyps[:i]:
+            raise ValueError(f"--hyp {h.value} given more than once")
     summaries, records = run_campaign(
         hyps, _specs_from_args(args), budget=args.budget, opts=_eval_options(args),
         workers=args.workers,

@@ -249,27 +249,20 @@ def _candidates(
         # The maps are injective, so the pairs of the edges in input
         # coordinates are the level's, in the same order.
         es = [new_edge((l_in[u], r_in[v], c_in[c])) for u, v, c in zip(*level)]
-        witness = None
         if not state.prune:
-            witness = next(rainbow_pairs_trusted(es), None)
-            if witness is not None:
-                # The first candidate is the H5 witness, whatever it holds.
-                state.prune = True
-                yield prefix + witness, steps
-                if doomed:
-                    return
+            # The first candidate is the H5 witness, whatever it holds.  It
+            # exists: the level is proper with 2 colors of 3 edges, and a
+            # color-0 edge meets at most 2 of the 3 color-1 edges.
+            state.prune = True
+            yield prefix + next(rainbow_pairs_trusted(es)), steps
+            if doomed:
+                return
         # Past the witness (where no level below a doomed peel is entered)
         # only a pair of input edges on right vertices no peel has used can
         # pass, so only those are paired.
         live = [e for e in es if e in state.present and e.v not in rights]
-        paired = False
         for pair in rainbow_pairs_trusted(live):
-            paired = True
             yield prefix + pair, steps
-        if not paired and witness is None and next(rainbow_pairs_trusted(es), None) is None:
-            # No size-2 matching at the base would refute the conjecture
-            # itself; surfaced under the recursive-failure reason.
-            state.record(depth, FailReason.RECURSIVE_FAILURE, reduced, [])
         return
 
     vs = level[1]

@@ -116,6 +116,10 @@ def max_rainbow_classes(
         pass
     finally:
         sys.setrecursionlimit(limit)
+        # ``search`` holds itself through its closure: unbind it so the
+        # classes it holds are freed by reference counting, not by the
+        # cyclic collector.
+        del search
     return best_pick, nodes
 
 

@@ -695,6 +695,21 @@ def test_gen_and_check_refuse_latin_flags_for_other_kinds(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("hyps", [["H4", "H4"], ["H4", "h4"], ["h2", "H4", "H2"]])
+def test_check_refuses_a_repeated_hyp(tmp_path, capsys, hyps):
+    # A repeat would run its campaign twice: two equal summary lines, and
+    # every record twice, which replay would count twice.
+    out, records = tmp_path / "out.txt", tmp_path / "records.jsonl"
+    out.write_text("kept\n")
+    records.write_text("kept\n")
+    argv = ["check", *RANDOM_3X3, "--out", str(out), "--records", str(records)]
+    for h in hyps:
+        argv += ["--hyp", h]
+    assert main(argv) == 2
+    assert out.read_text() == records.read_text() == "kept\n"
+    assert capsys.readouterr().err == f"error: --hyp {hyps[-1].upper()} given more than once\n"
+
+
 def _piped(capsys, gen_argv, argv, monkeypatch):
     assert main(["gen"] + gen_argv) == 0
     instance = capsys.readouterr().out

@@ -4,7 +4,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import I2_DIGEST, I2_EDGES
@@ -18,6 +18,7 @@ from rainbowmatch.graph import (
     Side,
     canonical_digest,
     canonical_edges,
+    compact_json,
     delete_vertex,
     from_dict,
     from_json,
@@ -226,6 +227,18 @@ def test_digest_ignores_edge_order(i2):
 @given(counts_valid_graphs())
 def test_round_trip_any(g):
     assert canonical_digest(from_json(to_canonical_json(g))) == canonical_digest(g)
+
+
+# validate digests invalid graphs too, so any int may stand anywhere.
+indices = st.integers(-3, 12) | st.integers(-(10**12), 10**12) | st.sampled_from([-(10**12), 10**12])
+
+
+@given(indices, indices, indices, st.lists(st.tuples(indices, indices, indices), max_size=10))
+@example(0, 0, 0, [])
+@example(-1, 10**12, -(10**12), [(10**12, -1, 0), (-(10**12), 0, 10**12)])
+def test_canonical_line_is_the_compact_encoding_of_the_dict(n, left, right, edges):
+    g = ColoredMultigraph.of(n, left, right, edges)
+    assert to_canonical_json(g) == compact_json(to_dict(g))
 
 
 def test_from_dict_malformed():
