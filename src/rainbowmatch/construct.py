@@ -229,7 +229,7 @@ def _live_classes(
 
 
 def _candidates(
-    reduced: ReductionOutcome, depth: int, state: _SearchState, to_input: Level,
+    reduced: ReductionOutcome, state: _SearchState, to_input: Level,
     prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
     first: ReductionOutcome | None = None,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
@@ -237,8 +237,9 @@ def _candidates(
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
     matching of the level ``reduced`` holds, which has ``reduced.n``
     colors.  ``doomed`` says some prefix edge is not an input edge or
-    repeats a right vertex.  The level is the input's normal form at depth
-    0, or the input itself when n == 2, and a normalized residual below it.
+    repeats a right vertex.  The level's depth is ``len(steps)``, the peels
+    above it: it is the input's normal form at depth 0, or the input itself
+    when n == 2, and a normalized residual below it.
     ``first``, when given, is the reduction of the first peel, which always
     runs.  Failures are recorded on the shared state, which keeps the
     highest-ranked one."""
@@ -265,6 +266,7 @@ def _candidates(
             yield prefix + pair, steps
         return
 
+    depth = len(steps)
     vs = level[1]
     pairs = peels(level)
     if state.strategy is PeelStrategy.FIRST_FEASIBLE:
@@ -310,7 +312,7 @@ def _candidates(
             [r_in[v] for v in rmap],
             [c_in[c if c < color else c + 1] for c in range(n - 1)],
         )
-        yield from _candidates(sub, depth + 1, state, sub_to_input, prefix + (head,),
+        yield from _candidates(sub, state, sub_to_input, prefix + (head,),
                                steps + (step,), sub_doomed)
 
 
@@ -355,7 +357,7 @@ def construct_trusted(
     search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
     if entry.status is ReductionStatus.NORMALIZED:
         to_input = (entry.left_map, entry.right_map, range(g.n))
-        search = _candidates(entry, 0, state, to_input, (), (), False, first)
+        search = _candidates(entry, state, to_input, (), (), False, first)
     else:
         state.record(0, _UNREDUCED[entry.status], None, [])
     candidate: Matching | None = None

@@ -52,10 +52,17 @@ class GenSpec:
             # so n >= 4 is refused before its count, which can be huge.
             if n >= 4:
                 raise ValueError(f"enumeration with n = {n} exceeds guard {ENUMERATION_GUARD}")
-            total = count_instances(n, left, right)
-            if total > ENUMERATION_GUARD:
-                raise ValueError(f"enumeration of {total} instances exceeds guard "
+            if self.size > ENUMERATION_GUARD:
+                raise ValueError(f"enumeration of {self.size} instances exceeds guard "
                                  f"{ENUMERATION_GUARD}")
+
+    @property
+    def size(self) -> int:
+        """The number of instances ``instances_for`` yields: one for a
+        random or latin spec, every tuple of matchings for an enumeration."""
+        if self.kind is GenKind.EXHAUSTIVE:
+            return count_instances(self.n, self.left_size, self.right_size)
+        return 1
 
     def to_dict(self) -> dict:
         d = {

@@ -25,8 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, chain, islice
+from typing import Callable, Iterable
 
 from .construct import (
     ConstructionOutcome,
@@ -390,30 +390,11 @@ def _eval_instance(
 
 
 def _eval_spec(
-    spec: GenSpec, hyps: tuple[Hypothesis, ...], opts: EvalOptions, cap: int | None
-) -> tuple[list[list[CampaignRecord]], bool]:
-    """The records of each of the spec's first ``cap`` instances (all of
-    them when ``cap`` is None), and whether the spec has more; those are
-    generated, never evaluated."""
-    stream = instances_for(spec)
-    per_instance = [_eval_instance(spec, g, hyps, opts) for g in islice(stream, cap)]
-    return per_instance, cap is not None and next(stream, None) is not None
-
-
-def _take(
-    results: Iterator[tuple[list[list[CampaignRecord]], bool]],
-    total: int,
-    budget: int | None,
-) -> tuple[list[list[CampaignRecord]], bool]:
-    """Flatten the per-spec results of a ``total``-spec stream in order, up
-    to ``budget`` instances, and say whether the stream has more."""
-    per_instance: list[list[CampaignRecord]] = []
-    for i, (recs, more) in enumerate(results):
-        room = None if budget is None else budget - len(per_instance)
-        per_instance.extend(recs[:room])
-        if len(per_instance) == budget:
-            return per_instance, more or len(recs) > room or i + 1 < total
-    return per_instance, False
+    spec: GenSpec, cap: int, hyps: tuple[Hypothesis, ...], opts: EvalOptions
+) -> list[list[CampaignRecord]]:
+    """The records of each of the spec's first ``cap`` instances; none past
+    them is generated."""
+    return [_eval_instance(spec, g, hyps, opts) for g in islice(instances_for(spec), cap)]
 
 
 def run_campaign(
@@ -432,30 +413,36 @@ def run_campaign(
     the first hypothesis in instance order, then those of the second, and so
     on.  ``budget`` caps the number of instances of the whole stream, so an
     enumeration can be cut part-way; hitting the cap only flags the
-    summaries as truncated.  The unit of work is a spec: it is generated and
-    evaluated where it runs.  Every spec yields an instance, so a capped
-    campaign runs only its first ``budget`` specs (one at a cap of 0).  With
-    ``workers > 1`` and more than one such spec, an ordered process pool
-    takes them in chunks of ``SPEC_CHUNK`` and the parent only flattens and
-    tallies the records, so an enumeration, being one spec, runs in one
-    worker.  Once the cap is reached the chunks still queued are cancelled.
-    The record order (and hence the output bytes, timing aside) is
-    identical to a sequential run.
+    summaries as truncated.  Each spec states its size (``GenSpec.size``),
+    so the shares are fixed before anything runs: a spec evaluates exactly
+    its share of the stream's first ``budget`` instances, and a spec whose
+    share is zero never runs.  The unit of work is a spec: it is generated
+    and evaluated where it runs.  With ``workers > 1`` and more than one
+    spec to run, an ordered process pool takes them in chunks of
+    ``SPEC_CHUNK`` and the parent only flattens and tallies the records, so
+    an enumeration, being one spec, runs in one worker.  The record order
+    (and hence the output bytes, timing aside) is identical to a sequential
+    run.
     """
     hyps = tuple(hyps)
     specs = list(specs)
-    total = len(specs)
-    specs = specs if budget is None else specs[:max(budget, 1)]
-    evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts, cap=budget)
+    sizes = [spec.size for spec in specs]
+    truncated = budget is not None and sum(sizes) > budget
+    caps = sizes
+    if truncated:
+        # Every spec yields an instance, so the non-zero shares are those
+        # of a prefix of the specs, the last one perhaps cut part-way.
+        starts = accumulate(sizes, initial=0)
+        caps = [min(size, budget - start) for size, start in zip(sizes, starts) if start < budget]
+        specs = specs[:len(caps)]
+    evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts)
     if workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(evaluate_spec, specs, chunksize=SPEC_CHUNK)
-            try:
-                per_instance, truncated = _take(results, total, budget)
-            finally:
-                results.close()  # cancels the chunks still queued
+            per_instance = list(chain.from_iterable(
+                pool.map(evaluate_spec, specs, caps, chunksize=SPEC_CHUNK)
+            ))
     else:
-        per_instance, truncated = _take(map(evaluate_spec, specs), total, budget)
+        per_instance = list(chain.from_iterable(map(evaluate_spec, specs, caps)))
 
     summaries: list[CampaignSummary] = []
     records: list[CampaignRecord] = []

@@ -77,12 +77,6 @@ def shift(
     if not 0 <= donor < size:
         raise ValueError(f"donor {donor} out of range")
     require_valid(g)
-    return shift_trusted(g, pivot, donor, side)
-
-
-def shift_trusted(g: ColoredMultigraph, pivot: int, donor: int, side: Side) -> ShiftOutcome:
-    """``shift`` without its guard: ``g`` is proper and ``pivot``, ``donor``
-    are distinct vertices of ``side``, as on every graph the package built."""
     us, vs, cs = map(list, zip(*g.edges)) if g.edges else ([], [], [])
     near, far = (us, vs) if side is Side.LEFT else (vs, us)
     log: list[tuple[int, int | None]] = []

@@ -162,6 +162,22 @@ def test_instances_for_dispatch():
     assert len(full) == 36
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GenSpec(GenKind.RANDOM, 3, 6, 5, seed=4),
+        GenSpec(GenKind.LATIN, 3, 4, 4, seed=1),
+        GenSpec(GenKind.EXHAUSTIVE, 1, 2, 2),
+        GenSpec(GenKind.EXHAUSTIVE, 1, 3, 2),
+        GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3),
+        GenSpec(GenKind.EXHAUSTIVE, 2, 3, 4),
+    ],
+    ids=["random", "latin", "enum-n1-2x2", "enum-n1-3x2", "enum-n2-3x3", "enum-n2-3x4"],
+)
+def test_spec_size_counts_its_instances(spec):
+    assert spec.size == sum(1 for _ in instances_for(spec))
+
+
 def test_spec_streams():
     rs = list(random_spec_stream(3, 4, 4, 100, 5))
     assert [s.seed for s in rs] == [100, 101, 102, 103, 104]

@@ -4,6 +4,8 @@ import importlib
 import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 from types import SimpleNamespace
 
 import pytest
@@ -388,6 +390,33 @@ def test_capped_pooled_campaign_submits_at_most_budget_specs(monkeypatch, budget
     assert RecordingPool.submitted == specs[:budget]
     assert pooled == stripped(run_campaign((Hypothesis.H2,), specs, budget=budget))
     assert [(s["trials"], s["truncated"]) for s in pooled[0]] == [(budget, True)]
+
+
+@pytest.mark.parametrize("budget", [None, 0, 10, 36, 40, 108])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_capped_campaign_evaluates_exactly_its_budget(monkeypatch, tmp_path, workers, budget):
+    # Each evaluated instance appends a byte to one file, so the instances
+    # that pool workers evaluate count too; the workers are forked so that
+    # they inherit the counting wrapper.
+    tally = tmp_path / "evaluated"
+    tally.touch()
+    real = harness._eval_instance
+
+    def counting(*args):
+        with open(tally, "a", encoding="utf-8") as f:
+            f.write(".")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_eval_instance", counting)
+    monkeypatch.setattr(
+        harness, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=get_context("fork"))
+    )
+    (summary,), records = run_campaign(
+        (Hypothesis.CONJ,), [ENUM] * 3, budget=budget, workers=workers
+    )
+    want = 108 if budget is None else min(budget, 108)
+    assert tally.stat().st_size == summary.trials == len(records) == want
+    assert summary.truncated == (want < 108)
 
 
 @pytest.mark.parametrize(
