@@ -89,6 +89,15 @@ def _write_lines(lines: Iterable[str], path: str | None) -> None:
         out.writelines(line + "\n" for line in lines)
 
 
+def _same_file(a: str | None, b: str | None) -> bool:
+    """Whether paths ``a`` and ``b`` name one file; None and '-' name a stream."""
+    if a in (None, "-") or b in (None, "-"):
+        return False
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
     """Answer each input instance as soon as it is read: ``render(g)`` gives
     its output line, trace entries and exit code.  Trace entries go to
@@ -97,8 +106,8 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
     trace_path = getattr(args, "trace", None)
     with _opened(args.inp, "r") as src:
         # The input is still being read while the outputs are written.
-        for path in (args.out, trace_path) if args.inp not in (None, "-") else ():
-            if path not in (None, "-") and os.path.exists(path) and os.path.samefile(args.inp, path):
+        for path in (args.out, trace_path):
+            if _same_file(args.inp, path):
                 raise ValueError(f"output {path} is the input file")
         with _opened(args.out, "w") as out, (
             nullcontext() if trace_path is None else open(trace_path, "w", encoding="utf-8")
@@ -141,11 +150,7 @@ def _specs_from_args(args) -> list[GenSpec]:
 
 
 def _eval_options(args) -> EvalOptions:
-    return EvalOptions(
-        h1_mode=H1Mode(args.h1_mode),
-        policy=PivotDonorPolicy(args.policy),
-        max_iters=args.max_iters,
-    )
+    return EvalOptions(args.h1_mode, args.policy, args.max_iters)
 
 
 def _cmd_gen(args) -> int:
@@ -271,6 +276,8 @@ def _cmd_check(args) -> int:
     for i, h in enumerate(hyps):
         if h in hyps[:i]:
             raise ValueError(f"--hyp {h.value} given more than once")
+    if _same_file(args.records, args.out):
+        raise ValueError(f"--records and --out both name {args.out}")
     summaries, records = run_campaign(
         hyps, _specs_from_args(args), budget=args.budget, opts=_eval_options(args),
         workers=args.workers,
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hyp_flags = argparse.ArgumentParser(add_help=False, parents=[reduction_flags])
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode],
-                           default=EvalOptions.h1_mode.value)
+                           default=EvalOptions().h1_mode.value)
 
     p = sub.add_parser("gen", parents=[io_flags, gen_flags],
                        help="generate instances as canonical JSON lines")

@@ -52,7 +52,6 @@ peels, so no peel sequence lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -100,8 +99,7 @@ _UNREDUCED = {ReductionStatus.STALLED: FailReason.REDUCTION_STALLED,
               ReductionStatus.ITERATION_CAP: FailReason.ITERATION_CAP}
 
 
-@dataclass(frozen=True)
-class ConstructFailure:
+class ConstructFailure(NamedTuple):
     depth: int
     reason: FailReason
     digest: str  # digest of the level's entry graph
@@ -128,8 +126,7 @@ class ConstructStep(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ConstructionOutcome:
+class ConstructionOutcome(NamedTuple):
     status: ConstructStatus
     matching: Matching | None
     failure: ConstructFailure | None

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import ColoredMultigraph, Edge, canonical_edges
 
@@ -20,31 +19,34 @@ class GenKind(str, Enum):
     EXHAUSTIVE = "enumerate"
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """One generation request, checked where it is made: a color class of
-    n + 1 edges is a matching, so a spec that exists yields an instance and
-    the generators trust it."""
-
+class _GenSpecFields(NamedTuple):
     kind: GenKind
     n: int
     left_size: int
     right_size: int
-    seed: int = 0
-    drop: int | None = None  # latin only; None means the last symbol
+    seed: int
+    drop: int | None  # latin only; None means the last symbol
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", GenKind(self.kind))
-        n, left, right = self.n, self.left_size, self.right_size
+
+class GenSpec(_GenSpecFields):
+    """One generation request, checked where it is made, and again where a
+    pool worker unpickles it: a color class of n + 1 edges is a matching, so
+    a spec that exists yields an instance and the generators trust it."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: GenKind | str, n: int, left_size: int, right_size: int,
+                seed: int = 0, drop: int | None = None) -> "GenSpec":
+        self = super().__new__(cls, GenKind(kind), n, left_size, right_size, seed, drop)
         if n < 1:
             raise ValueError(f"generation needs n >= 1, got {n}")
-        if left < n + 1 or right < n + 1:
+        if left_size < n + 1 or right_size < n + 1:
             raise ValueError(f"sizes too small: need at least {n + 1} vertices per side, "
-                             f"got {left}x{right}")
+                             f"got {left_size}x{right_size}")
         if self.kind is GenKind.LATIN:
-            if left != n + 1 or right != n + 1:
+            if left_size != n + 1 or right_size != n + 1:
                 raise ValueError(f"a latin spec with n = {n} needs {n + 1}x{n + 1} sides, "
-                                 f"got {left}x{right}")
+                                 f"got {left_size}x{right_size}")
             if self.drop is not None and self.drop not in range(n + 1):
                 raise ValueError(f"drop symbol {self.drop} out of range for order {n + 1}")
         elif self.kind is GenKind.EXHAUSTIVE:
@@ -55,6 +57,7 @@ class GenSpec:
             if self.size > ENUMERATION_GUARD:
                 raise ValueError(f"enumeration of {self.size} instances exceeds guard "
                                  f"{ENUMERATION_GUARD}")
+        return self
 
     @property
     def size(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -47,8 +46,7 @@ class Edge(NamedTuple):
 new_edge = partial(tuple.__new__, Edge)
 
 
-@dataclass(frozen=True)
-class ColoredMultigraph:
+class ColoredMultigraph(NamedTuple):
     """Bipartite multigraph on dense 0-based vertex and color indices.
 
     A graph is *proper* when every color class is a matching: no two edges of
@@ -79,8 +77,7 @@ class ColoredMultigraph:
         return self.left_size if side is Side.LEFT else self.right_size
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of edges claimed pairwise vertex-disjoint and color-distinct."""
 
     edges: tuple[Edge, ...]
@@ -90,18 +87,17 @@ class Matching:
         return Matching(tuple(Edge(*e) for e in edges))
 
     def __len__(self) -> int:
+        # The edges, not the tuple's one field.
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     detail: str
     edge_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 

@@ -21,12 +21,10 @@ matching before it can return one.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
 from itertools import accumulate, chain, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .construct import (
     ConstructionOutcome,
@@ -85,11 +83,26 @@ class H1Mode(str, Enum):
     ALL = "all"
 
 
-@dataclass(frozen=True)
-class EvalOptions:
-    h1_mode: H1Mode = H1Mode.POLICY
-    policy: PivotDonorPolicy = DEFAULT_POLICY
-    max_iters: int | None = None
+class _EvalOptionsFields(NamedTuple):
+    h1_mode: H1Mode
+    policy: PivotDonorPolicy
+    max_iters: int | None
+
+
+class EvalOptions(_EvalOptionsFields):
+    """Checked where made, and again where a pool worker unpickles them."""
+
+    __slots__ = ()
+
+    def __new__(cls, h1_mode: H1Mode | str = H1Mode.POLICY,
+                policy: PivotDonorPolicy | str = DEFAULT_POLICY,
+                max_iters: int | None = None) -> "EvalOptions":
+        self = super().__new__(cls, H1Mode(h1_mode), PivotDonorPolicy(policy), max_iters)
+        if not (max_iters is None or type(max_iters) is int):
+            raise ValueError("options max_iters must be integers")
+        if max_iters is not None and max_iters < 0:
+            raise ValueError("options max_iters must be non-negative")
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -98,27 +111,15 @@ class EvalOptions:
             "max_iters": self.max_iters,
         }
 
-    def __post_init__(self) -> None:
-        max_iters = self.max_iters
-        if not (max_iters is None or type(max_iters) is int):
-            raise ValueError("options max_iters must be integers")
-        if max_iters is not None and max_iters < 0:
-            raise ValueError("options max_iters must be non-negative")
-
     @staticmethod
     def from_dict(d: dict) -> "EvalOptions":
         """Parse the dict form; raises ValueError on malformed input."""
         if not isinstance(d, dict):
             raise ValueError(f"options must be a JSON object, got {type(d).__name__}")
-        return EvalOptions(
-            h1_mode=H1Mode(d.get("h1_mode", EvalOptions.h1_mode)),
-            policy=PivotDonorPolicy(d.get("policy", EvalOptions.policy)),
-            max_iters=d.get("max_iters", EvalOptions.max_iters),
-        )
+        return EvalOptions(**{k: d[k] for k in EvalOptions._fields if k in d})
 
 
-@dataclass(frozen=True)
-class CampaignRecord:
+class CampaignRecord(NamedTuple):
     hypothesis: Hypothesis
     spec: GenSpec
     instance_digest: str
@@ -137,8 +138,7 @@ class CampaignRecord:
         })
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     hypothesis: Hypothesis
     trials: int
     holds: int
@@ -159,8 +159,7 @@ class CampaignSummary:
         }
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     total: int
     violated: int
     reproduced: int
@@ -437,6 +436,7 @@ def run_campaign(
         specs = specs[:len(caps)]
     evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts)
     if workers > 1 and len(specs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # doubles import time: load on use
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_instance = list(chain.from_iterable(
                 pool.map(evaluate_spec, specs, caps, chunksize=SPEC_CHUNK)

@@ -11,8 +11,7 @@ it, and ``max_rainbow`` runs it on a graph.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence, TypeVar
 
 from .graph import ColoredMultigraph, Edge, Matching, new_edge, require_valid
 from .reduction import compact_isolated
@@ -20,8 +19,7 @@ from .reduction import compact_isolated
 E = TypeVar("E", bound=tuple[int, int, int])
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     max_size: int
     witness: Matching
     nodes_explored: int

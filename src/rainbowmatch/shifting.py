@@ -22,8 +22,8 @@ kernel's log of touched edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .graph import ColoredMultigraph, Edge, Side, edge_lists, new_edge, require_valid
 
@@ -33,8 +33,7 @@ class RewriteKind(str, Enum):
     SWAP = "swap"
 
 
-@dataclass(frozen=True)
-class ShiftRewrite:
+class ShiftRewrite(NamedTuple):
     """One applied rule instance, in the shifted graph's coordinates.
 
     Move: removed=[(donor, b, c)], added=[(pivot, b, c)].
@@ -56,8 +55,7 @@ class ShiftRewrite:
         }
 
 
-@dataclass(frozen=True)
-class ShiftOutcome:
+class ShiftOutcome(NamedTuple):
     graph: ColoredMultigraph
     rewrites: tuple[ShiftRewrite, ...]
     moves: int

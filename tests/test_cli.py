@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rainbowmatch import cli
 from rainbowmatch.cli import _eval_options, build_parser, main
 from rainbowmatch.construct import PeelStrategy, construct
 from rainbowmatch.graph import canonical_digest, from_json, read_instances, to_canonical_json
@@ -708,6 +709,31 @@ def test_check_refuses_a_repeated_hyp(tmp_path, capsys, hyps):
     assert main(argv) == 2
     assert out.read_text() == records.read_text() == "kept\n"
     assert capsys.readouterr().err == f"error: --hyp {hyps[-1].upper()} given more than once\n"
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_check_refuses_records_and_summaries_in_one_file(tmp_path, capsys, monkeypatch, exists):
+    # The summaries would overwrite the records.  Refused before any trial
+    # runs, whether or not the file exists yet, however the path is spelled.
+    monkeypatch.chdir(tmp_path)
+    both = tmp_path / "both.jsonl"
+    if exists:
+        both.write_text("kept\n")
+    monkeypatch.setattr(cli, "run_campaign", lambda *a, **k: pytest.fail("a trial ran"))
+    argv = ["check", *RANDOM_3X3, "--records", "both.jsonl", "--out", "./both.jsonl"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --records and --out both name ./both.jsonl\n"
+    if exists:
+        assert both.read_text() == "kept\n"
+    else:
+        assert not both.exists()
+
+
+def test_check_writes_records_and_summaries_both_to_stdout(capsys):
+    # '-' and an omitted --out name stdout, which takes both in turn.
+    assert main(["check", *RANDOM_3X3, "--hyp", "CONJ", "--records", "-"]) == 0
+    record, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (record["hyp"], summary["hyp"], summary["trials"]) == ("CONJ", "CONJ", 1)
 
 
 def _piped(capsys, gen_argv, argv, monkeypatch):

@@ -383,7 +383,7 @@ class RecordingPool(ProcessPoolExecutor):
 
 @pytest.mark.parametrize("budget", [2, 9, 20])
 def test_capped_pooled_campaign_submits_at_most_budget_specs(monkeypatch, budget):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "submitted", [])
     specs = list(random_spec_stream(3, 6, 5, 0, 100))
     pooled = stripped(run_campaign((Hypothesis.H2,), specs, budget=budget, workers=2))
@@ -409,7 +409,8 @@ def test_capped_campaign_evaluates_exactly_its_budget(monkeypatch, tmp_path, wor
 
     monkeypatch.setattr(harness, "_eval_instance", counting)
     monkeypatch.setattr(
-        harness, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=get_context("fork"))
+        "concurrent.futures.ProcessPoolExecutor",
+        partial(ProcessPoolExecutor, mp_context=get_context("fork")),
     )
     (summary,), records = run_campaign(
         (Hypothesis.CONJ,), [ENUM] * 3, budget=budget, workers=workers
