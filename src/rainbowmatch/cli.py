@@ -125,14 +125,16 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
 
 def _specs_from_args(args) -> list[GenSpec]:
     kind = GenKind(args.kind)
-    if kind is not GenKind.LATIN:
-        for flag, value in (("--order", args.order), ("--drop", args.drop)):
-            if value is not None:
-                raise ValueError(f"--kind {kind.value} takes no {flag}")
+    unread = [] if kind is GenKind.LATIN else [("--order", args.order), ("--drop", args.drop)]
+    if kind is GenKind.EXHAUSTIVE:
+        unread.append(("--seed", args.seed))
+    for flag, value in unread:
+        if value is not None:
+            raise ValueError(f"--kind {kind.value} takes no {flag}")
     if kind is GenKind.RANDOM:
         if args.n is None or args.left is None or args.right is None:
             raise ValueError("--kind random needs --n, --left and --right")
-        return list(random_spec_stream(args.n, args.left, args.right, args.seed, args.count))
+        return list(random_spec_stream(args.n, args.left, args.right, args.seed or 0, args.count))
     if kind is GenKind.LATIN:
         order = args.order if args.order is not None else args.left
         if order is None:
@@ -141,7 +143,7 @@ def _specs_from_args(args) -> list[GenSpec]:
                                   ("--right", args.right, order)):
             if value is not None and value != want:
                 raise ValueError(f"--kind latin of order {order} needs {flag} {want}, got {value}")
-        return list(latin_spec_stream(order, args.drop, args.seed, args.count))
+        return list(latin_spec_stream(order, args.drop, args.seed or 0, args.count))
     if args.n is None:
         raise ValueError("--kind enumerate needs --n")
     left = args.left if args.left is not None else args.n + 1
@@ -335,11 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    io_flags = argparse.ArgumentParser(add_help=False)
+    out_flags = argparse.ArgumentParser(add_help=False)
+    out_flags.add_argument("--out", default=None, metavar="PATH",
+                           help="output path, '-' or omitted for stdout")
+    io_flags = argparse.ArgumentParser(add_help=False, parents=[out_flags])
     io_flags.add_argument("--in", dest="inp", default=None, metavar="PATH",
                           help="input path, '-' or omitted for stdin")
-    io_flags.add_argument("--out", default=None, metavar="PATH",
-                          help="output path, '-' or omitted for stdout")
 
     fmt_flags = argparse.ArgumentParser(add_help=False)
     fmt_flags.add_argument("--format", choices=["json", "summary"], default="json")
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="latin square order (latin kind)")
     gen_flags.add_argument("--drop", type=int, default=None,
                            help="latin symbol to drop (default order-1)")
-    gen_flags.add_argument("--seed", type=int, default=0)
+    gen_flags.add_argument("--seed", type=int, default=None, help="first seed (default 0)")
     gen_flags.add_argument("--count", type=_non_negative, default=1,
                            help="instances to generate; gen also caps an enumeration with it "
                                 "(check: use --budget to cap an enumeration)")
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     hyp_flags.add_argument("--h1-mode", choices=[m.value for m in H1Mode],
                            default=EvalOptions().h1_mode.value)
 
-    p = sub.add_parser("gen", parents=[io_flags, gen_flags],
+    p = sub.add_parser("gen", parents=[out_flags, gen_flags],
                        help="generate instances as canonical JSON lines")
     p.set_defaults(func=_cmd_gen)
 
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PeelStrategy.FIRST_FEASIBLE.value)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("check", parents=[io_flags, fmt_flags, gen_flags, hyp_flags],
+    p = sub.add_parser("check", parents=[out_flags, fmt_flags, gen_flags, hyp_flags],
                        help="run hypothesis campaigns over generated instances")
     p.add_argument("--hyp", action="append", default=None, type=str.upper,
                    choices=[h.value for h in Hypothesis],

@@ -53,6 +53,7 @@ peels, so no peel sequence lifts.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import (
@@ -320,7 +321,8 @@ def construct(
     policy: PivotDonorPolicy = DEFAULT_POLICY,
     max_iters: int | None = None,
 ) -> ConstructionOutcome:
-    """Run the induction on ``g``; never returns an unverified matching.
+    """Guard ``g``, then run its ``Induction``; never returns an unverified
+    matching.
 
     FirstFeasible tries the single pair (color 0, lowest pivot) at every
     level; Backtracking iterates all (color, pivot) pairs until a matching
@@ -331,50 +333,70 @@ def construct(
     require_valid(g, require_counts=True)
     if g.n < 2:
         raise ValueError("construction needs n >= 2")
-    entry = reduce_trusted(g, policy, max_iters) if g.n > 2 else None
-    return construct_trusted(g, strategy, entry, None, policy, max_iters)
+    return Induction(g, policy, max_iters).construct(strategy)
 
 
-def construct_trusted(
-    g: ColoredMultigraph, strategy: PeelStrategy, entry: ReductionOutcome | None,
-    first: ReductionOutcome | None, policy: PivotDonorPolicy, max_iters: int | None,
-) -> ConstructionOutcome:
-    """``construct`` without its guard: ``g`` is proper with n >= 2 colors
-    of n + 1 edges each, as on every instance an ``InstanceRun`` admits,
-    and ``entry`` is its reduction under ``policy`` and ``max_iters``, which
-    reduce every residual too; it is None when n == 2, since the base
-    matches ``g`` as it stands.  ``first`` is the reduction of the residual
-    of the entry's first peel, ``peels(entry.level)[0]``, or None to have
-    the search reduce it."""
-    state = _SearchState(g, strategy, policy, max_iters)
-    if g.n == 2:
-        # The base pairs g's own edges, as if reduced in no steps.
-        entry = ReductionOutcome(ReductionStatus.NORMALIZED, 2, tuple(zip(*g.edges)), (),
-                                 range(g.left_size), range(g.right_size))
-    search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
-    if entry.status is ReductionStatus.NORMALIZED:
-        to_input = (entry.left_map, entry.right_map, range(g.n))
-        search = _candidates(entry, state, to_input, (), (), False, first)
-    else:
-        state.record(0, _UNREDUCED[entry.status], None, [])
-    candidate: Matching | None = None
-    trace: tuple[ConstructStep, ...] = ()
-    for edges, steps in search:
-        m = Matching(edges)
-        if is_rainbow_matching(g, m, g.n):
-            return ConstructionOutcome(
-                ConstructStatus.MATCHED, m, None, steps, None, state.attempts
-            )
+class Induction:
+    """The induction on ``g`` under ``policy`` and the cap ``max_iters``.
+    The steps it shares, the entry reduction and its first peel, are each
+    computed at most once, on first use; ``construct`` starts from both.
+    ``g`` is unchecked: proper, with n >= 1 colors of n + 1 edges each, and
+    n >= 2 to construct."""
+
+    def __init__(self, g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None):
+        self.g = g
+        self.policy = policy
+        self.max_iters = max_iters
+
+    @cached_property
+    def reduction(self) -> ReductionOutcome:
+        return reduce_trusted(self.g, self.policy, self.max_iters)
+
+    @cached_property
+    def first_peel(self) -> tuple[tuple[int, int, int], ReductionOutcome]:
+        """The first peel of the normalized entry, which every search runs,
+        as ``(color, pivot, peeled right)``, and its residual's reduction."""
+        level = self.reduction.level
+        color, pivot, i = peels(level)[0]
+        reduced = reduce_lists(*peel(level, pivot, color), self.g.n - 1, self.policy, self.max_iters)
+        return (color, pivot, level[1][i]), reduced
+
+    def construct(self, strategy: PeelStrategy) -> ConstructionOutcome:
+        """The search under ``strategy``, from the entry reduction, or from
+        ``g`` itself when n == 2: the base matches ``g`` as it stands."""
+        g = self.g
+        state = _SearchState(g, strategy, self.policy, self.max_iters)
+        search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
+        if g.n == 2:
+            # The base pairs g's own edges, as if reduced in no steps.
+            entry = ReductionOutcome(ReductionStatus.NORMALIZED, 2, tuple(zip(*g.edges)), (),
+                                     range(g.left_size), range(g.right_size))
+            search = _candidates(entry, state, (entry.left_map, entry.right_map, range(2)),
+                                 (), (), False)
+        elif self.reduction.status is ReductionStatus.NORMALIZED:
+            entry = self.reduction
+            to_input = (entry.left_map, entry.right_map, range(g.n))
+            search = _candidates(entry, state, to_input, (), (), False, self.first_peel[1])
+        else:
+            state.record(0, _UNREDUCED[self.reduction.status], None, [])
+        candidate: Matching | None = None
+        trace: tuple[ConstructStep, ...] = ()
+        for edges, steps in search:
+            m = Matching(edges)
+            if is_rainbow_matching(g, m, g.n):
+                return ConstructionOutcome(
+                    ConstructStatus.MATCHED, m, None, steps, None, state.attempts
+                )
+            if candidate is None:
+                candidate = m
+                trace = steps
+            state.record(0, FailReason.RECURSIVE_FAILURE, None, steps)
+            if strategy is PeelStrategy.FIRST_FEASIBLE:
+                break
+
+        failure, failure_trace = state.failure()
         if candidate is None:
-            candidate = m
-            trace = steps
-        state.record(0, FailReason.RECURSIVE_FAILURE, None, steps)
-        if strategy is PeelStrategy.FIRST_FEASIBLE:
-            break
-
-    failure, failure_trace = state.failure()
-    if candidate is None:
-        trace = failure_trace
-    return ConstructionOutcome(
-        ConstructStatus.STEP_FAILED, None, failure, trace, candidate, state.attempts
-    )
+            trace = failure_trace
+        return ConstructionOutcome(
+            ConstructStatus.STEP_FAILED, None, failure, trace, candidate, state.attempts
+        )

@@ -14,7 +14,7 @@ Each hypothesis is a measurable predicate evaluated per instance:
 
 A Violated verdict is a *finding*, not an error: campaigns exit cleanly and
 report counts.  Only a non-reproducing record is a failure.  A Matched
-construction is never re-checked here: ``construct_trusted`` verifies its
+construction is never re-checked here: ``Induction.construct`` verifies its
 matching before it can return one.
 """
 
@@ -30,10 +30,8 @@ from .construct import (
     ConstructionOutcome,
     ConstructStatus,
     FailReason,
+    Induction,
     PeelStrategy,
-    construct_trusted,
-    peel,
-    peels,
 )
 from .generators import GenSpec, instances_for
 from .graph import (
@@ -50,12 +48,9 @@ from .oracle import max_rainbow_edges, max_rainbow_trusted
 from .reduction import (
     DEFAULT_POLICY,
     PivotDonorPolicy,
-    ReductionOutcome,
     ReductionStatus,
     compact_isolated,
     compact_lists,
-    reduce_lists,
-    reduce_trusted,
 )
 from .shifting import shift_arrays
 
@@ -170,55 +165,30 @@ class ReplayReport(NamedTuple):
         return not self.mismatches
 
 
-class InstanceRun:
-    """The shared pipeline of one instance under one set of options.
+class InstanceRun(Induction):
+    """The shared pipeline of one instance under one set of options: the
+    ``Induction`` under ``opts.policy`` and ``opts.max_iters``, the oracle
+    and the witnesses.
 
     Making a run is the harness's one guard: it raises ValueError unless the
     instance is proper with n >= 1 colors of n + 1 edges each, the domain of
     every hypothesis, and every stage behind it runs a trusted core.  The
-    reduction, the backtracking construction and the exact oracle are each
-    computed at most once, on first use, so the evaluators are cheap
-    projections of one run: H1, H2, H3 and the construction share the one
-    entry reduction, and H3 and the construction share the reduction of its
-    first peel's residual.  The entry and each residual are reduced on
-    lists, to outcomes that hold no graph, under ``opts.policy`` and
-    ``opts.max_iters``.  A run lives exactly as long as its instance is
-    being evaluated; nothing is cached beyond it.
+    reduction, its first peel, the backtracking construction and the oracle
+    are each computed at most once, on first use, so the evaluators are
+    cheap projections of one run.  A run lives exactly as long as its
+    instance is being evaluated; nothing is cached beyond it.
     """
 
     def __init__(self, g: ColoredMultigraph, opts: EvalOptions):
         require_valid(g, require_counts=True)
         if g.n < 1:
             raise ValueError("the hypotheses need at least one color")
-        self.g = g
+        super().__init__(g, opts.policy, opts.max_iters)
         self.opts = opts
 
     @cached_property
-    def reduction(self) -> ReductionOutcome:
-        return reduce_trusted(self.g, self.opts.policy, self.opts.max_iters)
-
-    @cached_property
-    def first_peel(self) -> tuple[tuple[int, int, int], ReductionOutcome]:
-        """The construction's first peel of the normalized entry reduction,
-        as ``(color, pivot, peeled right vertex)``, and its residual's
-        reduction: H3 tests it and the construction starts from it."""
-        level = self.reduction.level
-        color, pivot, i = peels(level)[0]
-        opts = self.opts
-        reduced = reduce_lists(*peel(level, pivot, color), self.g.n - 1, opts.policy, opts.max_iters)
-        return (color, pivot, level[1][i]), reduced
-
-    @cached_property
     def construction(self) -> ConstructionOutcome:
-        g, opts = self.g, self.opts
-        entry = first = None
-        if g.n > 2:
-            entry = self.reduction
-            if entry.status is ReductionStatus.NORMALIZED:
-                first = self.first_peel[1]
-        return construct_trusted(
-            g, PeelStrategy.BACKTRACKING, entry, first, opts.policy, opts.max_iters
-        )
+        return self.construct(PeelStrategy.BACKTRACKING)
 
     @cached_property
     def max_size(self) -> int:

@@ -682,18 +682,35 @@ RANDOM_3X3 = ["--kind", "random", "--n", "2", "--left", "3", "--right", "3"]
         ([*RANDOM_3X3, "--drop", "0"], "--kind random takes no --drop"),
         (["--kind", "enumerate", "--n", "1", "--order", "2"], "--kind enumerate takes no --order"),
         (["--kind", "enumerate", "--n", "1", "--drop", "0"], "--kind enumerate takes no --drop"),
+        (["--kind", "enumerate", "--n", "1", "--seed", "5"], "--kind enumerate takes no --seed"),
+        (["--kind", "enumerate", "--n", "1", "--seed", "0"], "--kind enumerate takes no --seed"),
     ],
 )
 def test_gen_and_check_refuse_latin_flags_for_other_kinds(
     tmp_path, capsys, command, flags, message
 ):
     # Random and enumerated instances have no square to take an --order or
-    # a --drop from, so neither flag may pass unread.
+    # a --drop from, and an enumeration draws nothing to take a --seed for,
+    # so no such flag may pass unread.
     out = tmp_path / "out.jsonl"
     out.write_text("kept\n")
     assert main([command, *flags, "--out", str(out)]) == 2
     assert out.read_text() == "kept\n"
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "check"])
+def test_gen_and_check_take_no_input(tmp_path, capsys, command):
+    # Both commands generate their instances, so an --in would pass unread.
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *RANDOM_3X3, "--in", str(tmp_path / "absent"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert out.read_text() == "kept\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --in" in captured.err
 
 
 @pytest.mark.parametrize("hyps", [["H4", "H4"], ["H4", "h4"], ["h2", "H4", "H2"]])

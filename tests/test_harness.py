@@ -13,7 +13,8 @@ from hypothesis import given, settings
 
 from conftest import seeded
 from rainbowmatch import harness
-from rainbowmatch.generators import GenKind, GenSpec, random_spec_stream
+from rainbowmatch.construct import PeelStrategy, construct
+from rainbowmatch.generators import GenKind, GenSpec, instances_for, random_spec_stream
 from rainbowmatch.graph import (
     ColoredMultigraph,
     Side,
@@ -205,18 +206,18 @@ def test_h3_verdicts():
 def test_h3_and_the_construction_reduce_the_first_peel_once(monkeypatch):
     # H3 tests the construction's first peel, so whatever the order of the
     # hypotheses, all six reduce exactly the residuals H4 alone reduces.
-    # The run reduces the first peel's residual and the search the rest,
-    # so both modules' names are wrapped.  The package's `construct`
+    # The run's Induction reduces the first peel's residual and the search
+    # the rest, both by construct's name.  The package's `construct`
     # attribute is the function, not the module.
-    real = harness.reduce_lists
+    module = importlib.import_module("rainbowmatch.construct")
+    real = module.reduce_lists
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    for module in (importlib.import_module("rainbowmatch.construct"), harness):
-        monkeypatch.setattr(module, "reduce_lists", counting)
+    monkeypatch.setattr(module, "reduce_lists", counting)
     specs = list(random_spec_stream(3, 6, 5, 0, 100))
     run_campaign((Hypothesis.H4,), specs)
     alone = len(calls)
@@ -225,6 +226,29 @@ def test_h3_and_the_construction_reduce_the_first_peel_once(monkeypatch):
         calls.clear()
         run_campaign(hyps, specs)
         assert len(calls) == alone, hyps
+
+
+@pytest.mark.parametrize("cap", [None, 0, 2])
+@pytest.mark.parametrize("policy", list(PivotDonorPolicy))
+def test_construct_and_the_run_construction_are_one_search(policy, cap):
+    # The public construct and a run's construction are one Induction's
+    # search, with the same whole outcome, whether or not the run's H3 read
+    # the first peel before the search starts from it.
+    opts = EvalOptions(policy=policy, max_iters=cap)
+    graphs = [
+        *instances_for(ENUM),
+        *(seeded(3, 6, 5, seed) for seed in range(40)),
+        *(seeded(4, 7, 6, seed) for seed in range(15)),
+    ]
+    peeled_first = 0
+    for g in graphs:
+        want = construct(g, PeelStrategy.BACKTRACKING, policy=policy, max_iters=cap)
+        assert InstanceRun(g, opts).construction == want, canonical_digest(g)
+        run = InstanceRun(g, opts)
+        evaluate(Hypothesis.H3, g, opts, run)
+        peeled_first += "first_peel" in vars(run)
+        assert run.construction == want, canonical_digest(g)
+    assert peeled_first > 0
 
 
 def test_h4_h5_on_pinned(deficit_instance):
