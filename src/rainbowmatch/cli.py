@@ -125,6 +125,7 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
 
 def _specs_from_args(args) -> list[GenSpec]:
     kind = GenKind(args.kind)
+    count = 1 if args.count is None else args.count
     unread = [] if kind is GenKind.LATIN else [("--order", args.order), ("--drop", args.drop)]
     if kind is GenKind.EXHAUSTIVE:
         unread.append(("--seed", args.seed))
@@ -134,7 +135,7 @@ def _specs_from_args(args) -> list[GenSpec]:
     if kind is GenKind.RANDOM:
         if args.n is None or args.left is None or args.right is None:
             raise ValueError("--kind random needs --n, --left and --right")
-        return list(random_spec_stream(args.n, args.left, args.right, args.seed or 0, args.count))
+        return list(random_spec_stream(args.n, args.left, args.right, args.seed or 0, count))
     if kind is GenKind.LATIN:
         order = args.order if args.order is not None else args.left
         if order is None:
@@ -143,7 +144,7 @@ def _specs_from_args(args) -> list[GenSpec]:
                                   ("--right", args.right, order)):
             if value is not None and value != want:
                 raise ValueError(f"--kind latin of order {order} needs {flag} {want}, got {value}")
-        return list(latin_spec_stream(order, args.drop, args.seed or 0, args.count))
+        return list(latin_spec_stream(order, args.drop, args.seed or 0, count))
     if args.n is None:
         raise ValueError("--kind enumerate needs --n")
     left = args.left if args.left is not None else args.n + 1
@@ -158,8 +159,9 @@ def _eval_options(args) -> EvalOptions:
 def _cmd_gen(args) -> int:
     # Random and latin specs yield one instance each, so the cap only ever
     # shortens an enumeration.
+    count = 1 if args.count is None else args.count
     graphs = (g for spec in _specs_from_args(args) for g in instances_for(spec))
-    _write_lines((to_canonical_json(g) for g in islice(graphs, args.count)), args.out)
+    _write_lines((to_canonical_json(g) for g in islice(graphs, count)), args.out)
     return EXIT_OK
 
 
@@ -274,6 +276,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.kind == GenKind.EXHAUSTIVE.value and args.count is not None:
+        raise ValueError("check --kind enumerate takes no --count: cap it with --budget")
     hyps = tuple(Hypothesis(h) for h in args.hyp) if args.hyp else tuple(Hypothesis)
     for i, h in enumerate(hyps):
         if h in hyps[:i]:
@@ -357,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen_flags.add_argument("--drop", type=int, default=None,
                            help="latin symbol to drop (default order-1)")
     gen_flags.add_argument("--seed", type=int, default=None, help="first seed (default 0)")
-    gen_flags.add_argument("--count", type=_non_negative, default=1,
-                           help="instances to generate; gen also caps an enumeration with it "
-                                "(check: use --budget to cap an enumeration)")
+    gen_flags.add_argument("--count", type=_non_negative, default=None,
+                           help="instances to generate (default 1); gen also caps an "
+                                "enumeration with it, check refuses it there: use --budget")
 
     reduction_flags = argparse.ArgumentParser(add_help=False)
     reduction_flags.add_argument("--policy", default=DEFAULT_POLICY.value,

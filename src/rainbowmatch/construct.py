@@ -11,12 +11,12 @@ at n == 2, where the oracle enumerates every witness; the induction only
 needs some matching, so candidates are tried in turn.
 
 A level is a reduction outcome's three int lists, from the input's normal
-form down to the n == 2 base: ``peel`` cuts a level's lists into its
-residual's, which ``reduce_lists``, the loop the input entered, normalizes in
-place.  No graph is built per level, only one per unmatched search, for the
-digest of the failure it reports.  A reduction stopped by its cap is an
-``iteration_cap`` failure, reported over any other: the search past it is
-incomplete.
+form down to the n == 2 base.  ``Induction.residual`` cuts a level's lists
+into a peel's residual and normalizes them in place by ``reduce_lists``, the
+loop the input entered, for every peel, H3's first included.  No graph is
+built per level, only one per unmatched search, for the digest of the
+failure it reports.  A reduction stopped by its cap is an ``iteration_cap``
+failure, reported over any other: the search past it is incomplete.
 
 Edges found at deeper levels live in graphs rewritten by shifting, so the
 assembled matching is only *claimed* to exist in the original input.  The
@@ -149,13 +149,10 @@ class ConstructionOutcome(NamedTuple):
 
 
 class _SearchState:
-    def __init__(self, g: ColoredMultigraph, strategy: PeelStrategy,
-                 policy: PivotDonorPolicy, max_iters: int | None):
-        self.g = g
+    def __init__(self, run: Induction, strategy: PeelStrategy):
+        self.run = run
         self.strategy = strategy
-        self.policy = policy
-        self.max_iters = max_iters
-        self.present = set(g.edges)
+        self.present = set(run.g.edges)
         # Set once the first candidate, the H5 witness, has been assembled;
         # from then on no peel or candidate that cannot pass is run.
         self.prune = False
@@ -179,7 +176,7 @@ class _SearchState:
         depth 0, else the kept reduction's, whose lists nothing changes once
         the level is reduced) is built and hashed here, once per search."""
         depth, reason, level, trace = self.kept
-        g = level.graph if depth else self.g
+        g = level.graph if depth else self.run.g
         return ConstructFailure(depth, reason, canonical_digest(g)), tuple(trace)
 
 
@@ -229,7 +226,6 @@ def _live_classes(
 def _candidates(
     reduced: ReductionOutcome, state: _SearchState, to_input: Level,
     prefix: tuple[Edge, ...], steps: tuple[ConstructStep, ...], doomed: bool,
-    first: ReductionOutcome | None = None,
 ) -> Iterator[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]]:
     """Yield full-size matchings for this subtree in deterministic search
     order, in input coordinates: ``prefix`` (the edges peeled above) plus a
@@ -237,10 +233,11 @@ def _candidates(
     colors.  ``doomed`` says some prefix edge is not an input edge or
     repeats a right vertex.  The level's depth is ``len(steps)``, the peels
     above it: it is the input's normal form at depth 0, or the input itself
-    when n == 2, and a normalized residual below it.
-    ``first``, when given, is the reduction of the first peel, which always
-    runs.  Failures are recorded on the shared state, which keeps the
-    highest-ranked one."""
+    when n == 2, and a normalized residual below it.  Failures are
+    recorded on the shared state, which keeps the highest-ranked one.  Only
+    this search reads the strategy: FirstFeasible runs a level's first peel
+    alone and stops at the first candidate."""
+    run = state.run
     level, n = reduced.level, reduced.n
     l_in, r_in, c_in = to_input
     rights = {e.v for e in prefix}
@@ -254,7 +251,7 @@ def _candidates(
             # color-0 edge meets at most 2 of the 3 color-1 edges.
             state.prune = True
             yield prefix + next(rainbow_pairs_trusted(es)), steps
-            if doomed:
+            if doomed or state.strategy is PeelStrategy.FIRST_FEASIBLE:
                 return
         # Past the witness (where no level below a doomed peel is entered)
         # only a pair of input edges on right vertices no peel has used can
@@ -281,7 +278,7 @@ def _candidates(
             # the pivot, the peeled right vertex and color, must hold a
             # matching of its n - 1 colors.  Fewer classes cannot.
             if live is None:
-                live = _live_classes(state.g.edges, to_input, rights)
+                live = _live_classes(run.g.edges, to_input, rights)
             rest = [cl for c, cl in enumerate(live) if cl and c != color]
             if len(rest) < n - 1 or len(
                 max_rainbow_classes(rest, n - 1, 1 << pivot, 1 << vs[i])[0]
@@ -289,10 +286,8 @@ def _candidates(
                 continue
         state.attempts += 1
         step = ConstructStep(depth, color, pivot, new_edge((pivot, vs[i], color)))
-        if first is None:
-            sub = reduce_lists(*peel(level, pivot, color), n - 1, state.policy, state.max_iters)
-        else:
-            sub, first = first, None
+        # The search's first peel is the entry's first, which H3 shares.
+        sub = run.first_peel[1] if state.attempts == 1 else run.residual(level, n, color, pivot)
         status, _, _, _, lmap, rmap = sub
         if status is not ReductionStatus.NORMALIZED:
             state.record(depth, _UNREDUCED[status], reduced, [step])
@@ -338,10 +333,12 @@ def construct(
 
 class Induction:
     """The induction on ``g`` under ``policy`` and the cap ``max_iters``.
-    The steps it shares, the entry reduction and its first peel, are each
-    computed at most once, on first use; ``construct`` starts from both.
-    ``g`` is unchecked: proper, with n >= 1 colors of n + 1 edges each, and
-    n >= 2 to construct."""
+    It owns each step of the procedure once: the entry reduction, computed
+    on first use; ``residual``, the one reduction of a peel's residual; and
+    the first peel of the entry, which every search runs and H3 reads,
+    reduced at most once.  ``construct`` runs a search that reads all three
+    from here.  ``g`` is unchecked: proper, with n >= 1 colors of n + 1
+    edges each, and n >= 2 to construct."""
 
     def __init__(self, g: ColoredMultigraph, policy: PivotDonorPolicy, max_iters: int | None):
         self.g = g
@@ -352,33 +349,33 @@ class Induction:
     def reduction(self) -> ReductionOutcome:
         return reduce_trusted(self.g, self.policy, self.max_iters)
 
+    def residual(self, level: Level, n: int, color: int, pivot: int) -> ReductionOutcome:
+        """The reduction of ``peel(level, pivot, color)``; ``level`` has ``n`` colors."""
+        return reduce_lists(*peel(level, pivot, color), n - 1, self.policy, self.max_iters)
+
     @cached_property
     def first_peel(self) -> tuple[tuple[int, int, int], ReductionOutcome]:
-        """The first peel of the normalized entry, which every search runs,
-        as ``(color, pivot, peeled right)``, and its residual's reduction."""
+        """The first peel of the normalized entry as ``(color, pivot,
+        peeled right)``, and its residual's reduction."""
         level = self.reduction.level
         color, pivot, i = peels(level)[0]
-        reduced = reduce_lists(*peel(level, pivot, color), self.g.n - 1, self.policy, self.max_iters)
-        return (color, pivot, level[1][i]), reduced
+        return (color, pivot, level[1][i]), self.residual(level, self.g.n, color, pivot)
 
     def construct(self, strategy: PeelStrategy) -> ConstructionOutcome:
         """The search under ``strategy``, from the entry reduction, or from
         ``g`` itself when n == 2: the base matches ``g`` as it stands."""
         g = self.g
-        state = _SearchState(g, strategy, self.policy, self.max_iters)
+        state = _SearchState(self, strategy)
+        # At n == 2 the base pairs g's own edges, as if reduced in no steps.
+        entry = self.reduction if g.n > 2 else ReductionOutcome(
+            ReductionStatus.NORMALIZED, 2, tuple(zip(*g.edges)), (),
+            range(g.left_size), range(g.right_size))
         search: Iterable[tuple[tuple[Edge, ...], tuple[ConstructStep, ...]]] = ()
-        if g.n == 2:
-            # The base pairs g's own edges, as if reduced in no steps.
-            entry = ReductionOutcome(ReductionStatus.NORMALIZED, 2, tuple(zip(*g.edges)), (),
-                                     range(g.left_size), range(g.right_size))
-            search = _candidates(entry, state, (entry.left_map, entry.right_map, range(2)),
-                                 (), (), False)
-        elif self.reduction.status is ReductionStatus.NORMALIZED:
-            entry = self.reduction
+        if entry.status is ReductionStatus.NORMALIZED:
             to_input = (entry.left_map, entry.right_map, range(g.n))
-            search = _candidates(entry, state, to_input, (), (), False, self.first_peel[1])
+            search = _candidates(entry, state, to_input, (), (), False)
         else:
-            state.record(0, _UNREDUCED[self.reduction.status], None, [])
+            state.record(0, _UNREDUCED[entry.status], None, [])
         candidate: Matching | None = None
         trace: tuple[ConstructStep, ...] = ()
         for edges, steps in search:
@@ -391,8 +388,6 @@ class Induction:
                 candidate = m
                 trace = steps
             state.record(0, FailReason.RECURSIVE_FAILURE, None, steps)
-            if strategy is PeelStrategy.FIRST_FEASIBLE:
-                break
 
         failure, failure_trace = state.failure()
         if candidate is None:

@@ -338,6 +338,19 @@ def test_replay_tampered_exit(tmp_path, capsys):
     assert main(["replay", "--in", str(records)]) == 4
 
 
+def test_replay_counts_a_witness_without_its_instance_as_a_mismatch(tmp_path, capsys):
+    # Such a record has nothing to reproduce; the summary line names it.
+    records = tmp_path / "rec.jsonl"
+    main(["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+          "--seed", "0", "--count", "25", "--hyp", "H3", "--records", str(records)])
+    capsys.readouterr()
+    lines = [json.loads(l) for l in records.read_text().splitlines()]
+    next(l for l in lines if l["verdict"] == "violated")["witness"].pop("instance")
+    records.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
+    assert main(["replay", "--in", str(records), "--format", "summary"]) == 4
+    assert capsys.readouterr().out == "records=25 violated=18 reproduced=17 mismatches=1\n"
+
+
 # An H4 record written while the construction search had a budget, whose
 # options still carry it.
 BUDGETED_H4_RECORD = (
@@ -699,6 +712,20 @@ def test_gen_and_check_refuse_latin_flags_for_other_kinds(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("count", ["0", "1", "5"])
+def test_check_refuses_a_count_beside_an_enumeration(tmp_path, capsys, count):
+    # gen caps an enumeration with --count; check would run all of it, so
+    # it refuses the flag and names --budget, its cap.
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    flags = ["--kind", "enumerate", "--n", "2", "--left", "3", "--right", "3", "--count", count]
+    assert main(["check", *flags, "--hyp", "CONJ", "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert capsys.readouterr().err == (
+        "error: check --kind enumerate takes no --count: cap it with --budget\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["gen", "check"])
 def test_gen_and_check_take_no_input(tmp_path, capsys, command):
     # Both commands generate their instances, so an --in would pass unread.
@@ -753,6 +780,13 @@ def test_check_writes_records_and_summaries_both_to_stdout(capsys):
     assert (record["hyp"], summary["hyp"], summary["trials"]) == ("CONJ", "CONJ", 1)
 
 
+def test_check_records_name_a_latin_drop(capsys):
+    argv = ["check", "--kind", "latin", "--order", "4", "--drop", "1", "--hyp", "CONJ"]
+    assert main([*argv, "--records", "-"]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert record["spec"] == {"kind": "latin", "n": 3, "left": 4, "right": 4, "seed": 0, "drop": 1}
+
+
 def _piped(capsys, gen_argv, argv, monkeypatch):
     assert main(["gen"] + gen_argv) == 0
     instance = capsys.readouterr().out
@@ -797,6 +831,10 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          '"failure":{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"},'
          '"candidate":[[0,0,0],[1,0,1],[3,2,2]],'
          '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),
+        (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "1"],
+         ["construct", "--strategy", "backtrack", "--format", "summary"], 3,
+         "2114ed8bc95ecb18 step_failed failure="
+         "{'depth': 0, 'reason': 'count_deficit', 'digest': '2114ed8bc95ecb18'}"),
         # The cap reaches every reduction of the search, the entry one first.
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
          ["construct", "--strategy", "backtrack", "--max-iters", "0"], 3,
@@ -806,7 +844,7 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
     ],
     ids=[
         "solve", "solve-target", "shift-right-record", "reduce-record", "construct-backtrack",
-        "construct-max-iters-0",
+        "construct-backtrack-summary", "construct-max-iters-0",
     ],
 )
 def test_record_bytes_are_pinned(capsys, monkeypatch, gen_argv, argv, code, line):

@@ -53,6 +53,8 @@ def test_gen_random_always_counts_valid(n, dl, dr, seed):
         (GenKind.LATIN, 3, 4, 4, -1, "out of range"),
         (GenKind.LATIN, 3, 4, 4, 4, "out of range"),
         (GenKind.EXHAUSTIVE, 4, 8, 8, None, "exceeds guard"),
+        # Under n = 4, the guard counts: 5400 matchings per color, cubed.
+        (GenKind.EXHAUSTIVE, 3, 6, 6, None, "of 157464000000 instances exceeds guard"),
     ],
 )
 def test_spec_guard_rejects_each_rule(kind, n, left, right, drop, match):

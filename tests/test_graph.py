@@ -248,6 +248,8 @@ def test_from_dict_malformed():
         from_dict({"n": 1, "left": 2, "right": 2, "edges": [[0, 0]]})
     with pytest.raises(ValueError):
         from_dict({"n": "x", "left": 2, "right": 2, "edges": []})
+    with pytest.raises(ValueError, match="edges must be a list"):
+        from_dict({"n": 1, "left": 2, "right": 2, "edges": {}})
 
 
 def test_read_instances_single_and_jsonl(i2):

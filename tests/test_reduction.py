@@ -323,6 +323,8 @@ def test_invalid_input_rejected(i2):
 
     with pytest.raises(ValueError):
         reduce_to_normal_form(delete_vertex(i2, Side.LEFT, 0))
+    with pytest.raises(ValueError, match="reduction needs at least one color"):
+        reduce_to_normal_form(ColoredMultigraph.of(0, 1, 1, []))
 
 
 @given(counts_valid_graphs())
