@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--trials", type=_non_negative, default=10_000,
                     help="random-campaign size (default 10000)")
     ap.add_argument("--latin-trials", type=_non_negative, default=1000)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_non_negative, default=0)
     ap.add_argument("--workers", type=_positive, default=1,
                     help="processes for the random phase")
     ap.add_argument("--phase", action="append", choices=PHASES,

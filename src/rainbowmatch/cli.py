@@ -268,7 +268,8 @@ def _cmd_construct(args) -> int:
         if args.format == "json":
             line = compact_json(payload)
         else:
-            detail = f"matching={payload['matching']}" if matched else f"failure={payload['failure']}"
+            detail = (f"matching={payload['matching']}" if matched
+                      else f"failure={compact_json(payload['failure'])}")
             line = f"{payload['digest']} {outcome.status.value} {detail}"
         return line, (), EXIT_OK if matched else EXIT_FINDINGS
 

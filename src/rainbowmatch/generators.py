@@ -8,7 +8,7 @@ from enum import Enum
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple
 
-from .graph import ColoredMultigraph, Edge, canonical_edges
+from .graph import ColoredMultigraph, Edge, canonical_edges, new_edge
 
 ENUMERATION_GUARD = 10**8
 
@@ -40,6 +40,9 @@ class GenSpec(_GenSpecFields):
         self = super().__new__(cls, GenKind(kind), n, left_size, right_size, seed, drop)
         if n < 1:
             raise ValueError(f"generation needs n >= 1, got {n}")
+        # random.Random seeds from abs(seed): -s would repeat seed s.
+        if seed < 0:
+            raise ValueError(f"generation needs seed >= 0, got {seed}")
         if left_size < n + 1 or right_size < n + 1:
             raise ValueError(f"sizes too small: need at least {n + 1} vertices per side, "
                              f"got {left_size}x{right_size}")
@@ -96,22 +99,30 @@ def gen_random(spec: GenSpec) -> ColoredMultigraph:
 def gen_latin(spec: GenSpec) -> ColoredMultigraph:
     """Seeded row/column/symbol shuffle of the cyclic Latin square of order
     n + 1, with one symbol dropped (the last unless ``spec.drop`` names
-    one); always a normal-form instance with n colors."""
+    one); always a normal-form instance with n colors.
+
+    Cell (r, c) holds ``sym_perm[(row_perm[r] + col_perm[c]) % order]``, so
+    the symbol at index k of ``sym_perm`` sits in row r at the column whose
+    ``col_perm`` entry is ``(k - row_perm[r]) % order``.  Each color class is
+    read off the inverse permutations, kept symbols ascending and rows in
+    order: the edges come out in canonical (c, u, v) order, with no cell
+    scan and no sort.
+    """
     order = spec.n + 1
     drop_symbol = spec.n if spec.drop is None else spec.drop
     rng = random.Random(spec.seed)
     row_perm = rng.sample(range(order), order)
     col_perm = rng.sample(range(order), order)
     sym_perm = rng.sample(range(order), order)
-    edges: list[Edge] = []
-    for r in range(order):
-        for c in range(order):
-            symbol = sym_perm[(row_perm[r] + col_perm[c]) % order]
-            if symbol == drop_symbol:
-                continue
-            color = symbol if symbol < drop_symbol else symbol - 1
-            edges.append(Edge(r, c, color))
-    return ColoredMultigraph(spec.n, order, order, canonical_edges(edges))
+    column = [0] * order
+    for c, k in enumerate(col_perm):
+        column[k] = c
+    kept = (sym_perm.index(s) for s in range(order) if s != drop_symbol)
+    return ColoredMultigraph(spec.n, order, order, tuple(
+        new_edge((r, column[(k - q) % order], color))
+        for color, k in enumerate(kept)
+        for r, q in enumerate(row_perm)
+    ))
 
 
 def count_matchings(left_size: int, right_size: int, size: int) -> int:

@@ -7,6 +7,7 @@ the package against these.
 
 from __future__ import annotations
 
+import random
 from typing import Callable
 
 from rainbowmatch.construct import (
@@ -17,6 +18,7 @@ from rainbowmatch.construct import (
     FailReason,
     PeelStrategy,
 )
+from rainbowmatch.generators import GenSpec
 from rainbowmatch.graph import (
     RULE_BOUNDS,
     RULE_COUNTS,
@@ -30,6 +32,7 @@ from rainbowmatch.graph import (
     Violation,
     _check_vertex,
     canonical_digest,
+    canonical_edges,
     delete_vertex,
     is_rainbow_matching,
     require_valid,
@@ -151,6 +154,26 @@ def reference_validate(g: ColoredMultigraph, require_counts: bool = False) -> Va
             out.sort(key=lambda item: item[0])
         violations.extend(v for _, v in out)
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def reference_gen_latin(spec: GenSpec) -> ColoredMultigraph:
+    """``gen_latin`` by scanning every cell of the shuffled cyclic square,
+    skipping the dropped symbol, then sorting the edges into (c, u, v) order."""
+    order = spec.n + 1
+    drop_symbol = spec.n if spec.drop is None else spec.drop
+    rng = random.Random(spec.seed)
+    row_perm = rng.sample(range(order), order)
+    col_perm = rng.sample(range(order), order)
+    sym_perm = rng.sample(range(order), order)
+    edges: list[Edge] = []
+    for r in range(order):
+        for c in range(order):
+            symbol = sym_perm[(row_perm[r] + col_perm[c]) % order]
+            if symbol == drop_symbol:
+                continue
+            color = symbol if symbol < drop_symbol else symbol - 1
+            edges.append(Edge(r, c, color))
+    return ColoredMultigraph(spec.n, order, order, canonical_edges(edges))
 
 
 def edges_by_color(g: ColoredMultigraph) -> dict[int, list[Edge]]:

@@ -726,6 +726,28 @@ def test_check_refuses_a_count_beside_an_enumeration(tmp_path, capsys, count):
     )
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "-1"],
+        ["check", "--kind", "latin", "--order", "4", "--seed", "-1"],
+        ["check", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+         "--seed", "-100", "--count", "200"],
+    ],
+    ids=["gen-random", "check-latin", "check-across-zero"],
+)
+def test_gen_and_check_refuse_a_negative_seed(tmp_path, capsys, flags):
+    # random.Random seeds from abs(seed): seeds -100..-1 would repeat 1..100.
+    out = tmp_path / "out.jsonl"
+    out.write_text("kept\n")
+    assert main([*flags, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    seed = flags[flags.index("--seed") + 1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: generation needs seed >= 0, got {seed}\n"
+
+
 @pytest.mark.parametrize("command", ["gen", "check"])
 def test_gen_and_check_take_no_input(tmp_path, capsys, command):
     # Both commands generate their instances, so an --in would pass unread.
@@ -833,8 +855,8 @@ LATIN_7 = ["--kind", "latin", "--order", "4", "--seed", "7"]
          '"steps":[{"depth":0,"color":0,"pivot":0,"edge":[0,0,0]}]}'),
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "1"],
          ["construct", "--strategy", "backtrack", "--format", "summary"], 3,
-         "2114ed8bc95ecb18 step_failed failure="
-         "{'depth': 0, 'reason': 'count_deficit', 'digest': '2114ed8bc95ecb18'}"),
+         '2114ed8bc95ecb18 step_failed failure='
+         '{"depth":0,"reason":"count_deficit","digest":"2114ed8bc95ecb18"}'),
         # The cap reaches every reduction of the search, the entry one first.
         (["--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0"],
          ["construct", "--strategy", "backtrack", "--max-iters", "0"], 3,
@@ -860,8 +882,9 @@ CAMPAIGNS = Path(__file__).resolve().parent.parent / "scripts" / "run_campaigns.
         ["--workers", "-3", "--latin-trials", "-5"],
         ["--workers", "0"],
         ["--trials", "-1"],
+        ["--seed", "-1"],
     ],
-    ids=["workers-and-latin-trials", "workers-0", "trials"],
+    ids=["workers-and-latin-trials", "workers-0", "trials", "seed"],
 )
 def test_run_campaigns_rejects_nonsensical_numbers(tmp_path, args):
     out_dir = tmp_path / "results"

@@ -18,7 +18,7 @@ from rainbowmatch.generators import (
     random_spec_stream,
 )
 from rainbowmatch.graph import canonical_digest, validate
-from reference import edges_by_color, is_normal_form
+from reference import edges_by_color, is_normal_form, reference_gen_latin
 
 
 def test_gen_random_deterministic():
@@ -95,6 +95,24 @@ def test_gen_latin_drop_symbol_varies():
 def test_gen_latin_deterministic():
     spec = GenSpec(GenKind.LATIN, 4, 5, 5, 9, drop=2)
     assert gen_latin(spec).edges == gen_latin(spec).edges
+
+
+@pytest.mark.parametrize("order", range(2, 10))
+def test_gen_latin_matches_the_cell_scan(order):
+    # Edge order included: the classes are built already in (c, u, v) order.
+    for drop in (None, *range(order)):
+        for seed in range(200):
+            spec = GenSpec(GenKind.LATIN, order - 1, order, order, seed, drop=drop)
+            assert gen_latin(spec) == reference_gen_latin(spec)
+
+
+@pytest.mark.parametrize("kind", list(GenKind))
+def test_spec_guard_refuses_a_negative_seed(kind):
+    # random.Random seeds from abs(seed), so seed -5 would repeat seed 5.
+    n, side = (2, 3) if kind is GenKind.EXHAUSTIVE else (3, 4)
+    with pytest.raises(ValueError, match="generation needs seed >= 0, got -5"):
+        GenSpec(kind, n, side, side, seed=-5)
+    assert GenSpec(kind, n, side, side, seed=0).seed == 0
 
 
 def test_count_formulas():

@@ -111,6 +111,17 @@ IO_CASES = {
         [LATIN_GEN], None, [0],
         "14225df9b74a9890282ba3a7c4a1e1e6247fd44d974cec007d2f9501557b515f",
     ),
+    # The solve_stream benchmark's input, and a Latin stream with a dropped
+    # symbol other than the last.
+    "gen_latin_8_0_9999": (
+        [["gen", "--kind", "latin", "--order", "8", "--seed", "0", "--count", "10000"]], None, [0],
+        "2787f1b433a1caf914606a33b6e34aeb97a008f935fd477fa5679b7dec32e64f",
+    ),
+    "gen_latin_6_drop2_5_299": (
+        [["gen", "--kind", "latin", "--order", "6", "--drop", "2", "--seed", "5",
+          "--count", "300"]], None, [0],
+        "5851a4203459d4fe1a56559150b9c729cbbf8f24e022671361150562c54a7d1b",
+    ),
     "solve_latin_8_0_199": (
         [LATIN_GEN, ["solve"]], None, [0, 0],
         "b88a2e5de502fb1f8dce0c51079eb2b579b0bc3e1b80f3a8c17ce355e0ac0015",
