@@ -27,6 +27,7 @@ from .graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
+    canonical_line,
     compact_json,
     edge_lists,
     json_lines,
@@ -158,10 +159,10 @@ def _eval_options(args) -> EvalOptions:
 
 def _cmd_gen(args) -> int:
     # Random and latin specs yield one instance each, so the cap only ever
-    # shortens an enumeration.
+    # shortens an enumeration.  Generated edges are already canonical.
     count = 1 if args.count is None else args.count
     graphs = (g for spec in _specs_from_args(args) for g in instances_for(spec))
-    _write_lines((to_canonical_json(g) for g in islice(graphs, count)), args.out)
+    _write_lines(map(canonical_line, islice(graphs, count)), args.out)
     return EXIT_OK
 
 
@@ -312,6 +313,9 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    # The report would overwrite the records it is read from.
+    if _same_file(args.inp, args.out):
+        raise ValueError(f"output {args.out} is the input file")
     with _opened(args.inp, "r") as src:
         report = replay(json_lines(src))
     payload = {

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, repeat
 from typing import Iterator, NamedTuple
 
-from .graph import ColoredMultigraph, Edge, canonical_edges, new_edge
+from .graph import ColoredMultigraph, Edge, new_edge
 
 ENUMERATION_GUARD = 10**8
 
@@ -85,15 +85,17 @@ class GenSpec(_GenSpecFields):
 
 def gen_random(spec: GenSpec) -> ColoredMultigraph:
     """Independently sample a uniform random partial matching of size n + 1
-    for each color; deterministic in the seed."""
+    for each color; deterministic in the seed.  Colors ascend and each
+    class's lefts are sorted, so the edges come out in canonical (c, u, v)
+    order with no sort."""
     n = spec.n
     rng = random.Random(spec.seed)
     edges: list[Edge] = []
     for c in range(n):
         lefts = sorted(rng.sample(range(spec.left_size), n + 1))
         rights = rng.sample(range(spec.right_size), n + 1)
-        edges.extend(Edge(u, v, c) for u, v in zip(lefts, rights))
-    return ColoredMultigraph(n, spec.left_size, spec.right_size, canonical_edges(edges))
+        edges.extend(map(new_edge, zip(lefts, rights, repeat(c))))
+    return ColoredMultigraph(n, spec.left_size, spec.right_size, tuple(edges))
 
 
 def gen_latin(spec: GenSpec) -> ColoredMultigraph:
@@ -136,7 +138,9 @@ def count_instances(n: int, left_size: int, right_size: int) -> int:
 
 def enumerate_instances(spec: GenSpec) -> Iterator[ColoredMultigraph]:
     """Stream every tuple of n color-class matchings of size n + 1, in
-    lexicographic order over the per-color matchings."""
+    lexicographic order over the per-color matchings.  Each matching pairs
+    ascending lefts with rights, so every instance's edges are in canonical
+    (c, u, v) order."""
     k = spec.n + 1
     matchings = [
         tuple(zip(lefts, rights))
@@ -145,14 +149,15 @@ def enumerate_instances(spec: GenSpec) -> Iterator[ColoredMultigraph]:
     ]
     for classes in product(matchings, repeat=spec.n):
         edges = tuple(
-            Edge(u, v, c) for c, cls in enumerate(classes) for u, v in cls
+            new_edge((u, v, c)) for c, cls in enumerate(classes) for u, v in cls
         )
         yield ColoredMultigraph(spec.n, spec.left_size, spec.right_size, edges)
 
 
 def instances_for(spec: GenSpec) -> Iterator[ColoredMultigraph]:
     """Materialize a spec: one instance for random/latin, a stream for
-    exhaustive enumeration."""
+    exhaustive enumeration.  Every kind yields its edges in canonical
+    (c, u, v) order, so ``graph.canonical_line`` writes them unsorted."""
     if spec.kind is GenKind.RANDOM:
         yield gen_random(spec)
     elif spec.kind is GenKind.LATIN:

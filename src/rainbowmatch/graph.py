@@ -206,25 +206,6 @@ def require_valid(g: ColoredMultigraph, require_counts: bool = False) -> None:
         raise ValueError(f"invalid graph: {report.violations[0].detail}")
 
 
-def _check_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> None:
-    if not 0 <= vertex < g.side_size(side):
-        raise ValueError(f"vertex {vertex} out of range for side {side.value} (size {g.side_size(side)})")
-
-
-def delete_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> ColoredMultigraph:
-    """Remove ``vertex`` with its incident edges; reindex that side densely."""
-    _check_vertex(g, side, vertex)
-    if side is Side.LEFT:
-        edges = tuple(
-            Edge(e.u if e.u < vertex else e.u - 1, e.v, e.c) for e in g.edges if e.u != vertex
-        )
-        return ColoredMultigraph(g.n, g.left_size - 1, g.right_size, edges)
-    edges = tuple(
-        Edge(e.u, e.v if e.v < vertex else e.v - 1, e.c) for e in g.edges if e.v != vertex
-    )
-    return ColoredMultigraph(g.n, g.left_size, g.right_size - 1, edges)
-
-
 def is_rainbow_matching(g: ColoredMultigraph, m: Matching, k: int) -> bool:
     """True iff ``m`` has exactly ``k`` edges of ``g``, pairwise disjoint on
     both sides and pairwise color-distinct."""
@@ -292,13 +273,26 @@ def from_dict(d: dict) -> ColoredMultigraph:
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def to_canonical_json(g: ColoredMultigraph) -> str:
-    """Single-line canonical serialization; bit-exact for golden tests.  The
-    bytes of ``compact_json(to_dict(g))``, written by one ``%`` format over
-    the canonical edges, with no list built per edge."""
-    es = canonical_edges(g.edges)
+def _line(g: ColoredMultigraph, es: tuple[Edge, ...]) -> str:
+    """The canonical line of ``g`` with edges ``es``: the bytes of
+    ``compact_json``, written by one ``%`` format with no list built per
+    edge."""
     line = '{"n":%d,"left":%d,"right":%d,"edges":[' + ("[%d,%d,%d]," * len(es))[:-1] + "]}"
     return line % (g.n, g.left_size, g.right_size, *chain.from_iterable(es))
+
+
+def canonical_line(g: ColoredMultigraph) -> str:
+    """``to_canonical_json(g)`` for a graph whose edges are already in
+    canonical (c, u, v) order, as every generator yields them: the edges are
+    written as they stand, with no sort."""
+    return _line(g, g.edges)
+
+
+def to_canonical_json(g: ColoredMultigraph) -> str:
+    """Single-line canonical serialization; bit-exact for golden tests.  The
+    bytes of ``compact_json(to_dict(g))``: the edges sorted, then written
+    by the one formatter ``canonical_line`` uses."""
+    return _line(g, canonical_edges(g.edges))
 
 
 def from_json(text: str) -> ColoredMultigraph:

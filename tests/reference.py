@@ -30,10 +30,8 @@ from rainbowmatch.graph import (
     Side,
     ValidationReport,
     Violation,
-    _check_vertex,
     canonical_digest,
     canonical_edges,
-    delete_vertex,
     is_rainbow_matching,
     require_valid,
 )
@@ -49,6 +47,25 @@ from rainbowmatch.reduction import (
 from rainbowmatch.shifting import RewriteKind, ShiftOutcome, ShiftRewrite
 
 NAIVE_EDGE_LIMIT = 24
+
+
+def _check_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> None:
+    if not 0 <= vertex < g.side_size(side):
+        raise ValueError(f"vertex {vertex} out of range for side {side.value} (size {g.side_size(side)})")
+
+
+def delete_vertex(g: ColoredMultigraph, side: Side, vertex: int) -> ColoredMultigraph:
+    """Remove ``vertex`` with its incident edges; reindex that side densely."""
+    _check_vertex(g, side, vertex)
+    if side is Side.LEFT:
+        edges = tuple(
+            Edge(e.u if e.u < vertex else e.u - 1, e.v, e.c) for e in g.edges if e.u != vertex
+        )
+        return ColoredMultigraph(g.n, g.left_size - 1, g.right_size, edges)
+    edges = tuple(
+        Edge(e.u, e.v if e.v < vertex else e.v - 1, e.c) for e in g.edges if e.v != vertex
+    )
+    return ColoredMultigraph(g.n, g.left_size, g.right_size - 1, edges)
 
 
 def delete_color(g: ColoredMultigraph, c: int) -> ColoredMultigraph:

@@ -795,6 +795,20 @@ def test_check_refuses_records_and_summaries_in_one_file(tmp_path, capsys, monke
         assert not both.exists()
 
 
+def test_replay_refuses_its_input_as_its_output(tmp_path, capsys, monkeypatch):
+    # The report would overwrite the records it replays.  Refused before
+    # the records are read, however the path is spelled.
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.jsonl"
+    assert main(["check", *RANDOM_3X3, "--hyp", "CONJ", "--records", str(records)]) == 0
+    kept = records.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "replay", lambda *a, **k: pytest.fail("the records were read"))
+    assert main(["replay", "--in", "records.jsonl", "--out", "./records.jsonl"]) == 2
+    assert capsys.readouterr().err == "error: output ./records.jsonl is the input file\n"
+    assert records.read_bytes() == kept
+
+
 def test_check_writes_records_and_summaries_both_to_stdout(capsys):
     # '-' and an omitted --out name stdout, which takes both in turn.
     assert main(["check", *RANDOM_3X3, "--hyp", "CONJ", "--records", "-"]) == 0

@@ -22,7 +22,6 @@ from rainbowmatch.graph import (
     Matching,
     Side,
     canonical_digest,
-    delete_vertex,
     is_rainbow_matching,
 )
 from rainbowmatch.oracle import max_rainbow
@@ -33,7 +32,7 @@ from rainbowmatch.reduction import (
     reduce_to_normal_form,
     reduce_trusted,
 )
-from reference import delete_color, peel_ref, reference_construct
+from reference import delete_color, delete_vertex, peel_ref, reference_construct
 from strategies import counts_valid_graphs
 
 

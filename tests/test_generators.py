@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,13 @@ from rainbowmatch.generators import (
     latin_spec_stream,
     random_spec_stream,
 )
-from rainbowmatch.graph import canonical_digest, validate
+from rainbowmatch.graph import (
+    canonical_digest,
+    canonical_edges,
+    canonical_line,
+    to_canonical_json,
+    validate,
+)
 from reference import edges_by_color, is_normal_form, reference_gen_latin
 
 
@@ -104,6 +112,34 @@ def test_gen_latin_matches_the_cell_scan(order):
         for seed in range(200):
             spec = GenSpec(GenKind.LATIN, order - 1, order, order, seed, drop=drop)
             assert gen_latin(spec) == reference_gen_latin(spec)
+
+
+def _canonical_specs():
+    for n, left, right in [(1, 2, 2), (2, 3, 3), (2, 5, 4), (3, 6, 5), (4, 7, 6), (5, 8, 7)]:
+        yield from random_spec_stream(n, left, right, 0, 100)
+    for order in range(2, 10):
+        for drop in (None, *range(order)):
+            yield from latin_spec_stream(order, drop, 0, 5)
+
+
+def _assert_canonical(graphs):
+    for g in graphs:
+        assert g.edges == canonical_edges(g.edges)
+        assert canonical_line(g) == to_canonical_json(g)
+
+
+def test_generators_yield_canonical_edge_order():
+    # gen writes each generated graph with canonical_line, which does not sort.
+    _assert_canonical(g for spec in _canonical_specs() for g in instances_for(spec))
+    _assert_canonical(enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)))
+    _assert_canonical(islice(enumerate_instances(GenSpec(GenKind.EXHAUSTIVE, 3, 4, 4)), 2000))
+
+
+def test_canonical_line_writes_the_edges_as_they_stand():
+    g = gen_random(GenSpec(GenKind.RANDOM, 2, 3, 3, seed=4))
+    reordered = g._replace(edges=g.edges[::-1])
+    assert to_canonical_json(reordered) == canonical_line(g)
+    assert canonical_line(reordered) != canonical_line(g)
 
 
 @pytest.mark.parametrize("kind", list(GenKind))

@@ -122,6 +122,22 @@ IO_CASES = {
           "--count", "300"]], None, [0],
         "5851a4203459d4fe1a56559150b9c729cbbf8f24e022671361150562c54a7d1b",
     ),
+    # Streams whose edges gen writes without sorting them: random classes
+    # with sorted lefts, and every n = 2 instance on 3 + 3 vertices.
+    "gen_random_n3_6x5_0_999": (
+        [["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5", "--seed", "0",
+          "--count", "1000"]], None, [0],
+        "c40a8e59ab78f19450d56623fd7cee48b884f72dfde4b3a3aa6f8b02f1545145",
+    ),
+    "gen_random_n4_7x6_0_299": (
+        [["gen", "--kind", "random", "--n", "4", "--left", "7", "--right", "6", "--seed", "0",
+          "--count", "300"]], None, [0],
+        "7ac93fb7862096cf5ce486a634a1b30563ece765591d5275344c80c04ff0a5ff",
+    ),
+    "gen_enumerate_n2_3x3": (
+        [["gen", "--kind", "enumerate", "--n", "2", "--count", "36"]], None, [0],
+        "5ba88405e5305edfc396a12a4e65fea63221492bf75d195f5669502f09e39ee9",
+    ),
     "solve_latin_8_0_199": (
         [LATIN_GEN, ["solve"]], None, [0, 0],
         "b88a2e5de502fb1f8dce0c51079eb2b579b0bc3e1b80f3a8c17ce355e0ac0015",

@@ -19,7 +19,6 @@ from rainbowmatch.graph import (
     canonical_digest,
     canonical_edges,
     compact_json,
-    delete_vertex,
     from_dict,
     from_json,
     is_rainbow_matching,
@@ -33,6 +32,7 @@ from reference import (
     colors_at,
     degree,
     delete_color,
+    delete_vertex,
     incident_edges,
     reference_from_dict,
     reference_validate,

@@ -19,7 +19,6 @@ from rainbowmatch.graph import (
     ColoredMultigraph,
     Side,
     canonical_digest,
-    delete_vertex,
     from_dict,
     json_lines,
     to_dict,
@@ -41,7 +40,7 @@ from rainbowmatch.harness import (
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
-from reference import counts_valid, delete_color, reference_h1_all
+from reference import counts_valid, delete_color, delete_vertex, reference_h1_all
 from strategies import counts_valid_graphs, padded_graphs
 
 # Proper, but one edge per color where the hypotheses need n + 1 = 3.

@@ -29,7 +29,14 @@ from rainbowmatch.reduction import (
     reduce_trusted,
 )
 from rainbowmatch.shifting import shift
-from reference import colors_at, is_normal_form, mirror, pick_pivot, reference_shift
+from reference import (
+    colors_at,
+    delete_vertex,
+    is_normal_form,
+    mirror,
+    pick_pivot,
+    reference_shift,
+)
 from strategies import counts_valid_graphs, padded_graphs, proper_graphs
 
 
@@ -319,8 +326,6 @@ def test_carried_masks_match_the_reference(g, policy):
 
 
 def test_invalid_input_rejected(i2):
-    from rainbowmatch.graph import delete_vertex
-
     with pytest.raises(ValueError):
         reduce_to_normal_form(delete_vertex(i2, Side.LEFT, 0))
     with pytest.raises(ValueError, match="reduction needs at least one color"):
