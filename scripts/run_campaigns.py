@@ -30,7 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rainbowmatch.cli import _non_negative, _positive
+from rainbowmatch.cli import _non_negative, _positive, _write_lines
 from rainbowmatch.generators import (
     GenKind,
     GenSpec,
@@ -48,7 +48,6 @@ from rainbowmatch.harness import (
     minimize,
     run_campaign,
     violation_predicate,
-    write_records,
 )
 
 PHASES = ("conj", "random", "latin", "shrink")
@@ -65,7 +64,7 @@ RANDOM_HYPS = (
 def phase_conj(out_dir: Path) -> dict:
     spec = GenSpec(GenKind.EXHAUSTIVE, 2, 3, 3)
     (summary,), records = run_campaign((Hypothesis.CONJ,), [spec])
-    write_records(records, out_dir / "conj_exhaustive.jsonl")
+    _write_lines((r.to_json_line() for r in records), str(out_dir / "conj_exhaustive.jsonl"))
     d = summary.to_dict()
     print(f"[conj] {d['trials']} instances enumerated, "
           f"{d['holds']} hold, {d['violated']} violated")
@@ -78,7 +77,8 @@ def phase_random(out_dir: Path, trials: int, seed: int, workers: int) -> dict:
     summaries, records = run_campaign(RANDOM_HYPS, specs, workers=workers)
     for h, (hyp, summary) in enumerate(zip(RANDOM_HYPS, summaries)):
         column = records[h * summary.trials:(h + 1) * summary.trials]
-        write_records(column, out_dir / f"{hyp.value.lower()}.jsonl")
+        path = out_dir / f"{hyp.value.lower()}.jsonl"
+        _write_lines((r.to_json_line() for r in column), str(path))
         d = summary.to_dict()
         results[hyp.value] = d
         print(f"[random] {hyp.value}: {d['holds']} hold, "
@@ -92,7 +92,7 @@ def phase_latin(out_dir: Path, trials: int, seed: int) -> dict:
     violated, and a held H4 is a matched construction."""
     specs = latin_spec_stream(4, 3, seed, trials)
     (summary,), records = run_campaign((Hypothesis.H4,), specs)
-    write_records(records, out_dir / "latin_h4.jsonl")
+    _write_lines((r.to_json_line() for r in records), str(out_dir / "latin_h4.jsonl"))
     d = summary.to_dict()
     agree = d["trials"] - d["violated"]
     print(f"[latin] {agree}/{d['trials']} construct/oracle agreement, "

@@ -105,6 +105,8 @@ def _each_instance(args, render: Callable[[ColoredMultigraph], tuple]) -> int:
     ``--trace`` as ``{"index", "digest", **entry}``, ``index`` being the
     0-based input position.  Returns the largest exit code."""
     trace_path = getattr(args, "trace", None)
+    if _same_file(args.out, trace_path):
+        raise ValueError(f"--out and --trace both name {trace_path}")
     with _opened(args.inp, "r") as src:
         # The input is still being read while the outputs are written.
         for path in (args.out, trace_path):

@@ -387,11 +387,11 @@ def run_campaign(
     its share of the stream's first ``budget`` instances, and a spec whose
     share is zero never runs.  The unit of work is a spec: it is generated
     and evaluated where it runs.  With ``workers > 1`` and more than one
-    spec to run, an ordered process pool takes them in chunks of
-    ``SPEC_CHUNK`` and the parent only flattens and tallies the records, so
-    an enumeration, being one spec, runs in one worker.  The record order
-    (and hence the output bytes, timing aside) is identical to a sequential
-    run.
+    spec to run, an ordered process pool, with no more workers than chunks,
+    takes them in chunks of ``SPEC_CHUNK`` and the parent only flattens and
+    tallies the records, so an enumeration, being one spec, runs in one
+    worker.  The record order (and hence the output bytes, timing aside) is
+    identical to a sequential run.
     """
     hyps = tuple(hyps)
     specs = list(specs)
@@ -407,7 +407,9 @@ def run_campaign(
     evaluate_spec = partial(_eval_spec, hyps=hyps, opts=opts)
     if workers > 1 and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # doubles import time: load on use
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool forks all its workers at once: no more than there are chunks.
+        chunks = -(-len(specs) // SPEC_CHUNK)
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
             per_instance = list(chain.from_iterable(
                 pool.map(evaluate_spec, specs, caps, chunksize=SPEC_CHUNK)
             ))
@@ -432,12 +434,6 @@ def run_campaign(
         ))
         records.extend(column)
     return summaries, records
-
-
-def write_records(records: Iterable[CampaignRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(rec.to_json_line() + "\n")
 
 
 def replay(records: Iterable[dict]) -> ReplayReport:

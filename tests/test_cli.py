@@ -226,6 +226,22 @@ def test_output_naming_the_input_is_refused(tmp_path, capsys, flag):
     assert inst.read_bytes() == before
 
 
+@pytest.mark.parametrize("command", [["reduce"], ["shift", "--pivot", "0", "--donor", "1"]],
+                         ids=["reduce", "shift"])
+def test_out_and_trace_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, command):
+    # The outputs and the trace entries would interleave in one file.
+    # Refused before either is opened, however the path is spelled.
+    monkeypatch.chdir(tmp_path)
+    inst, both = tmp_path / "i.jsonl", tmp_path / "both.jsonl"
+    assert main(["gen", "--kind", "random", "--n", "3", "--left", "6", "--right", "5",
+                 "--count", "3", "--out", str(inst)]) == 0
+    both.write_text("kept\n")
+    argv = [*command, "--in", str(inst), "--out", "both.jsonl", "--trace", "./both.jsonl"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --out and --trace both name ./both.jsonl\n"
+    assert both.read_text() == "kept\n"
+
+
 def test_solve_answers_each_instance_before_reading_the_next(capsys, monkeypatch):
     good = '{"n":1,"left":2,"right":2,"edges":[[0,0,0],[1,1,0]]}'
     assert run(["solve"], good + "\n", monkeypatch) == 0

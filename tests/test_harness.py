@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import seeded
-from rainbowmatch import harness
+from rainbowmatch import cli, harness
 from rainbowmatch.construct import PeelStrategy, construct
 from rainbowmatch.generators import GenKind, GenSpec, instances_for, random_spec_stream
 from rainbowmatch.graph import (
@@ -36,7 +36,6 @@ from rainbowmatch.harness import (
     replay,
     run_campaign,
     violation_predicate,
-    write_records,
 )
 from rainbowmatch.oracle import max_rainbow
 from rainbowmatch.reduction import PivotDonorPolicy, ReductionStatus, compact_isolated
@@ -415,6 +414,42 @@ def test_capped_pooled_campaign_submits_at_most_budget_specs(monkeypatch, budget
     assert [(s["trials"], s["truncated"]) for s in pooled[0]] == [(budget, True)]
 
 
+class InProcessPool:
+    """A stand-in pool that keeps the worker count it is asked for and maps
+    in this process, so that no worker is forked."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        InProcessPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+CHUNK = harness.SPEC_CHUNK
+
+
+@pytest.mark.parametrize(
+    "count, workers, want",
+    [(CHUNK + 1, 64, 2), (2 * CHUNK, 64, 2), (2 * CHUNK + 1, 3, 3), (100, 2, 2)],
+)
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, count, workers, want):
+    # A pool forks every worker when it starts, whether or not it has work.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(InProcessPool, "sizes", [])
+    specs = list(random_spec_stream(3, 6, 5, 0, count))
+    pooled = stripped(run_campaign((Hypothesis.H2,), specs, workers=workers))
+    assert InProcessPool.sizes == [want]
+    assert pooled == stripped(run_campaign((Hypothesis.H2,), specs))
+
+
 @pytest.mark.parametrize("budget", [None, 0, 10, 36, 40, 108])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_capped_campaign_evaluates_exactly_its_budget(monkeypatch, tmp_path, workers, budget):
@@ -463,7 +498,7 @@ def test_records_file_round_trip(tmp_path):
     specs = random_spec_stream(3, 6, 5, 0, 20)
     _, records = run_campaign((Hypothesis.H3,), specs)
     path = tmp_path / "h3.jsonl"
-    write_records(records, path)
+    cli._write_lines((rec.to_json_line() for rec in records), str(path))
     with open(path, encoding="utf-8") as f:
         loaded = list(json_lines(f))
     assert len(loaded) == 20
